@@ -13,7 +13,7 @@ coordinate is cyclic of size ``fiber`` and the metric applies to the leading
 import os
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 _FORCE_FALLBACK = os.environ.get("LIMITOPS_NO_NUMBA", "") not in ("", "0")
 
@@ -74,6 +74,36 @@ def cell_scan_py(points, cell_of, ncells, thresh, metric, dim, fiber):
     return adj, diam
 
 
+def cholesky_banded(ab, lower):
+    """``scipy.linalg.cholesky_banded`` for complex128 without the wrapper's
+    per-call overhead. LAPACK zpbtrf overwrites ``ab``, in place when it is
+    Fortran-ordered, so pass a copy you own. Raises like scipy: ValueError on
+    non-finite input or an illegal argument, LinAlgError when a leading minor
+    is not positive definite."""
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = zpbtrf(ab, lower=lower, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
+    return c
+
+
+def cho_solve_banded(cb_and_lower, b):
+    """``scipy.linalg.cho_solve_banded`` for complex128 via LAPACK zpbtrs,
+    raising like scipy; ``b`` is left untouched."""
+    cb, lower = cb_and_lower
+    if not (np.isfinite(cb).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = zpbtrs(cb, b, lower=lower)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
+    return x
+
+
 _RAYLEIGH_BACKOFF = (0.995, 0.95, 0.8, 0.5)
 
 
@@ -85,6 +115,7 @@ def _sweep_row_py(gram_bands, slice_lo, slice_up, zs, bw, maxit, rtol, start):
     # point keeps the overlap with the minimal eigenvector nonzero
     guard = np.cos(1.7 * np.arange(x.size) + 0.3) + 0.21
     guard = guard / np.linalg.norm(guard)
+    slice_up_c = np.conj(slice_up)
 
     def iterate(cb, x):
         # inverse iteration with a harmonic Rayleigh estimate; the estimate
@@ -104,12 +135,12 @@ def _sweep_row_py(gram_bands, slice_lo, slice_up, zs, bw, maxit, rtol, start):
 
     for iz, z in enumerate(zs):
         az2 = (z * np.conj(z)).real
-        base = gram_bands - np.conj(z) * slice_lo - z * np.conj(slice_up)
+        base = gram_bands - np.conj(z) * slice_lo - z * slice_up_c
         base[0] += az2
         dmax = max(base[0].real.max(), 1.0)
 
         def factor(s):
-            work = base.copy()
+            work = base.copy(order="F")
             work[0] += s
             try:
                 return cholesky_banded(work, lower=True)
@@ -416,8 +447,9 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, bw, maxit=25,
     two triangles of the square slice S = E^H T (equal when S is complex
     symmetric). Points within one call share a warm-started iteration vector;
     calls are independent, so parallel callers get deterministic results by
-    splitting zs and concatenating in order. A -1.0 entry flags a (never
-    observed in practice) Cholesky breakdown.
+    splitting zs and concatenating in order. A -1.0 entry flags a Cholesky
+    breakdown that no diagonal shift cured; on the numpy lane it also flags
+    non-finite input (z, or an entry of the bands).
     """
     n = gram_bands.shape[1]
     if start is None:

@@ -8,6 +8,7 @@ config file, seed, and format (wall-clock timings sit under the separate
 
 import argparse
 import copy
+import functools
 import json
 import sys
 import time
@@ -320,6 +321,27 @@ def full_schema():
     }
 
 
+@functools.cache
+def _validator(task):
+    """Validator for the config schema (``task`` None) or a task's schema; the
+    schema itself is checked once per process."""
+    from jsonschema.validators import validator_for
+
+    schema = CONFIG_SCHEMA if task is None else TASK_SCHEMAS[task]
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, task):
+    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(task).iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 # -- helpers ---------------------------------------------------------------------
 
 
@@ -619,12 +641,10 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        import jsonschema
-
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        _validate(cfg, None)
         prm = dict(TASK_DEFAULTS[args.task])
         prm.update(cfg.get("task", {}))
-        jsonschema.validate(cfg.get("task", {}), TASK_SCHEMAS[args.task])
+        _validate(cfg.get("task", {}), args.task)
         cfg = copy.deepcopy(cfg)
         _fill_seeds(cfg, args.seed)
         result, code = RUNNERS[args.task](cfg, prm, args)

@@ -93,6 +93,21 @@ def test_bad_task_parameter_rejected(tmp_path, capsys):
     assert "rMax" in err
 
 
+@pytest.mark.parametrize("cfg, line", [
+    # the first error jsonschema finds is the oneOf under "space"; the best
+    # match is the leaf it contains
+    ({"space": {"kind": "lattice", "dim": 0}, "sequences": [{"v": "x"}]},
+     "config rejected at space/dim: 0 is less than the minimum of 1\n"),
+    ({"space": Z1, "task": {"rMax": 0, "bogus": 1}},
+     "config rejected: Additional properties are not allowed ('bogus' was unexpected)\n"),
+])
+def test_rejection_message_is_the_best_match(tmp_path, capsys, cfg, line):
+    path = write_cfg(tmp_path, cfg)
+    first = run(["geometry", "--config", path], capsys)
+    second = run(["geometry", "--config", path], capsys)
+    assert first == second == (1, "", line)
+
+
 def test_unreadable_config_is_an_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

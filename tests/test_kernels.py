@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import limitops
 from limitops import _kernels as K
@@ -120,6 +121,57 @@ def test_sweep_clusters_need_restarts():
     gb, sl, su, bw = pack_sweep_inputs(T, 0)
     got = K.sigma_min_sweep(gb, sl, su, np.array([0.0 + 0.0j]), 0, maxit=30)
     assert np.isclose(got[0], 1e-3, rtol=1e-4)
+
+
+def _sweep_cases():
+    """Inputs of the sweep tests above, unpacked for ``_sweep_row_py``."""
+    cases = []
+    for hermitian in (False, True):
+        T = banded_random(60, 2, seed=3, hermitian=hermitian)
+        cases.append((*pack_sweep_inputs(T, 2), MIXED_Z.astype(np.complex128), 30))
+    T = np.diag([1e-3, 1.001e-3, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]).astype(np.complex128)
+    cases.append((*pack_sweep_inputs(T, 0), np.array([0.0 + 0.0j]), 30))
+    return cases
+
+
+def _run_sweep_py(gb, sl, su, bw, zs, maxit):
+    start = (np.cos(0.9 * np.arange(gb.shape[1]) + 0.7) + 0.1).astype(np.complex128)
+    return K._sweep_row_py(gb, sl, su, zs, bw, maxit, 1e-7, start)
+
+
+def test_sweep_lapack_helpers_match_scipy_bitwise(monkeypatch):
+    # the numpy lane calls LAPACK zpbtrf/zpbtrs directly; scipy's wrappers on
+    # the same inputs must give the same bits, iterate included
+    direct = [_run_sweep_py(*case) for case in _sweep_cases()]
+    monkeypatch.setattr(K, "cholesky_banded", scipy.linalg.cholesky_banded)
+    monkeypatch.setattr(K, "cho_solve_banded", scipy.linalg.cho_solve_banded)
+    wrapped = [_run_sweep_py(*case) for case in _sweep_cases()]
+    for (out, x), (ref_out, ref_x) in zip(direct, wrapped):
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(x, ref_x)
+
+
+@pytest.mark.parametrize("where", ["z=nan", "z=inf", "gram nan", "gram inf"])
+def test_sweep_flags_non_finite_input(where):
+    # -1.0 flags non-finite input, also where LAPACK alone would not fail: it
+    # never reads the unused corner of the band storage, and an infinite last
+    # pivot factors
+    gb, sl, su, bw, _, _ = _sweep_cases()[0]
+    zs = np.array([0.5, -1.7 + 0.3j], dtype=np.complex128)
+    if where == "z=nan":
+        zs[0] = np.nan
+    elif where == "z=inf":
+        zs[0] = np.inf
+    elif where == "gram nan":
+        gb[bw, -1] = np.nan
+    else:
+        gb[0, -1] = np.inf
+    with np.errstate(invalid="ignore"):
+        out, _ = _run_sweep_py(gb, sl, su, bw, zs, 30)
+    if where.startswith("z="):
+        assert out[0] == -1.0 and out[1] > 0.0
+    else:
+        assert np.all(out == -1.0)
 
 
 def test_fallback_flag_subprocess():
