@@ -269,7 +269,7 @@ if USING_NUMBA:
             for k in range(max(0, j - bw), j):
                 v = ab[j - k, k]
                 s -= (v * np.conj(v)).real
-            if s <= 0.0:
+            if not (s > 0.0):  # also a NaN pivot
                 return 1
             d = np.sqrt(s)
             ab[0, j] = d
@@ -342,8 +342,15 @@ if USING_NUMBA:
         gnrm = np.sqrt(gnrm)
         for j in range(n):
             guard[j] = guard[j] / gnrm
+        # an infinite pivot factors, so non-finite input is flagged up front,
+        # as the numpy lane's finite checks do
+        finite = (np.isfinite(gram_bands).all() and np.isfinite(slice_lo).all()
+                  and np.isfinite(slice_up).all())
         for iz in range(zs.size):
             z = zs[iz]
+            if not (finite and np.isfinite(z)):
+                out[iz] = -1.0
+                continue
             az2 = (z * np.conj(z)).real
             dmax = 1.0
             for j in range(n):
@@ -448,8 +455,8 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, bw, maxit=25,
     symmetric). Points within one call share a warm-started iteration vector;
     calls are independent, so parallel callers get deterministic results by
     splitting zs and concatenating in order. A -1.0 entry flags a Cholesky
-    breakdown that no diagonal shift cured; on the numpy lane it also flags
-    non-finite input (z, or an entry of the bands).
+    breakdown that no diagonal shift cured, or non-finite input (z, or an
+    entry of the bands).
     """
     n = gram_bands.shape[1]
     if start is None:

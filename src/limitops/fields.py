@@ -218,19 +218,6 @@ class TableField(Field):
                     out[i] = lut[row]
         return out
 
-    def entry_points(self, space):
-        if not self.entries:
-            return np.empty((0, space.point_arity), dtype=np.int64)
-        pts = []
-        for k in self.entries:
-            kk = k
-            if len(kk) == space.dim and space.fiber > 1:
-                kk = kk + (0,)
-            if len(kk) != space.point_arity:
-                raise InvalidPointError(f"table key {k} has wrong arity")
-            pts.append(kk)
-        return np.asarray(pts, dtype=np.int64)
-
     def bound(self, space):
         vals = [abs(self.default)] + [abs(v) for v in self.entries.values()]
         return max(vals), True

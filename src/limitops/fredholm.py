@@ -16,8 +16,15 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidConfigError, UnsupportedConstructionError
-from .fields import ConstantField, PeriodicField
-from .operator import BandOperator, window_norm
+from .fields import ConstantField, PeriodicField, _apply_shift
+from .operator import (
+    BandOperator,
+    _abs_diagonal,
+    _distinct_sorted,
+    _PointLocator,
+    _points,
+    window_norm,
+)
 from .shifts import DivergenceReport, limit_operator
 from .space import Window
 from .subspace import hat
@@ -30,6 +37,9 @@ FAMILY_CAVEAT = (
 
 DEFAULT_T_GRID = (0.5, 0.3, 0.15)
 DEFAULT_SWEEP_CHUNK = 512
+# below this multiple of norm_bound()^2 the Gram eigenvalue has lost too many
+# digits to squaring, and the dense SVD decides
+GRAM_FLOOR = 1e-8
 
 
 # -- lower norms ---------------------------------------------------------------
@@ -84,23 +94,77 @@ def _lower_norm_p(M, p, starts=4, iters=200):
     return best
 
 
+def _lower_norm_structured(B, pts):
+    """p = 2 lower norm of the tall block of B on a lattice support, from the
+    operator's structure; None where the dense SVD must decide."""
+    pts = _distinct_sorted(pts)
+    if pts is None:
+        return None  # the dense block repeats a column
+    if B.propagation == 0:
+        c = _abs_diagonal(B, pts)
+        return float(c.min()) if np.isfinite(c).all() else None
+    from scipy.linalg import eigvals_banded
+
+    space = B.space
+    # Column j of the tall block holds c_k(s_j - k) in row s_j - k, so the
+    # Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
+    # u = s_j - k = s_l - k'. In lexicographic order the Gram matrix is
+    # banded; keep its lower triangle in LAPACK band storage.
+    loc = _PointLocator(pts)
+    n = pts.shape[0]
+    offs = [np.asarray(k) for k in B.stencil]
+    cols = [f.eval(space, _apply_shift(space, pts, -k))
+            for k, f in zip(offs, B.stencil.values())]
+    idx = np.arange(n)
+    js, ls, vals = [], [], []
+    for k, ck in zip(offs, cols):
+        for k2, ck2 in zip(offs, cols):
+            l = loc.locate(_apply_shift(space, pts, k2 - k))
+            j = np.nonzero((l >= 0) & (l <= idx))[0]
+            js.append(j)
+            ls.append(l[j])
+            vals.append(np.conj(ck[j]) * ck2[l[j]])
+    j, l = np.concatenate(js), np.concatenate(ls)
+    ab = np.zeros((int((j - l).max(initial=0)) + 1, n), dtype=np.complex128)
+    np.add.at(ab, (j - l, l), np.concatenate(vals))
+    if not np.isfinite(ab).all():
+        return None
+    lam = float(eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0])
+    if lam < GRAM_FLOOR * B.norm_bound()[0] ** 2:
+        return None
+    return float(np.sqrt(lam))
+
+
 def lower_norm_window(B, support, p=2, rows=None):
     """inf over unit vectors supported in the window of ||Bf||_p.
 
-    Exact for p = 2 (smallest singular value of the tall block whose rows
-    cover everything the support can reach); for other exponents a certified
-    upper bound from minimization restarts. Nonincreasing under support
-    enlargement.
+    p = 2: smallest singular value of the tall block whose rows cover
+    everything the support can reach. On a lattice, multiplication operators
+    (propagation 0) give min |c(u)| over the support, exactly; other
+    operators give the square root of the smallest eigenvalue of the tall
+    block's Gram matrix, built in band storage. That differs from the
+    singular value by about eps * norm^2 / value. The dense SVD takes over
+    where the eigenvalue is below GRAM_FLOOR * norm_bound^2, where a point
+    repeats, or where a coefficient is not finite (so the SVD's error
+    surfaces). Explicit rows always take the dense SVD; when they are fewer
+    than the support points a kernel vector exists and the value is 0, for
+    every p. Other exponents: a certified upper bound from minimization
+    restarts. Nonincreasing under support enlargement.
     """
-    support_pts = support.points if isinstance(support, Window) else np.asarray(support)
+    support_pts = _points(support)
     if support_pts.shape[0] == 0:
         warnings.warn("empty support; lower norm is +inf")
         return np.inf
+    if p == 2 and rows is None and B.space.kind == "lattice":
+        nu = _lower_norm_structured(B, support_pts)
+        if nu is not None:
+            return nu
     rows_pts = rows.points if isinstance(rows, Window) else rows
     M = _tall_block(B, support_pts, rows_pts)
+    if M.shape[0] < M.shape[1]:
+        return 0.0
     if p == 2:
-        sv = np.linalg.svd(M, compute_uv=False)
-        return float(sv[-1]) if sv.size else 0.0
+        return float(np.linalg.svd(M, compute_uv=False)[-1])
     return _lower_norm_p(M, p)
 
 
@@ -431,12 +495,6 @@ class SpectrumEstimate:
             return self.indicators
         keep = self.indicators <= self.tau
         return self.indicators[keep]
-
-    def csv_rows(self):
-        return [
-            (float(z.real), float(z.imag), float(i))
-            for z, i in zip(self.points, self.indicators)
-        ]
 
 
 def _grid(box, pitch):

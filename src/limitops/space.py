@@ -320,9 +320,6 @@ class Window:
     def npoints(self):
         return self.points.shape[0]
 
-    def point_list(self):
-        return self.space.from_array(self.points)
-
     def shrink(self, margin):
         return Window(self.space, self.center, max(self.radius - margin, 0))
 

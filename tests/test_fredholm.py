@@ -15,6 +15,7 @@ from limitops import (
     SubspaceProjection,
     TableField,
     UnsupportedConstructionError,
+    Window,
     build_partition,
     compactness_test,
     ess_norm_estimate,
@@ -32,7 +33,10 @@ from limitops import (
     shift_operator,
     spectrum_estimate_for,
     symbol_spectrum,
+    window_norm,
 )
+
+from limitops.fredholm import _tall_block
 
 from conftest import window
 
@@ -87,6 +91,125 @@ def test_localized_lower_norm_dominates_plain(z1):
     nu = lower_norm_window(A, sup)
     nut = lower_norm_localized(A, pred, part, scope)
     assert nu <= nut + 1e-12
+
+
+def test_lower_norm_zero_when_rows_fewer_than_support(z1):
+    # an 11-point support mapped onto 7 rows leaves a unit vector in the kernel
+    S = shift_operator(z1, (1,))
+    assert lower_norm_window(S, window(z1, 5), rows=window(z1, 3)) == 0.0
+    M = S.block(window(z1, 3).points, window(z1, 5).points)
+    x = np.zeros(M.shape[1])
+    x[np.nonzero(~M.any(axis=0))[0][0]] = 1.0  # a column no row reaches
+    assert np.linalg.norm(M @ x) == 0.0
+
+
+# -- structured p = 2 paths against the dense SVD -----------------------------
+
+STRUCTURED_SPACES = [
+    Space(kind="lattice", dim=1),
+    Space(kind="lattice", dim=1, fiber=3),
+    Space(kind="lattice", dim=2, metric="linf"),
+    Space(kind="lattice", dim=2, metric="l1"),
+]
+STRUCTURED_IDS = ["z1", "z1-fiber3", "z2-linf", "z2-l1"]
+
+
+def _dense_lower(B, pts):
+    return float(np.linalg.svd(_tall_block(B, pts), compute_uv=False)[-1])
+
+
+def _dense_norm(A, rows, cols):
+    M = A.block(rows, cols)
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if np.any(M) else 0.0
+
+
+def _supports(space):
+    """Two windows, a point set with holes (as lower_norm_localized passes),
+    a single point, and a point set with a repeat (dense SVD decides)."""
+    arity = space.point_arity
+    big = Window(space, (1,) + (0,) * (arity - 1), 4)
+    holes = big.points[SeededRandomField(4, mode="real").eval(space, big.points).real > -0.4]
+    return [Window(space, (0,) * arity, 2), big, holes, big.points[:1],
+            np.vstack([holes, holes[-1:]])]
+
+
+@pytest.mark.parametrize("space", STRUCTURED_SPACES, ids=STRUCTURED_IDS)
+def test_structured_diagonal_paths_match_dense_svd(space):
+    real = multiplication(space, ExpressionField("n1 * n1 - 3"))
+    complex_ops = [multiplication(space, SeededRandomField(24, mode="phase")),
+                   multiplication(space, SeededRandomField(25))]
+    for sup in _supports(space):
+        pts = sup.points if isinstance(sup, Window) else sup
+        assert lower_norm_window(real, sup) == _dense_lower(real, pts)
+        for A in complex_ops:
+            assert abs(lower_norm_window(A, sup) - _dense_lower(A, pts)) <= 1e-10
+    for r in (0, 3):
+        rows, cols = Window(space, space.basepoint, r), Window(space, space.basepoint, r + 1)
+        repeat = np.vstack([rows.points, rows.points[:1]])
+        for rw, cl in ((rows, cols), (cols, rows), (rows, rows), (repeat, cols),
+                       (cols, repeat)):
+            assert window_norm(real, rw, cl) == _dense_norm(real, rw, cl)
+            for A in complex_ops:
+                assert abs(window_norm(A, rw, cl) - _dense_norm(A, rw, cl)) <= 1e-10
+    empty = BandOperator(space, {})
+    w = Window(space, space.basepoint, 3)
+    assert window_norm(empty, w, w) == 0.0
+    assert lower_norm_window(empty, w) == 0.0
+
+
+@pytest.mark.parametrize("space", STRUCTURED_SPACES, ids=STRUCTURED_IDS)
+def test_structured_gram_path_matches_dense_svd(space):
+    arity = space.point_arity
+    lap = laplacian_stencil(space)
+    rnd = BandOperator(space, {
+        (0,) * arity: SeededRandomField(21),
+        (1,) + (0,) * (arity - 1): SeededRandomField(22),
+        (0,) * (arity - 1) + (1,): SeededRandomField(23, mode="phase"),
+    })
+    ops = [lap + multiplication(space, ExpressionField("n1 - 0.5")),
+           rnd,
+           (0.5 + 0.25j) * (lap @ rnd) - rnd.adjoint() + 2.0]
+    for sup in _supports(space):
+        pts = sup.points if isinstance(sup, Window) else sup
+        for B in ops:
+            assert abs(lower_norm_window(B, sup) - _dense_lower(B, pts)) <= 1e-10
+
+
+def test_structured_paths_at_verdict_sizes_skip_the_svd(z1, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    w = window(z1, 400)
+    got = lower_norm_window(shift_operator(z1, (1,)) - identity(z1), w)
+    assert abs(got - 2 * np.sin(np.pi / 1604)) <= 1e-12
+    assert lower_norm_window(identity(z1), w) == 1.0
+    assert window_norm(identity(z1), w, w.pad(1)) == 1.0
+
+
+def test_structured_gram_path_falls_back_on_a_kernel(z1):
+    # (e_2 - e_3) / sqrt 2 is in the kernel: the Gram eigenvalue is below the
+    # floor and the dense SVD decides, bit for bit
+    B = BandOperator(z1, {(0,): TableField({(3,): 0.0}, default=1.0),
+                          (1,): TableField({(1,): 0.0}, default=1.0)})
+    w = window(z1, 6)
+    got = lower_norm_window(B, w)
+    assert got == _dense_lower(B, w.points)
+    assert got < 1e-12
+
+
+@pytest.mark.parametrize("offset", [(0,), (1,)])
+def test_structured_paths_raise_on_nan_like_the_svd(z1, offset):
+    nan = TableField({(2,): np.nan}, default=0.5)
+    B = BandOperator(z1, {(0,): 2.0, offset: nan})
+    w = window(z1, 5)
+    with pytest.raises(np.linalg.LinAlgError):
+        _dense_lower(B, w.points)
+    with pytest.raises(np.linalg.LinAlgError):
+        lower_norm_window(B, w)
+    if offset == (0,):
+        with pytest.raises(np.linalg.LinAlgError):
+            window_norm(B, w, w)
 
 
 # -- invertibility ----------------------------------------------------------

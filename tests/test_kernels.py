@@ -279,3 +279,48 @@ def test_numba_lane_active_by_default(z2, tmp_path):
     start = (np.cos(0.9 * np.arange(40) + 0.7) + 0.1).astype(np.complex128)
     ref_sweep, _ = K._sweep_row_py(gb, sl, su, zs, bw, 25, 1e-7, start)
     assert np.allclose(out["sweep"], ref_sweep, rtol=1e-9, atol=1e-12)
+
+
+# Runs the numba lane's source interpreted: a stand-in ``numba`` whose
+# ``njit`` returns the function unchanged, so the lane's logic is checked on
+# machines without numba too.
+_INTERPRETED_NUMBA_RUN = """
+import sys, types
+stub = types.ModuleType("numba")
+stub.njit = lambda *args, **kwargs: (lambda fn: fn)
+sys.modules["numba"] = stub
+import numpy as np
+import limitops
+from limitops import _kernels as K
+inp = np.load(sys.argv[1])
+bw = int(inp["bw"])
+np.savez(sys.argv[2],
+         using_numba=limitops.USING_NUMBA,
+         bad_z=K.sigma_min_sweep(inp["gb"], inp["sl"], inp["su"], inp["zs"], bw),
+         inf_pivot=K.sigma_min_sweep(inp["gb_inf"], inp["sl"], inp["su"],
+                                     inp["zs"][2:], bw))
+"""
+
+
+def test_numba_lane_flags_non_finite_input(tmp_path):
+    gb, sl, su, bw, _, _ = _sweep_cases()[0]
+    zs = np.array([np.nan, np.inf, 0.5], dtype=np.complex128)
+    gb_inf = gb.copy()
+    gb_inf[0, -1] = np.inf
+    np.savez(tmp_path / "in.npz", gb=gb, gb_inf=gb_inf, sl=sl, su=su, zs=zs, bw=bw)
+    env = {k: v for k, v in os.environ.items() if k != "LIMITOPS_NO_NUMBA"}
+    res = subprocess.run(
+        [sys.executable, "-c", _INTERPRETED_NUMBA_RUN,
+         str(tmp_path / "in.npz"), str(tmp_path / "out.npz")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    out = np.load(tmp_path / "out.npz")
+    assert out["using_numba"]
+
+    with np.errstate(invalid="ignore"):
+        ref_bad_z, _ = _run_sweep_py(gb, sl, su, bw, zs, 25)
+        ref_inf_pivot, _ = _run_sweep_py(gb_inf, sl, su, bw, zs[2:], 25)
+    assert list(ref_bad_z[:2]) == [-1.0, -1.0] and ref_bad_z[2] > 0.0
+    assert list(ref_inf_pivot) == [-1.0]
+    assert np.allclose(out["bad_z"], ref_bad_z, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(out["inf_pivot"], ref_inf_pivot)
