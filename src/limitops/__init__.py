@@ -3,7 +3,6 @@ geometry: coverings and partitions of unity, the band-dominated diagnostic,
 limit operators along declared sequences, and compactness / Fredholm /
 essential-spectrum reports built on them."""
 
-from ._kernels import USING_NUMBA
 from .errors import (
     InvalidConfigError,
     InvalidPointError,

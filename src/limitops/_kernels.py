@@ -1,70 +1,76 @@
-"""Hot numeric kernels, numba-jitted with a pure numpy/scipy fallback.
+"""Hot numeric kernels in numpy and LAPACK: the greedy net selection and the
+all-pairs cell scan behind coverings, the banded sigma-min sweep behind the
+essential-spectrum grid, and a point locator for lookups in point arrays.
 
-Lane selection: ``LIMITOPS_NO_NUMBA=1`` forces the fallback lane; otherwise the
-jitted lane is used whenever numba imports. Both lanes run the same algorithm,
-so results agree bitwise for the integer/greedy kernels and to roundoff for the
-iterative sweep. ``benchmarks/bench_kernels.py`` compares the two.
-
-Point arrays are int64 of shape (n, ncoords); when ``fiber > 1`` the trailing
-coordinate is cyclic of size ``fiber`` and the metric applies to the leading
-``dim`` coordinates (metric code 0 = sup distance, 1 = path/taxicab distance).
+Point arrays are int64 of shape (n, point_arity). The net and cell scans take
+the space's distance function (``Space.dist_block``), so lattices and graphs
+run the same scan.
 """
-
-import os
 
 import numpy as np
 from scipy.linalg.lapack import zpbtrf, zpbtrs
 
-_FORCE_FALLBACK = os.environ.get("LIMITOPS_NO_NUMBA", "") not in ("", "0")
-
-if not _FORCE_FALLBACK:
-    try:
-        from numba import njit
-    except ImportError:
-        _FORCE_FALLBACK = True
-
-USING_NUMBA = not _FORCE_FALLBACK
+# No compiled lane exists; perfbench/worker.py still records this flag in its
+# run record.
+USING_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# pure-python/numpy lane
-# ---------------------------------------------------------------------------
-
-def _dist_block(pts_a, pts_b, metric, dim, fiber):
-    """Pairwise distances between two point blocks, vectorized."""
-    diff = np.abs(pts_a[:, None, :dim] - pts_b[None, :, :dim])
-    if metric == 0:
-        d = diff.max(axis=2)
-    else:
-        d = diff.sum(axis=2)
-    if fiber > 1:
-        df = np.abs(pts_a[:, None, dim] - pts_b[None, :, dim])
-        d = d + np.minimum(df, fiber - df)
-    return d
+def _row_keys(arr):
+    """Pack small-integer rows into orderable tuples for searchsorted."""
+    a = np.ascontiguousarray(arr, dtype=np.int64)
+    return a.view([("", np.int64)] * a.shape[1]).reshape(-1)
 
 
-def greedy_net_py(points, sep, metric, dim, fiber):
-    n = points.shape[0]
-    keep = np.zeros(n, dtype=np.bool_)
-    sel = np.empty((0, points.shape[1]), dtype=points.dtype)
-    for i in range(n):
-        if sel.shape[0]:
-            d = _dist_block(points[i : i + 1], sel, metric, dim, fiber)[0]
-            if d.min() < sep:
-                continue
+class PointLocator:
+    """Row indices of query points in a fixed point array (-1 where absent),
+    by binary search over its lexicographically sorted rows."""
+
+    def __init__(self, pts):
+        pts = np.ascontiguousarray(pts, dtype=np.int64)
+        self.order = np.lexsort(pts.T[::-1])
+        self.sorted = pts[self.order]
+        self.keys = _row_keys(self.sorted)
+
+    def locate(self, query):
+        q = np.ascontiguousarray(query, dtype=np.int64)
+        pos = np.searchsorted(self.keys, _row_keys(q))
+        out = np.full(q.shape[0], -1, dtype=np.int64)
+        ok = pos < self.sorted.shape[0]
+        cand = pos[ok]
+        match = (self.sorted[cand] == q[ok]).all(axis=1)
+        out[np.nonzero(ok)[0][match]] = self.order[cand[match]]
+        return out
+
+
+def greedy_net(points, sep, dist):
+    """Greedy selection mask: a point is kept iff it is >= sep away from every
+    previously kept point, in array order. ``dist(a, b)`` is the distance
+    matrix between two point arrays."""
+    points = np.ascontiguousarray(points, dtype=np.int64)
+    keep = np.zeros(points.shape[0], dtype=np.bool_)
+    sel = np.empty_like(points)
+    m = 0
+    for i in range(points.shape[0]):
+        if m and dist(points[i : i + 1], sel[:m]).min() < sep:
+            continue
         keep[i] = True
-        sel = np.vstack([sel, points[i : i + 1]])
+        sel[m] = points[i]
+        m += 1
     return keep
 
 
-def cell_scan_py(points, cell_of, ncells, thresh, metric, dim, fiber):
+def cell_scan(points, cell_of, ncells, thresh, dist):
+    """All-pairs scan: cell adjacency at set-distance <= thresh (self included)
+    plus per-cell diameter, with ``dist`` as in ``greedy_net``."""
+    points = np.ascontiguousarray(points, dtype=np.int64)
+    cell_of = np.ascontiguousarray(cell_of, dtype=np.int64)
     n = points.shape[0]
     adj = np.zeros((ncells, ncells), dtype=np.uint8)
     diam = np.zeros(ncells, dtype=np.float64)
     chunk = max(1, int(2_000_000 // max(n, 1)))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        d = _dist_block(points[lo:hi], points, metric, dim, fiber)
+        d = dist(points[lo:hi], points)
         ci = np.repeat(cell_of[lo:hi], n).reshape(hi - lo, n)
         near = d <= thresh
         adj[ci[near], np.broadcast_to(cell_of, ci.shape)[near]] = 1
@@ -107,7 +113,7 @@ def cho_solve_banded(cb_and_lower, b):
 _RAYLEIGH_BACKOFF = (0.995, 0.95, 0.8, 0.5)
 
 
-def _sweep_row_py(gram_bands, slice_lo, slice_up, zs, bw, maxit, rtol, start):
+def _sweep_row(gram_bands, slice_lo, slice_up, zs, bw, maxit, rtol, start):
     out = np.empty(zs.size)
     x = start
     # warm starts can be exact non-minimal eigenvectors (Hermitian input makes
@@ -196,254 +202,6 @@ def _sweep_row_py(gram_bands, slice_lo, slice_up, zs, bw, maxit, rtol, start):
     return out, x
 
 
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _pt_dist(pts, i, j, metric, dim, fiber):
-        d = 0
-        if metric == 0:
-            for a in range(dim):
-                v = pts[i, a] - pts[j, a]
-                if v < 0:
-                    v = -v
-                if v > d:
-                    d = v
-        else:
-            for a in range(dim):
-                v = pts[i, a] - pts[j, a]
-                if v < 0:
-                    v = -v
-                d += v
-        if fiber > 1:
-            v = pts[i, dim] - pts[j, dim]
-            if v < 0:
-                v = -v
-            w = fiber - v
-            d += v if v < w else w
-        return d
-
-    @njit(cache=True, nogil=True)
-    def _greedy_net_nb(points, sep, metric, dim, fiber):
-        n = points.shape[0]
-        keep = np.zeros(n, dtype=np.bool_)
-        sel = np.empty(n, dtype=np.int64)
-        m = 0
-        for i in range(n):
-            ok = True
-            for s in range(m):
-                if _pt_dist(points, i, sel[s], metric, dim, fiber) < sep:
-                    ok = False
-                    break
-            if ok:
-                keep[i] = True
-                sel[m] = i
-                m += 1
-        return keep
-
-    @njit(cache=True, nogil=True)
-    def _cell_scan_nb(points, cell_of, ncells, thresh, metric, dim, fiber):
-        n = points.shape[0]
-        adj = np.zeros((ncells, ncells), dtype=np.uint8)
-        diam = np.zeros(ncells, dtype=np.float64)
-        for i in range(n):
-            ci = cell_of[i]
-            adj[ci, ci] = 1
-            for j in range(i + 1, n):
-                d = _pt_dist(points, i, j, metric, dim, fiber)
-                cj = cell_of[j]
-                if d <= thresh:
-                    adj[ci, cj] = 1
-                    adj[cj, ci] = 1
-                if ci == cj and d > diam[ci]:
-                    diam[ci] = d
-        return adj, diam
-
-    @njit(cache=True, nogil=True)
-    def _chol_banded(ab, n, bw):
-        for j in range(n):
-            s = ab[0, j].real
-            for k in range(max(0, j - bw), j):
-                v = ab[j - k, k]
-                s -= (v * np.conj(v)).real
-            if not (s > 0.0):  # also a NaN pivot
-                return 1
-            d = np.sqrt(s)
-            ab[0, j] = d
-            for i in range(1, min(bw, n - 1 - j) + 1):
-                acc = ab[i, j]
-                for k in range(max(0, j - bw + i), j):
-                    acc -= ab[i + (j - k), k] * np.conj(ab[j - k, k])
-                ab[i, j] = acc / d
-        return 0
-
-    @njit(cache=True, nogil=True)
-    def _solve_banded(ab, b, n, bw):
-        for j in range(n):
-            acc = b[j]
-            for k in range(max(0, j - bw), j):
-                acc -= ab[j - k, k] * b[k]
-            b[j] = acc / ab[0, j]
-        for j in range(n - 1, -1, -1):
-            acc = b[j]
-            for i in range(1, min(bw, n - 1 - j) + 1):
-                acc -= np.conj(ab[i, j]) * b[j + i]
-            b[j] = acc / ab[0, j]
-
-    @njit(cache=True, nogil=True)
-    def _try_factor(base, work, s, n, bw):
-        for j in range(n):
-            for i in range(bw + 1):
-                work[i, j] = base[i, j]
-            work[0, j] += s
-        return _chol_banded(work, n, bw)
-
-    @njit(cache=True, nogil=True)
-    def _inv_iter(work, x, xo, n, bw, maxit, rtol):
-        lam = -1.0
-        for it in range(maxit):
-            nrm = 0.0
-            for j in range(n):
-                nrm += (x[j] * np.conj(x[j])).real
-            nrm = np.sqrt(nrm)
-            for j in range(n):
-                x[j] = x[j] / nrm
-                xo[j] = x[j]
-            _solve_banded(work, x, n, bw)
-            yx = 0.0
-            yy = 0.0
-            for j in range(n):
-                yx += (np.conj(x[j]) * xo[j]).real
-                yy += (x[j] * np.conj(x[j])).real
-            lam_new = yx / yy
-            if it > 2 and abs(lam_new - lam) <= rtol * abs(lam_new) + 1e-300:
-                return lam_new
-            lam = lam_new
-        return lam
-
-    @njit(cache=True, nogil=True)
-    def _sweep_row_nb(gram_bands, slice_lo, slice_up, zs, bw, maxit, rtol, x):
-        n = gram_bands.shape[1]
-        out = np.empty(zs.size)
-        base = np.empty((bw + 1, n), dtype=np.complex128)
-        work = np.empty((bw + 1, n), dtype=np.complex128)
-        xo = np.empty(n, dtype=np.complex128)
-        backoff = np.array([0.995, 0.95, 0.8, 0.5])
-        # guard vector against warm starts that are exact eigenvectors; same
-        # formula as the fallback lane
-        guard = np.empty(n, dtype=np.float64)
-        gnrm = 0.0
-        for j in range(n):
-            guard[j] = np.cos(1.7 * j + 0.3) + 0.21
-            gnrm += guard[j] * guard[j]
-        gnrm = np.sqrt(gnrm)
-        for j in range(n):
-            guard[j] = guard[j] / gnrm
-        # an infinite pivot factors, so non-finite input is flagged up front,
-        # as the numpy lane's finite checks do
-        finite = (np.isfinite(gram_bands).all() and np.isfinite(slice_lo).all()
-                  and np.isfinite(slice_up).all())
-        for iz in range(zs.size):
-            z = zs[iz]
-            if not (finite and np.isfinite(z)):
-                out[iz] = -1.0
-                continue
-            az2 = (z * np.conj(z)).real
-            dmax = 1.0
-            for j in range(n):
-                for i in range(bw + 1):
-                    base[i, j] = (
-                        gram_bands[i, j]
-                        - np.conj(z) * slice_lo[i, j]
-                        - z * np.conj(slice_up[i, j])
-                    )
-                base[0, j] += az2
-                if base[0, j].real > dmax:
-                    dmax = base[0, j].real
-            s = 0.0
-            ok = _try_factor(base, work, s, n, bw)
-            tries = 0
-            while ok != 0 and tries < 10:
-                s = 1e-13 * dmax if s == 0.0 else s * 100.0
-                ok = _try_factor(base, work, s, n, bw)
-                tries += 1
-            if ok != 0:
-                out[iz] = -1.0
-                continue
-            xnrm = 0.0
-            for j in range(n):
-                xnrm += (x[j] * np.conj(x[j])).real
-            xnrm = 1e-4 * np.sqrt(xnrm)
-            for j in range(n):
-                x[j] = x[j] + xnrm * guard[j]
-            lam_g = _inv_iter(work, x, xo, n, bw, maxit, rtol) - s
-            # Rayleigh-shift restarts, mirroring the fallback lane: a shift
-            # just below the estimate either factors (fast convergence) or
-            # proves the estimate too high; then kick the stuck iterate
-            kicks = 0
-            for _ in range(8):
-                if lam_g <= 0.0:
-                    break
-                stuck = True
-                for fi in range(backoff.size):
-                    cand = -backoff[fi] * lam_g
-                    if cand >= s:
-                        continue
-                    if _try_factor(base, work, cand, n, bw) == 0:
-                        s = cand
-                        stuck = False
-                        break
-                if stuck:
-                    if kicks >= 2:
-                        break
-                    kicks += 1
-                    nrm = 0.0
-                    knrm = 0.0
-                    for j in range(n):
-                        nrm += (x[j] * np.conj(x[j])).real
-                        xo[j] = np.cos((1.3 + kicks) * j + 0.4 * kicks) + 0.15
-                        knrm += (xo[j] * np.conj(xo[j])).real
-                    nrm = np.sqrt(nrm)
-                    knrm = np.sqrt(knrm)
-                    for j in range(n):
-                        x[j] = x[j] / nrm + xo[j] / knrm
-                    _try_factor(base, work, s, n, bw)
-                    lam_g = _inv_iter(work, x, xo, n, bw, maxit, rtol) - s
-                    continue
-                prev = lam_g
-                lam_g = _inv_iter(work, x, xo, n, bw, maxit, rtol) - s
-                if abs(lam_g - prev) <= rtol * abs(lam_g) + 1e-300:
-                    break
-            out[iz] = np.sqrt(lam_g) if lam_g > 0.0 else 0.0
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def greedy_net(points, sep, metric, dim, fiber):
-    """Greedy selection mask: a point is kept iff it is >= sep away from every
-    previously kept point, in array order."""
-    points = np.ascontiguousarray(points, dtype=np.int64)
-    if USING_NUMBA:
-        return _greedy_net_nb(points, float(sep), metric, dim, fiber)
-    return greedy_net_py(points, float(sep), metric, dim, fiber)
-
-
-def cell_scan(points, cell_of, ncells, thresh, metric, dim, fiber):
-    """All-pairs scan: cell adjacency at set-distance <= thresh (self included)
-    plus per-cell diameter."""
-    points = np.ascontiguousarray(points, dtype=np.int64)
-    cell_of = np.ascontiguousarray(cell_of, dtype=np.int64)
-    if USING_NUMBA:
-        return _cell_scan_nb(points, cell_of, ncells, float(thresh), metric, dim, fiber)
-    return cell_scan_py(points, cell_of, ncells, float(thresh), metric, dim, fiber)
-
-
 def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, bw, maxit=25,
                     rtol=1e-7, start=None):
     """Smallest singular value of (T - z E) for each z, via banded Cholesky of
@@ -467,7 +225,5 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, bw, maxit=25,
     gb = np.ascontiguousarray(gram_bands, dtype=np.complex128)
     sl = np.ascontiguousarray(slice_lower, dtype=np.complex128)
     su = np.ascontiguousarray(slice_upper, dtype=np.complex128)
-    if USING_NUMBA:
-        return _sweep_row_nb(gb, sl, su, zs, bw, maxit, rtol, start)
-    out, _ = _sweep_row_py(gb, sl, su, zs, bw, maxit, rtol, start)
+    out, _ = _sweep_row(gb, sl, su, zs, bw, maxit, rtol, start)
     return out

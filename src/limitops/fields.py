@@ -9,22 +9,34 @@ translation limits symbolically where possible; combinators recurse.
 
 import numpy as np
 
+from ._kernels import PointLocator
 from .errors import InvalidConfigError, InvalidPointError
 from .expr import Expression
 
 _U64 = np.uint64
 
 
-def _normalize_shift(space, v):
-    """Shift vectors may omit the fiber coordinate; fill it with 0."""
-    if space.kind == "graph":
-        raise InvalidConfigError("graph spaces carry no translation action")
+def _pad(space, v, what="point"):
+    """Shift vectors and table keys may omit the fiber coordinate; fill it
+    with 0."""
     v = tuple(int(c) for c in v)
     if len(v) == space.dim and space.fiber > 1:
         v = v + (0,)
     if len(v) != space.point_arity:
-        raise InvalidPointError(f"shift {v} has arity {len(v)}, expected {space.point_arity}")
+        raise InvalidPointError(f"{what} {v} has arity {len(v)}, expected {space.point_arity}")
     return v
+
+
+def _normalize_shift(space, v):
+    if space.kind == "graph":
+        raise InvalidConfigError("graph spaces carry no translation action")
+    return _pad(space, v, "shift")
+
+
+def _locate_keys(space, keys, pts):
+    """Index of each point among the padded keys, -1 where absent."""
+    keys = np.asarray(list(keys), dtype=np.int64).reshape(-1, space.point_arity)
+    return PointLocator(keys).locate(pts)
 
 
 def _apply_shift(space, pts, v):
@@ -211,11 +223,11 @@ class TableField(Field):
     def eval(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
         out = np.full(pts.shape[0], self.default, dtype=np.complex128)
-        if self.entries:
-            lut = self.entries
-            for i, row in enumerate(map(tuple, pts.tolist())):
-                if row in lut:
-                    out[i] = lut[row]
+        # keys padded to the same point keep the last value, as in shifted
+        table = {_pad(space, k): v for k, v in self.entries.items()}
+        idx = _locate_keys(space, table, pts)
+        hit = idx >= 0
+        out[hit] = np.asarray(list(table.values()), dtype=np.complex128)[idx[hit]]
         return out
 
     def bound(self, space):
@@ -226,7 +238,7 @@ class TableField(Field):
         v = _normalize_shift(space, v)
         moved = {}
         for k, val in self.entries.items():
-            kk = k if len(k) == space.point_arity else k + (0,)
+            kk = _pad(space, k)
             nk = tuple(a - b for a, b in zip(kk, v))
             if space.fiber > 1:
                 nk = nk[:-1] + ((kk[-1] - v[-1]) % space.fiber,)
@@ -405,14 +417,13 @@ class FiniteSetPredicate(Predicate):
 
     def test(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
-        lut = {p if len(p) == pts.shape[1] else p + (0,) for p in self.points}
-        return np.asarray([tuple(row) in lut for row in pts.tolist()], dtype=bool)
+        return _locate_keys(space, {_pad(space, p) for p in self.points}, pts) >= 0
 
     def shifted(self, space, v):
         v = _normalize_shift(space, v)
         moved = set()
         for p in self.points:
-            pp = p if len(p) == space.point_arity else p + (0,)
+            pp = _pad(space, p)
             np_ = tuple(a - b for a, b in zip(pp, v))
             if space.fiber > 1:
                 np_ = np_[:-1] + ((pp[-1] - v[-1]) % space.fiber,)

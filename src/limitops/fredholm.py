@@ -15,13 +15,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels
+from ._kernels import PointLocator
 from .errors import InvalidConfigError, UnsupportedConstructionError
 from .fields import ConstantField, PeriodicField, _apply_shift
 from .operator import (
     BandOperator,
     _abs_diagonal,
     _distinct_sorted,
-    _PointLocator,
     _points,
     window_norm,
 )
@@ -110,7 +110,7 @@ def _lower_norm_structured(B, pts):
     # Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
     # u = s_j - k = s_l - k'. In lexicographic order the Gram matrix is
     # banded; keep its lower triangle in LAPACK band storage.
-    loc = _PointLocator(pts)
+    loc = PointLocator(pts)
     n = pts.shape[0]
     offs = [np.asarray(k) for k in B.stencil]
     cols = [f.eval(space, _apply_shift(space, pts, -k))

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidConfigError, ScopeError, TruncationError
 from .fields import ConstantField, Field, _normalize_shift
-from .space import Window, _row_keys
+from ._kernels import PointLocator
+from .space import Window
 
 
 def _offset_length(space, k):
@@ -139,7 +140,7 @@ class BandOperator:
         M = np.zeros((rows_pts.shape[0], cols_pts.shape[0]), dtype=np.complex128)
         if not rows_pts.size or not cols_pts.size:
             return M
-        loc = _PointLocator(cols_pts)
+        loc = PointLocator(cols_pts)
         for k, f in self.stencil.items():
             shifted = rows_pts + np.asarray(k, dtype=np.int64)[None, :]
             if self.space.fiber > 1:
@@ -205,28 +206,6 @@ def _abs_diagonal(A, pts):
     if f is None:
         return np.zeros(pts.shape[0])
     return np.abs(f.eval(A.space, pts))
-
-
-class _PointLocator:
-    def __init__(self, pts):
-        self.pts = np.ascontiguousarray(pts, dtype=np.int64)
-        self.order = np.lexsort(
-            tuple(self.pts[:, a] for a in range(self.pts.shape[1] - 1, -1, -1))
-        )
-        self.sorted = self.pts[self.order]
-        self.keys = _row_keys(self.sorted)
-
-    def locate(self, query):
-        q = np.ascontiguousarray(query, dtype=np.int64)
-        pos = np.searchsorted(self.keys, _row_keys(q))
-        out = np.full(q.shape[0], -1, dtype=np.int64)
-        ok = pos < self.sorted.shape[0]
-        if ok.any():
-            cand = pos[ok]
-            match = (self.sorted[cand] == q[ok]).all(axis=1)
-            idx = np.where(ok)[0][match]
-            out[idx] = self.order[cand[match]]
-        return out
 
 
 # -- constructors -------------------------------------------------------------
@@ -310,7 +289,7 @@ def _diagonal_norm(A, rows_pts, cols_pts):
         return 0.0
     if _distinct_sorted(rows_pts) is None or _distinct_sorted(cols_pts) is None:
         return None
-    shared = rows_pts[_PointLocator(cols_pts).locate(rows_pts) >= 0]
+    shared = rows_pts[PointLocator(cols_pts).locate(rows_pts) >= 0]
     c = _abs_diagonal(A, shared)
     if not np.isfinite(c).all():
         return None

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedConstructionError,
 )
 
-_METRICS = {"linf": 0, "l1": 1}
+_METRICS = ("linf", "l1")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,11 @@ class Space:
         return x
 
     def as_array(self, pts):
-        """Points -> int64 array of shape (n, point_arity)."""
+        """Points -> int64 array of shape (n, point_arity); such an array
+        passes through uncopied."""
+        if (isinstance(pts, np.ndarray) and pts.dtype == np.int64 and pts.ndim == 2
+                and pts.shape[1] == self.point_arity):
+            return pts
         if self.kind == "graph":
             return np.asarray([[int(p)] for p in pts], dtype=np.int64).reshape(-1, 1)
         a = np.asarray(list(pts), dtype=np.int64)
@@ -118,7 +122,7 @@ class Space:
         """Distance between two points."""
         x, y = self._check_point(x), self._check_point(y)
         if self.kind == "graph":
-            return self._graph_dist(x, y)
+            return int(self.dist_block([x], [y])[0, 0])
         d = self.dim
         diffs = [abs(a - b) for a, b in zip(x[:d], y[:d])]
         base = max(diffs) if self.metric == "linf" else sum(diffs)
@@ -128,34 +132,44 @@ class Space:
         return base
 
     def dist_block(self, pts_a, pts_b):
-        """Pairwise distance matrix between two point arrays."""
-        if self.kind == "graph":
-            return np.asarray(
-                [[self._graph_dist(int(a), int(b)) for b in np.asarray(pts_b).reshape(-1)]
-                 for a in np.asarray(pts_a).reshape(-1)],
-                dtype=np.int64,
-            )
+        """Pairwise int64 distance matrix between two point arrays (graphs:
+        one breadth-first search per row)."""
         a, b = self.as_array(pts_a), self.as_array(pts_b)
-        return _kernels._dist_block(a, b, _METRICS[self.metric], self.dim, self.fiber)
+        if self.kind == "graph":
+            out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
+            targets = b[:, 0].tolist()
+            for i, x in enumerate(a[:, 0].tolist()):
+                seen = self._bfs(x)
+                try:
+                    out[i] = [seen[y] for y in targets]
+                except KeyError as exc:
+                    raise InvalidPointError(
+                        f"nodes {x} and {exc.args[0]} are not connected") from None
+            return out
+        d = self.dim
+        diff = np.abs(a[:, None, :d] - b[None, :, :d])
+        out = diff.max(axis=2) if self.metric == "linf" else diff.sum(axis=2)
+        if self.fiber > 1:
+            df = np.abs(a[:, None, d] - b[None, :, d])
+            out = out + np.minimum(df, self.fiber - df)
+        return out
 
-    def _graph_dist(self, x, y):
-        if x == y:
-            return 0
-        seen = {x}
+    def _bfs(self, x, radius=np.inf):
+        """Graph distance from node x to every node within radius, found
+        layer by layer."""
+        seen = {x: 0}
         frontier = [x]
         d = 0
-        while frontier:
+        while frontier and d < radius:
             d += 1
             nxt = []
             for u in frontier:
                 for v in self.adjacency[u]:
-                    if v == y:
-                        return d
                     if v not in seen:
-                        seen.add(v)
+                        seen[v] = d
                         nxt.append(v)
             frontier = nxt
-        raise InvalidPointError(f"nodes {x} and {y} are not connected")
+        return seen
 
     # -- balls and ordering --------------------------------------------------
 
@@ -175,18 +189,7 @@ class Space:
         return pts[_bfs_order(pts, d)]
 
     def _graph_ball(self, x, radius):
-        seen = {x: 0}
-        frontier = [x]
-        d = 0
-        while frontier and d < radius:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in self.adjacency[u]:
-                    if v not in seen:
-                        seen[v] = d
-                        nxt.append(v)
-            frontier = sorted(nxt)
+        seen = self._bfs(x, radius)
         pts = np.asarray(sorted(seen), dtype=np.int64).reshape(-1, 1)
         dist = np.asarray([seen[int(p)] for p in pts.reshape(-1)])
         return pts[_bfs_order(pts, dist)]
@@ -303,7 +306,7 @@ class Window:
     center: tuple | int
     radius: float
     _points: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _sort: tuple | None = field(default=None, repr=False, compare=False)
+    _locator: _kernels.PointLocator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.center = self.space._check_point(self.center)
@@ -342,29 +345,9 @@ class Window:
     def locate(self, pts):
         """Indices of the given points inside this window's point array
         (-1 where absent)."""
-        ref = self.points
-        q = self.space.as_array(pts)
-        if self._sort is None:
-            order = np.lexsort(tuple(ref[:, a] for a in range(ref.shape[1] - 1, -1, -1)))
-            self._sort = (order, ref[order])
-        order, sorted_ref = self._sort
-        pos = np.searchsorted(
-            _row_keys(sorted_ref), _row_keys(q) if q.size else np.empty(0)
-        )
-        out = np.full(q.shape[0], -1, dtype=np.int64)
-        ok = pos < sorted_ref.shape[0]
-        if ok.any():
-            cand = np.minimum(pos[ok], sorted_ref.shape[0] - 1)
-            match = (sorted_ref[cand] == q[ok]).all(axis=1)
-            idx = np.where(ok)[0][match]
-            out[idx] = order[cand[match]]
-        return out
-
-
-def _row_keys(arr):
-    """Pack small-integer rows into orderable tuples for searchsorted."""
-    a = np.ascontiguousarray(arr, dtype=np.int64)
-    return a.view([("", np.int64)] * a.shape[1]).reshape(-1)
+        if self._locator is None:
+            self._locator = _kernels.PointLocator(self.points)
+        return self._locator.locate(self.space.as_array(pts))
 
 
 def geometry_profile(space, r_max, probe):
@@ -391,16 +374,7 @@ def separated_net(space, scope, sep):
     if sep <= 0:
         raise InvalidConfigError("separation must be positive")
     pts = scope.points
-    if space.kind == "lattice":
-        keep = _kernels.greedy_net(
-            pts, float(sep), _METRICS[space.metric], space.dim, space.fiber
-        )
-        return pts[keep]
-    sel = []
-    for p in pts.reshape(-1):
-        if all(space._graph_dist(int(p), int(q)) >= sep for q in sel):
-            sel.append(int(p))
-    return np.asarray(sel, dtype=np.int64).reshape(-1, 1)
+    return pts[_kernels.greedy_net(pts, float(sep), space.dist_block)]
 
 
 @dataclass
@@ -436,20 +410,9 @@ class Covering:
         inner = dn < r
         rows, cols = np.nonzero(inner)
         report["open_r_ball_inside_cell"] = bool((self.cell_of[rows] == cols).all())
-        code = _METRICS[self.space.metric] if self.space.kind == "lattice" else None
-        if self.space.kind == "lattice":
-            adj, diam = _kernels.cell_scan(
-                pts, self.cell_of, self.ncells, float(r), code, self.space.dim, self.space.fiber
-            )
-        else:
-            d = self.space.dist_block(pts, pts)
-            adj = np.zeros((self.ncells, self.ncells), dtype=np.uint8)
-            near = d <= r
-            ci = np.repeat(self.cell_of, pts.shape[0]).reshape(d.shape)
-            adj[ci[near], np.broadcast_to(self.cell_of, d.shape)[near]] = 1
-            diam = np.zeros(self.ncells)
-            same = ci == self.cell_of[None, :]
-            np.maximum.at(diam, ci[same], d[same].astype(float))
+        adj, diam = _kernels.cell_scan(
+            pts, self.cell_of, self.ncells, float(r), self.space.dist_block
+        )
         report["max_cell_diam"] = float(diam.max()) if diam.size else 0.0
         report["diam_bound"] = 4.0 * r
         report["diam_ok"] = report["max_cell_diam"] <= 4 * r

@@ -1,9 +1,6 @@
-import os
-
 import numpy as np
 import pytest
 
-import limitops
 from limitops import Space, Window
 
 
@@ -44,12 +41,3 @@ def window(space, radius, center=None):
         center = space.basepoint
     return Window(space, center, radius)
 
-
-def pytest_report_header(config):
-    if limitops.USING_NUMBA:
-        lane = "numba"
-    elif os.environ.get("LIMITOPS_NO_NUMBA", "") not in ("", "0"):
-        lane = "numpy (LIMITOPS_NO_NUMBA)"
-    else:
-        lane = "numpy"
-    return f"kernel lane: {lane}"

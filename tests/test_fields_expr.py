@@ -11,9 +11,11 @@ from limitops import (
     HalfspacePredicate,
     IndicatorField,
     InvalidConfigError,
+    InvalidPointError,
     NotPredicate,
     PeriodicField,
     SeededRandomField,
+    Space,
     SublatticePredicate,
     TableField,
     field_from_descriptor,
@@ -118,6 +120,21 @@ def test_table_field(z1):
     assert np.allclose(g.eval(z1, xs), f.eval(z1, xs + 2))
     assert f.conj().eval(z1, pts1(2))[0] == 1j
     assert f.bound(z1)[0] == 5.0
+
+
+def test_table_keys_without_fiber_coordinate():
+    # keys may omit the fiber coordinate, which then reads as 0
+    sp = Space(kind="lattice", dim=1, fiber=2)
+    xs = np.asarray([[3, 0], [3, 1], [4, 0], [-1, 1]])
+    f = TableField({(3,): 5.0, (-1, 1): 2j}, default=0.5)
+    assert np.allclose(f.eval(sp, xs), [5.0, 0.5, 0.5, 2j])
+    assert np.array_equal(f.eval(sp, xs), f.shifted(sp, (0,)).eval(sp, xs))
+    s = FiniteSetPredicate([(3,), (-1, 1)])
+    assert s.test(sp, xs).tolist() == [True, False, False, True]
+    assert s.test(sp, xs).tolist() == s.shifted(sp, (0,)).test(sp, xs).tolist()
+    for bad in (TableField({(1, 0, 0): 1.0}).eval, FiniteSetPredicate([(1, 0, 0)]).test):
+        with pytest.raises(InvalidPointError):
+            bad(sp, xs)
 
 
 def test_expression_field_shift_and_conj(z1):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitops import (
     InvalidConfigError,
+    InvalidPointError,
     Space,
     UnsupportedConstructionError,
     Window,
@@ -87,6 +88,10 @@ def test_graph_space_bfs_distance():
     assert g.dist(0, 3) == 3
     assert g.dist(4, 1) == 2
     assert g.ball(2, 1).reshape(-1).tolist() == [2, 1, 3, 4]
+    assert g.dist_block([0, 4], [3, 0, 1]).tolist() == [[3, 0, 1], [2, 3, 2]]
+    two = Space(kind="graph", adjacency={0: [1], 1: [0], 2: []}, basepoint=0)
+    with pytest.raises(InvalidPointError, match="not connected"):
+        two.dist(0, 2)
 
 
 def test_space_descriptor_roundtrip(z2):
