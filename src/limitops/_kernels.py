@@ -8,7 +8,7 @@ run the same scan.
 """
 
 import numpy as np
-from scipy.linalg.lapack import zpbtrf, zpbtrs
+from scipy.linalg.lapack import dlamch, zhbevx, zpbtrf, zpbtrs
 
 # No compiled lane exists; perfbench/worker.py still records this flag in its
 # run record.
@@ -96,6 +96,8 @@ def cholesky_banded(ab, lower):
     return c
 
 
+# Unused by limitops itself; it stays because perfbench/tracing.py binds this
+# name when it installs its counters.
 def cho_solve_banded(cb_and_lower, b):
     """``scipy.linalg.cho_solve_banded`` for complex128 via LAPACK zpbtrs,
     raising like scipy; ``b`` is left untouched."""
@@ -110,120 +112,66 @@ def cho_solve_banded(cb_and_lower, b):
     return x
 
 
-_RAYLEIGH_BACKOFF = (0.995, 0.95, 0.8, 0.5)
+# scipy's eigvals_banded passes this absolute tolerance to zhbevx
+_ABSTOL = 2 * dlamch("S")
 
 
-def _sweep_row(gram_bands, slice_lo, slice_up, zs, bw, maxit, rtol, start):
-    out = np.empty(zs.size)
-    x = start
-    # warm starts can be exact non-minimal eigenvectors (Hermitian input makes
-    # the Gram eigenvectors z-independent); a fixed guard mixed in at every
-    # point keeps the overlap with the minimal eigenvector nonzero
-    guard = np.cos(1.7 * np.arange(x.size) + 0.3) + 0.21
-    guard = guard / np.linalg.norm(guard)
-    slice_up_c = np.conj(slice_up)
-
-    def iterate(cb, x):
-        # inverse iteration with a harmonic Rayleigh estimate; the estimate
-        # approaches the smallest eigenvalue of the factored matrix from above
-        lam = -1.0
-        for it in range(maxit):
-            x = x / np.linalg.norm(x)
-            xo = x
-            x = cho_solve_banded((cb, True), xo)
-            yx = np.vdot(x, xo).real
-            yy = np.vdot(x, x).real
-            lam_new = yx / yy
-            if it > 2 and abs(lam_new - lam) <= rtol * abs(lam_new) + 1e-300:
-                return lam_new, x
-            lam = lam_new
-        return lam, x
-
-    for iz, z in enumerate(zs):
-        az2 = (z * np.conj(z)).real
-        base = gram_bands - np.conj(z) * slice_lo - z * slice_up_c
-        base[0] += az2
-        dmax = max(base[0].real.max(), 1.0)
-
-        def factor(s):
-            work = base.copy(order="F")
-            work[0] += s
-            try:
-                return cholesky_banded(work, lower=True)
-            except (np.linalg.LinAlgError, ValueError):
-                return None
-
-        s = 0.0
-        cb = factor(s)
-        tries = 0
-        while cb is None and tries < 10:
-            s = 1e-13 * dmax if s == 0.0 else s * 100.0
-            cb = factor(s)
-            tries += 1
-        if cb is None:
-            out[iz] = -1.0
-            continue
-        x = x + (1e-4 * np.linalg.norm(x)) * guard
-        lam, x = iterate(cb, x)
-        lam_g = lam - s
-        # Rayleigh-shift restarts: a shift just below the current estimate
-        # either factors (then the iteration converges in a step or two) or
-        # proves the estimate sits above the true minimum. In the second case
-        # the iterate is stuck in a non-minimal invariant subspace (a warm
-        # start can be an exact eigenvector), so kick it and re-iterate.
-        kicks = 0
-        for _ in range(8):
-            if lam_g <= 0.0:
-                break
-            cb2 = None
-            for f in _RAYLEIGH_BACKOFF:
-                cand = -f * lam_g
-                if cand >= s:
-                    continue
-                cb2 = factor(cand)
-                if cb2 is not None:
-                    s = cand
-                    break
-            if cb2 is None:
-                if kicks >= 2:
-                    break
-                kicks += 1
-                kick = np.cos((1.3 + kicks) * np.arange(x.size) + 0.4 * kicks) + 0.15
-                x = x / np.linalg.norm(x) + kick / np.linalg.norm(kick)
-                lam, x = iterate(factor(s), x)
-                lam_g = lam - s
-                continue
-            lam, x = iterate(cb2, x)
-            prev = lam_g
-            lam_g = lam - s
-            if abs(lam_g - prev) <= rtol * abs(lam_g) + 1e-300:
-                break
-        out[iz] = np.sqrt(lam_g) if lam_g > 0.0 else 0.0
-    return out, x
+def min_eig_banded(ab):
+    """Smallest eigenvalue of a Hermitian matrix in lower band storage: the
+    LAPACK zhbevx call of ``scipy.linalg.eigvals_banded(ab, lower=True,
+    select="i", select_range=(0, 0))`` with the same arguments, so the same
+    bits, without the wrapper's overhead. May overwrite ``ab``. Raises like
+    scipy: ValueError on non-finite input or an illegal argument,
+    LinAlgError when LAPACK reports a failure."""
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    w, _, _, _, info = zhbevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2, lower=1,
+                              abstol=_ABSTOL, mmax=1, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zhbevx failed with info {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal hbevx")
+    return float(w[0])
 
 
-def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, bw, maxit=25,
-                    rtol=1e-7, start=None):
-    """Smallest singular value of (T - z E) for each z, via banded Cholesky of
-    the Gram matrix plus inverse iteration.
+def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
+    """Smallest singular value of (T - z E) for each z, as the square root of
+    the smallest eigenvalue of the banded Gram matrix
+    G(z) = (T - z E)^H (T - z E) (``min_eig_banded``, clamped at 0).
 
     gram_bands holds the lower banded storage (band i, column j) of T^H T;
     slice_lower[i, j] = S[j+i, j] and slice_upper[i, j] = S[j, j+i] are the
     two triangles of the square slice S = E^H T (equal when S is complex
-    symmetric). Points within one call share a warm-started iteration vector;
-    calls are independent, so parallel callers get deterministic results by
-    splitting zs and concatenating in order. A -1.0 entry flags a Cholesky
-    breakdown that no diagonal shift cured, or non-finite input (z, or an
-    entry of the bands).
+    symmetric). Every point is computed on its own, so any split of zs gives
+    the same bits.
+
+    With tau given, one banded Cholesky factorisation of G(z) - tau^2 I
+    decides first. It succeeds exactly when the smallest eigenvalue of G(z)
+    exceeds tau^2 (Sylvester's law of inertia), and then the entry is inf:
+    sigma_min > tau is certified up to the rounding of that factorisation,
+    and no value is computed. Only the other points are valued. A -1.0 entry
+    flags non-finite input (z, or an entry of the bands).
     """
-    n = gram_bands.shape[1]
-    if start is None:
-        start = (np.cos(0.9 * np.arange(n) + 0.7) + 0.1).astype(np.complex128)
-    else:
-        start = start.astype(np.complex128).copy()
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     gb = np.ascontiguousarray(gram_bands, dtype=np.complex128)
     sl = np.ascontiguousarray(slice_lower, dtype=np.complex128)
-    su = np.ascontiguousarray(slice_upper, dtype=np.complex128)
-    out, _ = _sweep_row(gb, sl, su, zs, bw, maxit, rtol, start)
+    su_c = np.conj(np.ascontiguousarray(slice_upper, dtype=np.complex128))
+    tau2 = None if tau is None else float(tau) ** 2
+    out = np.empty(zs.size)
+    for iz, z in enumerate(zs):
+        base = gb - np.conj(z) * sl - z * su_c
+        base[0] += (z * np.conj(z)).real
+        try:
+            if tau2 is not None:
+                work = base.copy(order="F")
+                work[0] -= tau2
+                try:
+                    cholesky_banded(work, lower=True)
+                    out[iz] = np.inf
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
+            out[iz] = np.sqrt(max(min_eig_banded(base), 0.0))
+        except ValueError:
+            out[iz] = -1.0
     return out

@@ -178,6 +178,7 @@ class PeriodicField(Field):
 class ExpressionField(Field):
     def __init__(self, source):
         self.expression = source if isinstance(source, Expression) else Expression(source)
+        self._bounds = {}
 
     def eval(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
@@ -190,7 +191,14 @@ class ExpressionField(Field):
                           dtype=np.complex128)
 
     def bound(self, space):
-        # no symbolic sup; sample a wide window around the origin
+        # no symbolic sup; sample a wide window around the origin, once per
+        # space shape
+        key = (space.kind, space.dim, space.fiber)
+        if key not in self._bounds:
+            self._bounds[key] = self._sampled_bound(space)
+        return self._bounds[key]
+
+    def _sampled_bound(self, space):
         rad = {1: 20000, 2: 300, 3: 40}.get(space.dim, 12)
         axes = [np.arange(-rad, rad + 1, dtype=np.int64)] * space.dim
         grids = np.meshgrid(*axes, indexing="ij")

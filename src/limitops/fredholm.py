@@ -103,8 +103,6 @@ def _lower_norm_structured(B, pts):
     if B.propagation == 0:
         c = _abs_diagonal(B, pts)
         return float(c.min()) if np.isfinite(c).all() else None
-    from scipy.linalg import eigvals_banded
-
     space = B.space
     # Column j of the tall block holds c_k(s_j - k) in row s_j - k, so the
     # Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
@@ -129,7 +127,7 @@ def _lower_norm_structured(B, pts):
     np.add.at(ab, (j - l, l), np.concatenate(vals))
     if not np.isfinite(ab).all():
         return None
-    lam = float(eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0])
+    lam = _kernels.min_eig_banded(ab)
     if lam < GRAM_FLOOR * B.norm_bound()[0] ** 2:
         return None
     return float(np.sqrt(lam))
@@ -392,28 +390,27 @@ def _banded_data(B, radius):
     return gb, sl, su, bw, n
 
 
-def _sweep_threaded(bands, zs, threads=1, maxit=25, rtol=1e-7,
-                    chunk=DEFAULT_SWEEP_CHUNK):
-    """Run the banded sweep over fixed-size chunks of the grid. Chunk
-    boundaries do not depend on the thread count, so results are identical
-    for any --threads value."""
-    gb, sl, su, bw, _ = bands
+def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
+    """Run the banded sweep over fixed-size chunks of the grid, on up to
+    ``threads`` threads. Every point is computed on its own, so results are
+    identical for any --threads value. Non-finite input raises."""
+    gb, sl, su, _, _ = bands
     pieces = [zs[i : i + chunk] for i in range(0, zs.size, chunk)]
+
+    def sweep(pc):
+        return _kernels.sigma_min_sweep(gb, sl, su, pc, tau)
+
     if threads <= 1 or len(pieces) <= 1:
-        outs = [_kernels.sigma_min_sweep(gb, sl, su, pc, bw, maxit=maxit, rtol=rtol)
-                for pc in pieces]
+        outs = [sweep(pc) for pc in pieces]
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            outs = list(
-                ex.map(
-                    lambda pc: _kernels.sigma_min_sweep(gb, sl, su, pc, bw,
-                                                        maxit=maxit, rtol=rtol),
-                    pieces,
-                )
-            )
+            outs = list(ex.map(sweep, pieces))
     out = np.concatenate(outs) if outs else np.empty(0)
-    # Cholesky breakdown marks an (effectively) singular Gram matrix
-    out[out < 0.0] = 0.0
+    if (out < 0.0).any():
+        bad = zs[~np.isfinite(zs)]
+        what = (f"grid point {complex(bad[0])}" if bad.size
+                else "the window's Gram or slice bands (a coefficient is not finite)")
+        raise InvalidConfigError(f"non-finite input to the banded sweep: {what}")
     return out
 
 
@@ -430,34 +427,34 @@ def _structural_flags(B):
     return herm, realk
 
 
-def nu_grid_indicator(B, zs, radius=400, threads=1, maxit=25, rtol=1e-7):
+def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     """min(nu_window(B - z), nu_window((B - z)*)) over the grid, via the
     banded sweep. Structural symmetries of constant-coefficient kernels
     (real values: sigma(z) = sigma(conj z); Hermitian stencil: the adjoint
-    pass equals the direct pass at conj z) cut the work up to fourfold."""
+    pass equals the direct pass at conj z) cut the work up to fourfold.
+
+    tau=None values every point. With tau given, a point whose value is
+    certified above tau (one banded Cholesky factorisation per pass, see
+    ``_kernels.sigma_min_sweep``) reads inf, and the points at or below tau
+    carry the same values as without tau. Non-finite coefficients or grid
+    points raise InvalidConfigError.
+    """
     zs = np.ascontiguousarray(zs, dtype=np.complex128).reshape(-1)
     herm, realk = _structural_flags(B)
-    bands = _banded_data(B, radius)
 
-    def run(vals):
+    def run(bands, vals):
         if realk:
             key = np.where(vals.imag < 0, np.conj(vals), vals)
             uniq, inv = np.unique(key, return_inverse=True)
-            return _sweep_threaded(bands, uniq, threads, maxit, rtol)[inv]
-        return _sweep_threaded(bands, vals, threads, maxit, rtol)
+            return _sweep_threaded(bands, uniq, threads, tau)[inv]
+        return _sweep_threaded(bands, vals, threads, tau)
 
-    direct = run(zs)
+    bands = _banded_data(B, radius)
+    direct = run(bands, zs)
     if herm:
-        adj = direct if realk else run(np.conj(zs))
+        adj = direct if realk else run(bands, np.conj(zs))
     else:
-        bands_adj = _banded_data(B.adjoint(), radius)
-        if realk:
-            czs = np.conj(zs)
-            key = np.where(czs.imag < 0, np.conj(czs), czs)
-            uniq, inv = np.unique(key, return_inverse=True)
-            adj = _sweep_threaded(bands_adj, uniq, threads, maxit, rtol)[inv]
-        else:
-            adj = _sweep_threaded(bands_adj, np.conj(zs), threads, maxit, rtol)
+        adj = run(_banded_data(B.adjoint(), radius), np.conj(zs))
     return np.minimum(direct, adj)
 
 
@@ -498,12 +495,16 @@ class SpectrumEstimate:
 
 
 def _grid(box, pitch):
+    """Grid over the box, each axis symmetric about the box centre from
+    integer steps, so a box symmetric about the real axis holds exact
+    conjugate pairs."""
     re0, re1, im0, im1 = box
-    nr = int(round((re1 - re0) / pitch)) + 1
-    ni = int(round((im1 - im0) / pitch)) + 1
-    res = re0 + pitch * np.arange(nr)
-    ims = im0 + pitch * np.arange(ni)
-    R, I = np.meshgrid(res, ims, indexing="ij")
+
+    def axis(lo, hi):
+        n = int(round((hi - lo) / pitch)) + 1
+        return 0.5 * (lo + hi) + pitch * (np.arange(n) - 0.5 * (n - 1))
+
+    R, I = np.meshgrid(axis(re0, re1), axis(im0, im1), indexing="ij")
     return (R + 1j * I).reshape(-1)
 
 
@@ -522,9 +523,10 @@ def _auto_method(op):
 
 def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
                           z_box=None, theta_grid=2048, method="auto",
-                          threads=1, maxit=25, rtol=1e-7):
+                          threads=1):
     """Spectrum estimate for a single (limit) operator by the requested or
-    auto-selected method."""
+    auto-selected method. nuGrid indicators read inf at grid points whose
+    window lower norm is certified above tau."""
     chosen = _auto_method(op) if method == "auto" else method
     if chosen in ("symbolOracle", "symbol"):
         pts = symbol_spectrum(op, theta_grid)
@@ -547,8 +549,7 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
         b = float(np.ceil((bound + 0.1) / pitch) * pitch)
         z_box = (-b, b, -b, b)
     zs = _grid(z_box, pitch)
-    ind = nu_grid_indicator(op, zs, radius=radius, threads=threads,
-                            maxit=maxit, rtol=rtol)
+    ind = nu_grid_indicator(op, zs, radius=radius, threads=threads, tau=tau)
     cloud = zs[ind <= tau]
     return SpectrumEstimate(
         method="nuGrid", limit_label=label, tau=tau, points=zs,
@@ -671,7 +672,7 @@ def fredholm_test(A, proj, sequences, schedule=(50, 100, 200, 400), tau=0.05,
 def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
                                 radius=400, z_box=None, theta_grid=2048,
                                 method="auto", radii=(5, 10, 20), tol=1e-8,
-                                budget=2 ** 20, threads=1, maxit=25, rtol=1e-7):
+                                budget=2 ** 20, threads=1):
     """Union of per-limit-operator spectrum estimates, with provenance.
 
     Constant-coefficient limits use the symbol oracle, periodic ones the
@@ -688,7 +689,7 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
             spectrum_estimate_for(
                 lim.op, lim.sequence_label, tau=tau, pitch=pitch, radius=radius,
                 z_box=z_box, theta_grid=theta_grid, method=method,
-                threads=threads, maxit=maxit, rtol=rtol,
+                threads=threads,
             )
         )
     clouds = [e.cloud for e in estimates if e.cloud.size]

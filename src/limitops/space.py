@@ -66,6 +66,7 @@ class Space:
                     if u not in adj[v]:
                         raise InvalidConfigError(f"adjacency not symmetric at {u}-{v}")
             object.__setattr__(self, "adjacency", adj)
+            object.__setattr__(self, "_nodes", np.asarray(sorted(nodes), dtype=np.int64))
             bp = min(nodes) if self.basepoint is None else int(self.basepoint)
             if bp not in nodes:
                 raise InvalidPointError(f"basepoint {bp} not a node")
@@ -98,17 +99,22 @@ class Space:
 
     def as_array(self, pts):
         """Points -> int64 array of shape (n, point_arity); such an array
-        passes through uncopied."""
+        passes through uncopied. Graph points must be nodes."""
         if (isinstance(pts, np.ndarray) and pts.dtype == np.int64 and pts.ndim == 2
                 and pts.shape[1] == self.point_arity):
-            return pts
+            a = pts
+        elif self.kind == "graph":
+            a = np.asarray([[int(p)] for p in pts], dtype=np.int64).reshape(-1, 1)
+        else:
+            a = np.asarray(list(pts), dtype=np.int64)
+            if a.ndim == 1:
+                a = a.reshape(1, -1)
+            if a.size and a.shape[1] != self.point_arity:
+                raise InvalidPointError(f"point array arity {a.shape[1]} != {self.point_arity}")
         if self.kind == "graph":
-            return np.asarray([[int(p)] for p in pts], dtype=np.int64).reshape(-1, 1)
-        a = np.asarray(list(pts), dtype=np.int64)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if a.size and a.shape[1] != self.point_arity:
-            raise InvalidPointError(f"point array arity {a.shape[1]} != {self.point_arity}")
+            bad = a[~np.isin(a[:, 0], self._nodes), 0]
+            if bad.size:
+                raise InvalidPointError(f"{int(bad[0])} is not a node of the graph")
         return a
 
     def from_array(self, arr):

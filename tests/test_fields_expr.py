@@ -122,6 +122,19 @@ def test_table_field(z1):
     assert f.bound(z1)[0] == 5.0
 
 
+def test_expression_bound_sampled_once(z1, z2, monkeypatch):
+    # the sampled sup is computed once per space shape and kept
+    f = ExpressionField("sin(n1) / 2")
+    first = {sp: f.bound(sp) for sp in (z1, z2)}
+    calls = []
+    ev = f.expression.eval
+    monkeypatch.setattr(f.expression, "eval", lambda x: calls.append(x) or ev(x))
+    for sp in (z1, z2):
+        assert f.bound(sp) == first[sp]
+        assert ExpressionField(f.expression.source).bound(sp) == first[sp]
+    assert calls == []
+
+
 def test_table_keys_without_fiber_coordinate():
     # keys may omit the fiber coordinate, which then reads as 0
     sp = Space(kind="lattice", dim=1, fiber=2)

@@ -36,7 +36,7 @@ from limitops import (
     window_norm,
 )
 
-from limitops.fredholm import _tall_block
+from limitops.fredholm import _grid, _tall_block
 
 from conftest import window
 
@@ -335,6 +335,15 @@ def test_nu_grid_real_kernel_mirror_symmetry(z1):
     assert got[2] == got[3]
 
 
+def test_grid_holds_exact_conjugate_pairs():
+    # the real-kernel fold merges z and conj z only when both are on the
+    # grid bit for bit
+    zs = _grid((-3.2, 3.2, -0.48, 0.48), 0.08)
+    assert zs.size == 81 * 13
+    assert set(zs.tolist()) == set(np.conj(zs).tolist())
+    assert np.unique(np.where(zs.imag < 0, np.conj(zs), zs)).size == 81 * 7
+
+
 def test_nu_grid_threads_deterministic(z1):
     # 1100 points span several sweep chunks, so the pool really runs
     A = laplacian_stencil(z1) + multiplication(z1, PeriodicField([0.2, -0.2]))
@@ -342,6 +351,33 @@ def test_nu_grid_threads_deterministic(z1):
     a = nu_grid_indicator(A, zs, radius=40, threads=1)
     b = nu_grid_indicator(A, zs, radius=40, threads=8)
     assert np.array_equal(a, b)
+
+
+def test_nu_grid_cloud_values_match_dense_svd():
+    # fibered Hermitian stencil: every cloud indicator is the window lower
+    # norm itself, not an estimate above it
+    sp = Space(kind="lattice", dim=1, fiber=2)
+    A = BandOperator(sp, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 0.6})
+    est = spectrum_estimate_for(A, "fib", method="nuGrid", radius=30, pitch=0.08,
+                                tau=0.12, z_box=(-3.2, 3.2, -0.4, 0.4))
+    assert est.cloud.size > 150
+    cols = np.stack([np.repeat(np.arange(-30, 31), 2), np.tile([0, 1], 61)], axis=1)
+    for z, got in zip(est.cloud[::6], est.cloud_indicators[::6]):
+        Mz = A.sub_scalar(z)
+        direct = np.linalg.svd(_tall_block(Mz, cols), compute_uv=False)[-1]
+        adj = np.linalg.svd(_tall_block(Mz.adjoint(), cols), compute_uv=False)[-1]
+        assert np.isclose(got, min(direct, adj), rtol=1e-9, atol=0)
+
+
+def test_nu_grid_rejects_non_finite_input(z1):
+    lap = laplacian_stencil(z1)
+    for src in ("1/n", "log(abs(n))", "sqrt(n)"):
+        A = lap + multiplication(z1, ExpressionField(src))
+        with np.errstate(all="ignore"), pytest.raises(InvalidConfigError,
+                                                      match="not finite"):
+            nu_grid_indicator(A, [0.3 + 0.1j, 5], radius=10)
+    with pytest.raises(InvalidConfigError, match="grid point"):
+        nu_grid_indicator(lap, [0.3, complex(np.nan, 0.0)], radius=10)
 
 
 def test_spectrum_estimate_method_dispatch(z1):

@@ -40,7 +40,7 @@ MIXED_Z = np.array([0.0, 0.5, 2.0 + 0.0j, -1.7 + 0.3j, 0.1 - 2.2j, 5.0])
 def test_sweep_matches_dense_svd(hermitian):
     T = banded_random(60, 2, seed=3, hermitian=hermitian)
     gb, sl, su, bw = pack_sweep_inputs(T, 2)
-    got = K.sigma_min_sweep(gb, sl, su, MIXED_Z, bw, maxit=30)
+    got = K.sigma_min_sweep(gb, sl, su, MIXED_Z)
     ref = np.array([
         np.linalg.svd(T - z * np.eye(60), compute_uv=False)[-1] for z in MIXED_Z
     ])
@@ -93,41 +93,84 @@ def test_cell_scan_matches_bruteforce(z2):
 
 
 def test_sweep_clusters_need_restarts():
-    # two nearly equal small singular values stall plain inverse iteration;
-    # the safeguarded restart must still land on the smallest one
+    # two nearly equal small singular values stall an iterative estimate; the
+    # sweep must still land on the smallest one, gated or not
     d = np.array([1e-3, 1.001e-3, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
     T = np.diag(d).astype(np.complex128)
     gb, sl, su, bw = pack_sweep_inputs(T, 0)
-    got = K.sigma_min_sweep(gb, sl, su, np.array([0.0 + 0.0j]), 0, maxit=30)
-    assert np.isclose(got[0], 1e-3, rtol=1e-4)
+    for tau in (None, 0.01):
+        got = K.sigma_min_sweep(gb, sl, su, np.array([0.0 + 0.0j]), tau)
+        assert np.isclose(got[0], 1e-3, rtol=1e-4)
 
 
 def _sweep_cases():
-    """Inputs of the sweep tests above, unpacked for ``_sweep_row``."""
+    """Inputs of the sweep tests above: (gb, sl, su, bw, zs)."""
     cases = []
     for hermitian in (False, True):
         T = banded_random(60, 2, seed=3, hermitian=hermitian)
-        cases.append((*pack_sweep_inputs(T, 2), MIXED_Z.astype(np.complex128), 30))
+        cases.append((*pack_sweep_inputs(T, 2), MIXED_Z.astype(np.complex128)))
     T = np.diag([1e-3, 1.001e-3, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]).astype(np.complex128)
-    cases.append((*pack_sweep_inputs(T, 0), np.array([0.0 + 0.0j]), 30))
+    cases.append((*pack_sweep_inputs(T, 0), np.array([0.0 + 0.0j])))
     return cases
 
 
-def _run_sweep(gb, sl, su, bw, zs, maxit):
-    start = (np.cos(0.9 * np.arange(gb.shape[1]) + 0.7) + 0.1).astype(np.complex128)
-    return K._sweep_row(gb, sl, su, zs, bw, maxit, 1e-7, start)
+def _shifted_gram(gb, sl, su, z):
+    base = gb - np.conj(z) * sl - z * np.conj(su)
+    base[0] += (z * np.conj(z)).real
+    return base
 
 
-def test_sweep_lapack_helpers_match_scipy_bitwise(monkeypatch):
-    # the sweep calls LAPACK zpbtrf/zpbtrs directly; scipy's wrappers on
-    # the same inputs must give the same bits, iterate included
-    direct = [_run_sweep(*case) for case in _sweep_cases()]
-    monkeypatch.setattr(K, "cholesky_banded", scipy.linalg.cholesky_banded)
-    monkeypatch.setattr(K, "cho_solve_banded", scipy.linalg.cho_solve_banded)
-    wrapped = [_run_sweep(*case) for case in _sweep_cases()]
-    for (out, x), (ref_out, ref_x) in zip(direct, wrapped):
-        assert np.array_equal(out, ref_out)
-        assert np.array_equal(x, ref_x)
+def test_cholesky_banded_matches_scipy_bitwise():
+    # the sweep's gate calls LAPACK zpbtrf directly; scipy's wrapper on the
+    # same input must give the same factor, and fail where it fails
+    for gb, sl, su, bw, zs in _sweep_cases():
+        for z in zs:
+            for shift in (0.0, 0.25):
+                work = _shifted_gram(gb, sl, su, z)
+                work[0] -= shift
+                try:
+                    ref = scipy.linalg.cholesky_banded(work, lower=True)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        K.cholesky_banded(work.copy(order="F"), lower=True)
+                    continue
+                got = K.cholesky_banded(work.copy(order="F"), lower=True)
+                assert np.array_equal(got, ref)
+
+
+def test_min_eig_banded_matches_scipy_bitwise():
+    # the sweep and the structured lower norm call LAPACK zhbevx directly
+    # with the arguments of scipy's eigvals_banded(select="i")
+    for gb, sl, su, bw, zs in _sweep_cases():
+        for z in zs:
+            base = _shifted_gram(gb, sl, su, z)
+            ref = scipy.linalg.eigvals_banded(base, lower=True, select="i",
+                                              select_range=(0, 0))[0]
+            assert K.min_eig_banded(base.copy()) == ref
+
+
+def test_sweep_gate_keeps_cloud_values():
+    # with tau, a point reads inf only where the dense sigma_min exceeds tau,
+    # and every point at or below tau keeps its ungated value bit for bit
+    T = banded_random(60, 2, seed=3)
+    gb, sl, su, bw = pack_sweep_inputs(T, 2)
+    zs = (np.linspace(-4.0, 4.0, 41)[:, None]
+          + 1j * np.linspace(-4.0, 4.0, 41)[None, :]).reshape(-1)
+    ref = np.array([np.linalg.svd(T - z * np.eye(60), compute_uv=False)[-1]
+                    for z in zs])
+    # halfway between two sorted values, so no point sits within rounding
+    # of tau
+    s = np.sort(ref)
+    k = zs.size // 5
+    tau = 0.5 * (s[k] + s[k + 1])
+    assert s[k + 1] - s[k] > 1e-9
+    full = K.sigma_min_sweep(gb, sl, su, zs)
+    gated = K.sigma_min_sweep(gb, sl, su, zs, tau)
+    low = full <= tau
+    assert 0 < low.sum() < zs.size
+    assert np.array_equal(gated[low], full[low])
+    assert np.all(ref[np.isinf(gated)] > tau)
+    assert np.array_equal(np.isinf(gated), ~low)
 
 
 @pytest.mark.parametrize("where", ["z=nan", "z=inf", "gram nan", "gram inf"])
@@ -135,7 +178,7 @@ def test_sweep_flags_non_finite_input(where):
     # -1.0 flags non-finite input, also where LAPACK alone would not fail: it
     # never reads the unused corner of the band storage, and an infinite last
     # pivot factors
-    gb, sl, su, bw, _, _ = _sweep_cases()[0]
+    gb, sl, su, bw, _ = _sweep_cases()[0]
     zs = np.array([0.5, -1.7 + 0.3j], dtype=np.complex128)
     if where == "z=nan":
         zs[0] = np.nan
@@ -145,9 +188,10 @@ def test_sweep_flags_non_finite_input(where):
         gb[bw, -1] = np.nan
     else:
         gb[0, -1] = np.inf
-    with np.errstate(invalid="ignore"):
-        out, _ = _run_sweep(gb, sl, su, bw, zs, 30)
-    if where.startswith("z="):
-        assert out[0] == -1.0 and out[1] > 0.0
-    else:
-        assert np.all(out == -1.0)
+    for tau in (None, 0.1):
+        with np.errstate(invalid="ignore"):
+            out = K.sigma_min_sweep(gb, sl, su, zs, tau)
+        if where.startswith("z="):
+            assert out[0] == -1.0 and out[1] > 0.0
+        else:
+            assert np.all(out == -1.0)

@@ -94,6 +94,17 @@ def test_graph_space_bfs_distance():
         two.dist(0, 2)
 
 
+def test_graph_points_must_be_nodes():
+    # a point that is not a node is named in either argument of dist_block,
+    # and in an int64 array that as_array would otherwise pass through
+    g = Space(kind="graph", adjacency={0: [1], 1: [0], 2: []}, basepoint=0)
+    for a, b in (([7], [0]), ([0], [7])):
+        with pytest.raises(InvalidPointError, match="7 is not a node"):
+            g.dist_block(a, b)
+    with pytest.raises(InvalidPointError, match="7 is not a node"):
+        g.as_array(np.asarray([[1], [7]], dtype=np.int64))
+
+
 def test_space_descriptor_roundtrip(z2):
     d = z2.to_descriptor()
     assert Space.from_descriptor(d) == z2
