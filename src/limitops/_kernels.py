@@ -1,10 +1,11 @@
 """Hot numeric kernels in numpy and LAPACK: the greedy net selection and the
-all-pairs cell scan behind coverings, the banded sigma-min sweep behind the
+cell scan behind coverings, the banded sigma-min sweep behind the
 essential-spectrum grid, and a point locator for lookups in point arrays.
 
 Point arrays are int64 of shape (n, point_arity). The net and cell scans take
-the space's distance function (``Space.dist_block``), so lattices and graphs
-run the same scan.
+the space's neighbour enumeration (``Space.pairs_within``), so lattices and
+graphs run the same scan, and each point meets only the points of one ball
+around it: O(n |B(R)|) under bounded geometry, not O(n^2).
 """
 
 import numpy as np
@@ -42,41 +43,51 @@ class PointLocator:
         return out
 
 
-def greedy_net(points, sep, dist):
+def greedy_net(points, sep, pairs):
     """Greedy selection mask: a point is kept iff it is >= sep away from every
-    previously kept point, in array order. ``dist(a, b)`` is the distance
-    matrix between two point arrays."""
+    previously kept point, in array order. ``pairs(a, b, radius)`` is the
+    space's ``Space.pairs_within``; the rows of ``points`` must be distinct.
+    Each point is checked against the earlier points within ceil(sep) - 1
+    only (distances are integers)."""
     points = np.ascontiguousarray(points, dtype=np.int64)
-    keep = np.zeros(points.shape[0], dtype=np.bool_)
-    sel = np.empty_like(points)
-    m = 0
-    for i in range(points.shape[0]):
-        if m and dist(points[i : i + 1], sel[:m]).min() < sep:
-            continue
-        keep[i] = True
-        sel[m] = points[i]
-        m += 1
+    n = points.shape[0]
+    i, j, _ = pairs(points, points, np.ceil(sep) - 1)
+    earlier = j < i
+    start = np.searchsorted(i[earlier], np.arange(n + 1)).tolist()
+    j = j[earlier].tolist()
+    kept = set()
+    for p in range(n):
+        if kept.isdisjoint(j[start[p] : start[p + 1]]):
+            kept.add(p)
+    keep = np.zeros(n, dtype=np.bool_)
+    keep[list(kept)] = True
     return keep
 
 
-def cell_scan(points, cell_of, ncells, thresh, dist):
-    """All-pairs scan: cell adjacency at set-distance <= thresh (self included)
-    plus per-cell diameter, with ``dist`` as in ``greedy_net``."""
+def cell_members(cell_of, ncells):
+    """Row indices of each cell 0..ncells-1, each in row order; entries
+    outside that range belong to no cell."""
+    order = np.argsort(cell_of, kind="stable")
+    bounds = np.searchsorted(cell_of[order], np.arange(ncells + 1))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def cell_scan(points, cell_of, ncells, thresh, pairs):
+    """Cell adjacency at set-distance <= thresh (self included) plus per-cell
+    diameter, with ``pairs`` as in ``greedy_net``. Adjacency comes from the
+    point pairs within floor(thresh); each diameter from the distances inside
+    its own cell, so both stay exact for any ``cell_of``."""
     points = np.ascontiguousarray(points, dtype=np.int64)
     cell_of = np.ascontiguousarray(cell_of, dtype=np.int64)
-    n = points.shape[0]
     adj = np.zeros((ncells, ncells), dtype=np.uint8)
     diam = np.zeros(ncells, dtype=np.float64)
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d = dist(points[lo:hi], points)
-        ci = np.repeat(cell_of[lo:hi], n).reshape(hi - lo, n)
-        near = d <= thresh
-        adj[ci[near], np.broadcast_to(cell_of, ci.shape)[near]] = 1
-        same = ci == cell_of[None, :]
-        if same.any():
-            np.maximum.at(diam, ci[same], d[same])
+    i, j, _ = pairs(points, points, np.floor(thresh))
+    ci, cj = cell_of[i], cell_of[j]
+    ok = (ci >= 0) & (ci < ncells) & (cj >= 0) & (cj < ncells)
+    adj[ci[ok], cj[ok]] = 1
+    for c, members in enumerate(cell_members(cell_of, ncells)):
+        if members.size > 1:
+            diam[c] = pairs(points[members], points[members], np.inf)[2].max()
     return adj, diam
 
 

@@ -37,6 +37,8 @@ FAMILY_CAVEAT = (
 
 DEFAULT_T_GRID = (0.5, 0.3, 0.15)
 DEFAULT_SWEEP_CHUNK = 512
+_NON_FINITE_BANDS = ("non-finite input to the banded sweep: the window's Gram or slice "
+                     "bands (a coefficient is not finite)")
 # below this multiple of norm_bound()^2 the Gram eigenvalue has lost too many
 # digits to squaring, and the dense SVD decides
 GRAM_FLOOR = 1e-8
@@ -375,6 +377,8 @@ def _banded_data(B, radius):
     cols = pts(-radius, radius)
     rows = pts(-radius - wl, radius + wl)
     T0 = B.block(rows, cols)
+    if not np.isfinite(T0).all():
+        raise InvalidConfigError(_NON_FINITE_BANDS)
     G0 = T0.conj().T @ T0
     S = T0[pad : pad + n, :]
     bt = wl * m + (m - 1)
@@ -408,9 +412,10 @@ def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
     out = np.concatenate(outs) if outs else np.empty(0)
     if (out < 0.0).any():
         bad = zs[~np.isfinite(zs)]
-        what = (f"grid point {complex(bad[0])}" if bad.size
-                else "the window's Gram or slice bands (a coefficient is not finite)")
-        raise InvalidConfigError(f"non-finite input to the banded sweep: {what}")
+        if not bad.size:
+            raise InvalidConfigError(_NON_FINITE_BANDS)
+        raise InvalidConfigError(
+            f"non-finite input to the banded sweep: grid point {complex(bad[0])}")
     return out
 
 

@@ -8,10 +8,17 @@ path metric. On top of these sit windows (metric balls used as finite scopes),
 greedy separated nets, the disjoint covering construction with cells pinched
 between the r- and 2r-balls of the net, and product-tent partitions of unity
 with summed-variation control.
+
+Coverings read only ball-local information, as bounded geometry allows:
+``Space.pairs_within`` enumerates each point's neighbours within a radius, so
+net selection, cell assignment and verification cost O(n |B(R)|) for n scope
+points rather than O(n^2).
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from math import comb, prod
 
 import numpy as np
 
@@ -23,6 +30,8 @@ from .errors import (
 )
 
 _METRICS = ("linf", "l1")
+# candidate rows per chunk of a pairs_within scan
+_PAIRS_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -177,6 +186,69 @@ class Space:
             frontier = nxt
         return seen
 
+    def pairs_within(self, pts_a, pts_b, radius):
+        """Index pairs (i, j) with d(a_i, b_j) <= radius, and those int64
+        distances d, as three arrays sorted by i then j.
+
+        Around each row of the shorter array the radius ball is enumerated
+        (the cached ball stencil on lattices, a breadth-first search cut at
+        the radius on graphs) and looked up in the other array by packed
+        coordinate keys, so under bounded geometry the cost is
+        O(min(|a|, |b|) |B(radius)|). On lattices, when the stencil would
+        hold more points than the other array has rows (an infinite radius
+        included), every pair is compared instead, so the cost never exceeds
+        that of the full distance block. The rows of each array must be
+        distinct, as the rows of a window are.
+        """
+        a, b = self.as_array(pts_a), self.as_array(pts_b)
+        if radius < 0 or not a.shape[0] or not b.shape[0]:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy(), empty.copy()
+        if a.shape[0] > b.shape[0]:
+            j, i, d = self._ball_pairs(b, a, radius)
+        else:
+            i, j, d = self._ball_pairs(a, b, radius)
+        order = np.argsort(i * b.shape[0] + j)
+        return i[order], j[order], d[order]
+
+    def _ball_pairs(self, a, b, radius):
+        """``pairs_within`` in no particular order, enumerating balls around
+        the rows of a."""
+        nb = b.shape[0]
+        if self.kind == "graph":
+            per_row, index = len(self.adjacency), _BoxIndex(b)
+        else:
+            per_row = np.inf if np.isinf(radius) else self.ball_size(radius)
+            if per_row > nb:
+                per_row, index = nb, None
+            else:
+                offs, offs_d = _lattice_offsets(
+                    self.dim, self.metric, self.fiber, int(np.floor(radius)))
+                index = _BoxIndex(b)
+        step = max(1, _PAIRS_CHUNK // per_row)
+        parts = []
+        for lo in range(0, a.shape[0], step):
+            chunk = a[lo : lo + step]
+            if index is None:
+                d = self.dist_block(chunk, b)
+                i, j = np.nonzero(d <= radius)
+                parts.append((i + lo, j, d[i, j]))
+                continue
+            if self.kind == "graph":
+                balls = [self._bfs(x, np.floor(radius)) for x in chunk[:, 0].tolist()]
+                i = np.repeat(np.arange(len(balls)), [len(s) for s in balls])
+                cand = np.fromiter(chain.from_iterable(balls), np.int64, i.size)[:, None]
+                d = np.fromiter(chain.from_iterable(s.values() for s in balls),
+                                np.int64, i.size)
+            else:
+                i = np.repeat(np.arange(chunk.shape[0]), offs.shape[0])
+                cand = self._translate(chunk, offs).reshape(-1, self.point_arity)
+                d = np.tile(offs_d, chunk.shape[0])
+            j = index.locate(cand)
+            hit = j >= 0
+            parts.append((i[hit] + lo, j[hit], d[hit]))
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
     # -- balls and ordering --------------------------------------------------
 
     def ball(self, x, radius):
@@ -186,13 +258,17 @@ class Space:
         x = self._check_point(x)
         if self.kind == "graph":
             return self._graph_ball(x, radius)
-        offs = _lattice_offsets(self.dim, self.metric, self.fiber, int(np.floor(radius)))
-        pts = offs.copy()
-        pts[:, : self.dim] += np.asarray(x[: self.dim], dtype=np.int64)
-        if self.fiber > 1:
-            pts[:, -1] = (pts[:, -1] + x[-1]) % self.fiber
-        d = self.dist_block(pts, self.as_array([x])).reshape(-1)
+        offs, d = _lattice_offsets(self.dim, self.metric, self.fiber, int(np.floor(radius)))
+        pts = self._translate(self.as_array([x]), offs).reshape(-1, self.point_arity)
         return pts[_bfs_order(pts, d)]
+
+    def _translate(self, pts, offs):
+        """(n, m, point_arity) array of every point shifted by every offset,
+        the fiber coordinate wrapping."""
+        out = pts[:, None, :] + offs[None, :, :]
+        if self.fiber > 1:
+            out[..., -1] %= self.fiber
+        return out
 
     def _graph_ball(self, x, radius):
         seen = self._bfs(x, radius)
@@ -240,64 +316,76 @@ class Space:
 
 @lru_cache(maxsize=128)
 def _lattice_offsets(dim, metric, fiber, radius):
-    """All offsets of norm <= radius, as an int64 array."""
-    if radius < 0:
-        return np.empty((0, dim + (1 if fiber > 1 else 0)), dtype=np.int64)
-
-    def base(rad):
-        rng = np.arange(-rad, rad + 1, dtype=np.int64)
-        grids = np.meshgrid(*([rng] * dim), indexing="ij")
-        offs = np.stack([g.reshape(-1) for g in grids], axis=1)
-        if metric == "l1":
-            offs = offs[np.abs(offs).sum(axis=1) <= rad]
-        return offs
-
-    if fiber == 1:
-        return base(radius)
-    parts = []
-    for f in range(fiber):
-        c = min(f, fiber - f)
-        if c > radius:
-            continue
-        b = base(radius - c)
-        col = np.full((b.shape[0], 1), f, dtype=np.int64)
-        parts.append(np.hstack([b, col]))
-    return np.vstack(parts)
+    """All offsets of norm <= radius and their norms, as int64 arrays. The
+    arrays are shared by every caller: read them, never write."""
+    rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    grids = np.meshgrid(*([rng] * dim), indexing="ij")
+    offs = np.stack([g.reshape(-1) for g in grids], axis=1)
+    norm = np.abs(offs).max(axis=1) if metric == "linf" else np.abs(offs).sum(axis=1)
+    if fiber > 1:
+        f = np.arange(fiber, dtype=np.int64)
+        offs = np.hstack([np.repeat(offs, fiber, axis=0), np.tile(f, norm.size)[:, None]])
+        norm = np.repeat(norm, fiber) + np.tile(np.minimum(f, fiber - f), norm.size)
+    keep = norm <= radius
+    return offs[keep], norm[keep]
 
 
 @lru_cache(maxsize=1024)
 def _lattice_ball_size(dim, metric, fiber, radius):
-    if radius < 0:
-        return 0
-
     def base(rad):
+        if rad < 0:
+            return 0
         if metric == "linf":
             return (2 * rad + 1) ** dim
-        cnt = np.zeros(rad + 1, dtype=object)
-        cnt[0] = 1
-        for _ in range(dim):
-            new = np.zeros(rad + 1, dtype=object)
-            for s in range(rad + 1):
-                if cnt[s] == 0:
-                    continue
-                new[s] += cnt[s]
-                for step in range(1, rad - s + 1):
-                    new[s + step] += 2 * cnt[s]
-            cnt = new
-        return int(cnt.sum())
+        # points of Z^dim with k nonzero coordinates and l1 norm <= rad
+        return sum(2 ** k * comb(dim, k) * comb(rad, k) for k in range(dim + 1))
 
-    if fiber == 1:
-        return base(radius)
-    return sum(
-        base(radius - min(f, fiber - f))
-        for f in range(fiber)
-        if min(f, fiber - f) <= radius
-    )
+    return sum(base(radius - min(f, fiber - f)) for f in range(fiber))
 
 
 def _bfs_order(pts, dist):
     keys = tuple(pts[:, a] for a in range(pts.shape[1] - 1, -1, -1)) + (dist,)
     return np.lexsort(keys)
+
+
+class _BoxIndex:
+    """Row indices of query points in an array of distinct points (-1 where
+    absent), by binary search over int64 keys packed row-major over the
+    array's bounding box; queries outside the box miss without a search."""
+
+    def __init__(self, pts):
+        self.lo = pts.min(axis=0)
+        self.shape = [int(h) - int(l) + 1 for l, h in zip(self.lo, pts.max(axis=0))]
+        # The indexed points are a subset of a materialised window, whose box
+        # fits in int64; refuse rather than overflow if one ever does not.
+        if prod(self.shape) >= 2 ** 63:
+            raise InvalidConfigError(
+                f"point box {tuple(self.shape)} is too large to index by int64 keys")
+        keys, _ = self._pack(pts)
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def _pack(self, pts):
+        """Packed keys of the rows, and which rows lie in the box (keys of
+        the others are meaningless)."""
+        rel = pts - self.lo
+        keys = np.zeros(pts.shape[0], dtype=np.int64)
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for c, size in enumerate(self.shape):
+            col = rel[:, c]
+            inside &= col.view(np.uint64) < size  # 0 <= col < size
+            keys = keys * size + col
+        return keys, inside
+
+    def locate(self, query):
+        keys, inside = self._pack(query)
+        inside = np.flatnonzero(inside)
+        keys = keys[inside]
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        found = self.keys[pos] == keys
+        out = np.full(query.shape[0], -1, dtype=np.int64)
+        out[inside[found]] = self.order[pos[found]]
+        return out
 
 
 @dataclass
@@ -377,10 +465,10 @@ def separated_net(space, scope, sep):
     Pairwise distances are >= sep and every scope point lies within < sep of
     some net point; re-running on the net itself returns it unchanged.
     """
-    if sep <= 0:
+    if not sep > 0:
         raise InvalidConfigError("separation must be positive")
     pts = scope.points
-    return pts[_kernels.greedy_net(pts, float(sep), space.dist_block)]
+    return pts[_kernels.greedy_net(pts, float(sep), space.pairs_within)]
 
 
 @dataclass
@@ -401,23 +489,27 @@ class Covering:
     def cell_points(self, j):
         return self.scope.points[self.cell_of == j]
 
-    def verify(self, probe=None):
-        """Exhaustively check the covering invariants; returns a report."""
+    def verify(self):
+        """Exhaustively check the covering invariants; returns a report.
+
+        Every check reads only the point-to-net pairs at distance < 2r, the
+        point pairs at distance <= r and the distances inside each cell. A
+        point whose cell index is not one of the net's lies in no cell and in
+        no open 2r-ball of its own.
+        """
         pts = self.scope.points
         r = self.r
-        dn = self.space.dist_block(pts, self.net)
+        i, j, d = self.space.pairs_within(pts, self.net, np.ceil(2 * r) - 1)
         report = {
             "cells": self.ncells,
             "cover_total": bool((self.cell_of >= 0).all()),
         }
         # pinching: open r-ball inside own cell, every cell inside open 2r-ball
-        own = dn[np.arange(pts.shape[0]), self.cell_of]
-        report["cells_inside_open_2r"] = bool((own < 2 * r).all())
-        inner = dn < r
-        rows, cols = np.nonzero(inner)
-        report["open_r_ball_inside_cell"] = bool((self.cell_of[rows] == cols).all())
+        own = self.cell_of[i] == j
+        report["cells_inside_open_2r"] = int(own.sum()) == pts.shape[0]
+        report["open_r_ball_inside_cell"] = bool(own[d < r].all())
         adj, diam = _kernels.cell_scan(
-            pts, self.cell_of, self.ncells, float(r), self.space.dist_block
+            pts, self.cell_of, self.ncells, float(r), self.space.pairs_within
         )
         report["max_cell_diam"] = float(diam.max()) if diam.size else 0.0
         report["diam_bound"] = 4.0 * r
@@ -438,14 +530,11 @@ class Covering:
 
     def export(self):
         pts = self.scope.points
-        cells = []
-        for j in range(self.ncells):
-            cell = pts[self.cell_of == j]
-            cells.append({
-                "cell": j,
-                "net_point": _point_json(self.space, self.net[j]),
-                "points": [_point_json(self.space, row) for row in cell],
-            })
+        net = _points_json(self.space, self.net)
+        cells = [
+            {"cell": j, "net_point": net[j], "points": _points_json(self.space, pts[members])}
+            for j, members in enumerate(_kernels.cell_members(self.cell_of, self.ncells))
+        ]
         return {
             "schema_version": 1,
             "space": self.space.to_descriptor(),
@@ -454,11 +543,10 @@ class Covering:
         }
 
 
-def _point_json(space, row):
-    row = np.asarray(row).reshape(-1)
-    if space.kind == "graph":
-        return int(row[0])
-    return [int(v) for v in row]
+def _points_json(space, pts):
+    """Rows of a point array as JSON lists: plain ints on graphs, lists of
+    ints on lattices."""
+    return pts[:, 0].tolist() if space.kind == "graph" else pts.tolist()
 
 
 def build_covering(space, scope, r):
@@ -467,23 +555,22 @@ def build_covering(space, scope, r):
     A maximal 2r-separated net is selected greedily in scope order; a point
     joins the cell of the unique net point at open distance < r when one
     exists, otherwise the earliest net point at open distance < 2r. This is
-    the standard peeling construction, evaluated pointwise.
+    the standard peeling construction, evaluated pointwise over each point's
+    net neighbours within 2r.
     """
-    if r < 1:
+    if not r >= 1:
         raise InvalidConfigError("covering parameter r must be >= 1")
     net = separated_net(space, scope, 2 * r)
     pts = scope.points
     cell_of = np.full(pts.shape[0], -1, dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(net.shape[0], 1)))
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        d = space.dist_block(pts[lo:hi], net)
-        inner = d < r
-        has_inner = inner.any(axis=1)
-        cell_of[lo:hi][has_inner] = np.argmax(inner[has_inner], axis=1)
-        outer = d < 2 * r
-        rest = ~has_inner
-        cell_of[lo:hi][rest] = np.argmax(outer[rest], axis=1)
+    # pairs come sorted by point then net index, so the first pair of a point
+    # is its earliest net point; the inner pass overwrites the outer choice
+    i, j, d = space.pairs_within(pts, net, np.ceil(2 * r) - 1)
+    inner = d < r
+    for rows, nets in ((i, j), (i[inner], j[inner])):
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        cell_of[rows[first]] = nets[first]
     return Covering(space=space, scope=scope, r=r, net=net, cell_of=cell_of)
 
 
@@ -570,9 +657,9 @@ class PartitionOfUnity:
             keep = vals > 0
             tents.append({
                 "tent": j,
-                "center": [int(v) for v in self.centers[j] * self.pitch],
-                "support": [_point_json(self.space, row) for row in sup[keep]],
-                "values": [float(v) for v in vals[keep]],
+                "center": (self.centers[j] * self.pitch).tolist(),
+                "support": _points_json(self.space, sup[keep]),
+                "values": vals[keep].tolist(),
             })
         return {
             "schema_version": 1,

@@ -3,6 +3,13 @@ import pytest
 
 from limitops import Space, Window
 
+# 6 x 7 grid graph, node i * 7 + j at row i and column j
+GRID = Space(kind="graph", adjacency={
+    i * 7 + j: [a * 7 + b for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                if 0 <= a < 6 and 0 <= b < 7]
+    for i in range(6) for j in range(7)})
+Z1_FIBER3 = Space(kind="lattice", dim=1, fiber=3)
+
 
 @pytest.fixture(scope="session")
 def z1():

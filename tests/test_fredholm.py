@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,16 @@ def test_nu_grid_rejects_non_finite_input(z1):
             nu_grid_indicator(A, [0.3 + 0.1j, 5], radius=10)
     with pytest.raises(InvalidConfigError, match="grid point"):
         nu_grid_indicator(lap, [0.3, complex(np.nan, 0.0)], radius=10)
+
+
+def test_nu_grid_non_finite_coefficient_raises_before_any_arithmetic(z1):
+    # the window block is checked before its Gram matrix is formed, so no
+    # numpy warning precedes the error
+    A = laplacian_stencil(z1) + multiplication(z1, ExpressionField("1/n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfigError, match="not finite"):
+            nu_grid_indicator(A, [0.3 + 0.1j, 5], radius=10)
 
 
 def test_spectrum_estimate_method_dispatch(z1):

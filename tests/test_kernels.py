@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from limitops import Space, _kernels as K
+from limitops import InvalidConfigError, Space, _kernels as K
+
+from conftest import GRID, Z1_FIBER3
 
 
 def banded_random(n, b, seed, hermitian=False):
@@ -47,21 +49,54 @@ def test_sweep_matches_dense_svd(hermitian):
     assert np.allclose(got, ref, rtol=1e-5, atol=1e-9)
 
 
-# 6 x 7 grid graph, node i * 7 + j at row i and column j
-GRID = Space(kind="graph", adjacency={
-    i * 7 + j: [a * 7 + b for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-                if 0 <= a < 6 and 0 <= b < 7]
-    for i in range(6) for j in range(7)})
-
-
 def _point(space, row):
     return int(row[0]) if space.kind == "graph" else tuple(row)
 
 
+@pytest.mark.parametrize("space", [Z1_FIBER3, Space(dim=2, metric="linf"),
+                                   Space(dim=3, metric="l1"), GRID],
+                         ids=["z1-fiber3", "z2-linf", "z3-l1", "grid-graph"])
+def test_pairs_within_matches_bruteforce(space):
+    # b is a shuffled part of a window, so the ball stencil is sometimes
+    # smaller and sometimes larger than b, and a's balls leave b's box; the
+    # reversed call enumerates balls around the shorter array
+    rng = np.random.default_rng(5)
+    origin = space.basepoint
+    if space.kind == "graph":
+        a, b = space.ball(10, 2), space.ball(24, 3)
+    else:
+        far = tuple(2 if k < space.dim else 0 for k in range(len(origin)))
+        a, b = space.ball(origin, 2), space.ball(far, 3)
+    b = b[rng.permutation(b.shape[0])[: 2 * b.shape[0] // 3]]
+    for radius in (0, 1.5, 2, 3, np.inf):
+        i, j, d = space.pairs_within(a, b, radius)
+        ref = []
+        for x in range(a.shape[0]):
+            for y in range(b.shape[0]):
+                dxy = space.dist(_point(space, a[x]), _point(space, b[y]))
+                if dxy <= radius:
+                    ref.append((x, y, dxy))
+        assert list(zip(i.tolist(), j.tolist(), d.tolist())) == ref
+        assert i.dtype == j.dtype == d.dtype == np.int64
+        j, i, d = space.pairs_within(b, a, radius)
+        assert list(zip(i.tolist(), j.tolist(), d.tolist())) == sorted(
+            ref, key=lambda t: (t[1], t[0]))
+    i, j, d = space.pairs_within(a, b[:0], 3)
+    assert i.size == j.size == d.size == 0
+
+
+def test_pairs_within_refuses_unpackable_box():
+    big = 2 ** 62
+    g = Space(kind="graph", adjacency={-big: [big], big: [-big]})
+    with pytest.raises(InvalidConfigError, match="too large"):
+        g.pairs_within([-big], [-big, big], 1)
+
+
 def test_greedy_net_matches_bruteforce(z2_l1):
-    for space, pts in ((z2_l1, z2_l1.ball((0, 0), 6)), (GRID, GRID.ball(17, 6))):
-        sep = 3.0
-        mask = np.asarray(K.greedy_net(pts, sep, space.dist_block), dtype=bool)
+    for space, pts, sep in ((z2_l1, z2_l1.ball((0, 0), 6), 3.0),
+                            (GRID, GRID.ball(17, 6), 3.0),
+                            (Z1_FIBER3, Z1_FIBER3.ball((0, 1), 8), 2.5)):
+        mask = np.asarray(K.greedy_net(pts, sep, space.pairs_within), dtype=bool)
         kept = []
         for i, p in enumerate(pts):
             ok = all(space.dist(_point(space, p), _point(space, pts[j])) >= sep
@@ -73,18 +108,23 @@ def test_greedy_net_matches_bruteforce(z2_l1):
 
 
 def test_cell_scan_matches_bruteforce(z2):
-    for space, pts in ((z2, z2.ball((0, 0), 4)), (GRID, GRID.ball(17, 6))):
+    line = Z1_FIBER3.ball((0, 1), 6)
+    for space, pts, thresh, blocks in ((z2, z2.ball((0, 0), 4), 3.0, None),
+                                       (GRID, GRID.ball(17, 6), 3.0, None),
+                                       # cells two sites wide: every other cell
+                                       # sits at set-distance 3, just past thresh
+                                       (Z1_FIBER3, line, 2.5, (line[:, 0] + 6) // 2)):
         rng = np.random.default_rng(1)
-        ncells = 5
-        cell_of = rng.integers(0, ncells, size=pts.shape[0])
-        adj, diam = K.cell_scan(pts, cell_of, ncells, 3.0, space.dist_block)
+        ncells = 5 if blocks is None else 7
+        cell_of = rng.integers(0, ncells, size=pts.shape[0]) if blocks is None else blocks
+        adj, diam = K.cell_scan(pts, cell_of, ncells, thresh, space.pairs_within)
         ref_adj = np.zeros((ncells, ncells), dtype=np.uint8)
         ref_diam = np.zeros(ncells)
         n = pts.shape[0]
         for i in range(n):
             for j in range(n):
                 d = space.dist(_point(space, pts[i]), _point(space, pts[j]))
-                if d <= 3.0:
+                if d <= thresh:
                     ref_adj[cell_of[i], cell_of[j]] = 1
                 if cell_of[i] == cell_of[j]:
                     ref_diam[cell_of[i]] = max(ref_diam[cell_of[i]], d)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitops import (
+    Covering,
     InvalidConfigError,
     InvalidPointError,
     Space,
@@ -14,7 +15,7 @@ from limitops import (
     separated_net,
 )
 
-from conftest import window
+from conftest import GRID, Z1_FIBER3, window
 
 
 # -- metric and balls --------------------------------------------------------
@@ -159,6 +160,105 @@ def test_covering_invariants_small(z2, r):
     assert rep["ok"]
     assert rep["max_cell_diam"] <= 4 * r
     assert rep["max_neighbor_count"] <= rep["neighbor_bound"]
+
+
+def _reference_report(cov):
+    """Covering.verify's report from full distance blocks. A point whose cell
+    index is not one of the net's lies in no cell."""
+    space, pts, net, r = cov.space, cov.scope.points, cov.net, cov.r
+    n, m = pts.shape[0], net.shape[0]
+    cell = cov.cell_of
+    valid = (cell >= 0) & (cell < m)
+    dn = space.dist_block(pts, net)
+    dp = space.dist_block(pts, pts)
+    own = np.where(valid, dn[np.arange(n), np.clip(cell, 0, m - 1)], np.inf)
+    rows, cols = np.nonzero(dn < r)
+    adj = np.zeros((m, m), dtype=bool)
+    diam = np.zeros(m)
+    for x in range(n):
+        for y in range(n):
+            if valid[x] and valid[y]:
+                if dp[x, y] <= r:
+                    adj[cell[x], cell[y]] = True
+                if cell[x] == cell[y]:
+                    diam[cell[x]] = max(diam[cell[x]], dp[x, y])
+    if space.kind == "lattice":
+        n6 = space.ball_size(6 * r)
+    else:
+        n6 = max(len(space.ball(int(p), int(6 * r))) for p in pts[:, 0])
+    rep = {
+        "cells": m,
+        "cover_total": bool((cell >= 0).all()),
+        "cells_inside_open_2r": bool((own < 2 * r).all()),
+        "open_r_ball_inside_cell": bool((cell[rows] == cols).all()),
+        "max_cell_diam": float(diam.max()),
+        "diam_bound": 4.0 * r,
+        "diam_ok": bool(diam.max() <= 4 * r),
+        "max_neighbor_count": int(adj.sum(axis=1).max()),
+        "neighbor_bound": int(n6),
+    }
+    rep["neighbor_ok"] = rep["max_neighbor_count"] <= n6
+    rep["ok"] = all(rep[k] for k in ("cover_total", "cells_inside_open_2r",
+                                     "open_r_ball_inside_cell", "diam_ok", "neighbor_ok"))
+    return rep
+
+
+@pytest.mark.parametrize("case", ["z2-r1", "z2-r1.5", "z2-r2", "z1-fiber3-r1.5", "grid-r1"])
+def test_covering_verify_matches_reference_on_corrupted_coverings(case):
+    space, scope, r = {
+        "z2-r1": (Space(dim=2), Window(Space(dim=2), (0, 0), 6), 1),
+        "z2-r1.5": (Space(dim=2), Window(Space(dim=2), (1, -2), 6), 1.5),
+        "z2-r2": (Space(dim=2), Window(Space(dim=2), (0, 0), 7), 2),
+        "z1-fiber3-r1.5": (Z1_FIBER3, Window(Z1_FIBER3, (0, 1), 9), 1.5),
+        "grid-r1": (GRID, Window(GRID, 17, 6), 1),
+    }[case]
+    cov = build_covering(space, scope, r)
+    n, m = scope.npoints, cov.ncells
+    rng = np.random.default_rng(7)
+    drop = int(rng.integers(m))
+    foreign = cov.cell_of.copy()
+    foreign[rng.choice(n, 3, replace=False)] = [-1, m, int(rng.integers(m))]
+    variants = [
+        cov,
+        Covering(space, scope, r, cov.net, rng.integers(0, m, n)),
+        # a net point dropped without relabelling the cells
+        Covering(space, scope, r, np.delete(cov.net, drop, axis=0), cov.cell_of),
+        Covering(space, scope, r, cov.net, foreign),
+    ]
+    reports = [c.verify() for c in variants]
+    assert reports[0]["ok"] and not any(rep["ok"] for rep in reports[1:])
+    for c, rep in zip(variants, reports):
+        assert rep == _reference_report(c)
+
+
+def test_covering_scans_form_no_block_beyond_one_cell(monkeypatch, z2):
+    # the net, the cell assignment and every check of verify() read ball
+    # neighbours only; full distance blocks are formed inside one cell at most
+    shapes = []
+    dist_block = Space.dist_block
+
+    def recording(self, a, b):
+        out = dist_block(self, a, b)
+        shapes.append(out.shape)
+        return out
+
+    scope = window(z2, 20)
+    scope.points
+    monkeypatch.setattr(Space, "dist_block", recording)
+    for r in (1, 1.5, 2):
+        shapes.clear()
+        cov = build_covering(z2, scope, r)
+        assert cov.verify()["ok"]
+        biggest = np.bincount(cov.cell_of).max()
+        assert shapes and max(a * b for a, b in shapes) <= biggest ** 2
+
+
+def test_covering_rejects_bad_parameters(z2):
+    for r in (0.5, float("nan")):
+        with pytest.raises(InvalidConfigError, match="r must be >= 1"):
+            build_covering(z2, window(z2, 4), r)
+    with pytest.raises(InvalidConfigError, match="positive"):
+        separated_net(z2, window(z2, 4), float("nan"))
 
 
 def test_covering_cells_partition_scope(z2_l1):
