@@ -10,8 +10,10 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -353,7 +355,7 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return _plain(obj.tolist())
     if isinstance(obj, (complex, np.complexfloating)):
         return _plain(_cplx(obj))
     if isinstance(obj, (bool, np.bool_)):
@@ -363,6 +365,115 @@ def _plain(obj):
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     return obj
+
+
+_INDENT = "  "
+_BOOL_JSON = {True: "true", False: "false"}
+
+
+def _float_json(x):
+    """``float.__repr__``, with json's spellings of the non-finite values."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _dumps(obj):
+    """The bytes of ``json.dumps(_plain(obj), sort_keys=True, indent=2)``,
+    written in one pass: bool, int and float arrays are formatted straight
+    from numpy, everything else as ``_plain`` and the stdlib encoder would."""
+    out = []
+    _write(obj, 0, out)
+    return "".join(out)
+
+
+def _write(obj, level, out):
+    """Append the JSON text of ``obj``, nested ``level`` indents deep."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, np.ndarray):
+        _write_array(obj, level, out)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in obj.items()}
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "{"
+        for k in sorted(items):
+            out.append(sep + inner)
+            out.append(encode_basestring_ascii(k) + ": ")
+            _write(items[k], level + 1, out)
+            sep = ","
+        out.append("\n" + _INDENT * level + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "["
+        for v in obj:
+            out.append(sep + inner)
+            _write(v, level + 1, out)
+            sep = ","
+        out.append("\n" + _INDENT * level + "]")
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _write(_cplx(obj), level, out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append(_BOOL_JSON[bool(obj)])
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_json(float(obj)))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_array(a, level, out):
+    """Append a bool, int or float array in one join: the separator between
+    two leaves closes and reopens as many brackets as axes their indices
+    cross, and each axis's separator is built once. Other arrays (complex,
+    object, extended precision) go through ``tolist``."""
+    kind = a.dtype.kind
+    if kind not in "biuf" or a.dtype.itemsize > 8:
+        _write(a.tolist(), level, out)
+        return
+    shape = a.shape
+    # below the first empty axis every sub-array prints as []
+    depth = shape.index(0) if 0 in shape else a.ndim
+    if depth < a.ndim:
+        leaves = ["[]"] * math.prod(shape[:depth])
+    elif kind == "b":
+        leaves = list(map(_BOOL_JSON.__getitem__, a.ravel().tolist()))
+    elif kind == "f":
+        fmt = float.__repr__ if np.isfinite(a).all() else _float_json
+        leaves = list(map(fmt, a.ravel().tolist()))
+    else:
+        leaves = list(map(int.__repr__, a.ravel().tolist()))
+    ind = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
+    n = len(leaves)
+    seps = ["," + ind[depth]] * (n - 1)
+    stride = 1
+    for axis in range(depth - 1, 0, -1):
+        # leaves whose indices differ first at axis - 1: close the lists of
+        # axes >= axis, then reopen them
+        stride *= shape[axis]
+        cross = ("".join(ind[k] + "]" for k in range(depth - 1, axis - 1, -1))
+                 + "," + ind[axis]
+                 + "".join("[" + ind[k + 1] for k in range(axis, depth)))
+        seps[stride - 1::stride] = [cross] * ((n - 1) // stride)
+    pieces = [None] * (2 * n - 1)
+    pieces[::2] = leaves
+    pieces[1::2] = seps
+    out.append("".join("[" + ind[k + 1] for k in range(depth)))
+    out.append("".join(pieces))
+    out.append("".join(ind[k] + "]" for k in range(depth - 1, -1, -1)))
 
 
 def _fill_seeds(node, seed):
@@ -502,7 +613,7 @@ def _run_essential_spectrum(cfg, prm, args):
     )
     out = {
         "estimates": [e.to_descriptor() for e in rep["estimates"]],
-        "unionCloud": [[float(z.real), float(z.imag)] for z in rep["unionCloud"]],
+        "unionCloud": np.stack([rep["unionCloud"].real, rep["unionCloud"].imag], axis=1),
         "divergences": rep["divergences"],
         "caveat": rep["caveat"],
         "params": rep["params"],
@@ -577,7 +688,6 @@ def _csv_rows(task, result):
         yield f"upper,{result['upper']}"
     else:
         yield "key,value"
-        flat = _plain(result)
 
         def walk(prefix, node):
             if isinstance(node, dict):
@@ -588,14 +698,14 @@ def _csv_rows(task, result):
             else:
                 yield f"{prefix[:-1]},{node}"
 
-        yield from walk("", flat)
+        yield from walk("", result)
 
 
 def _emit(args, payload, task):
     if args.format == "csv":
-        text = "\n".join(_csv_rows(task, payload["result"])) + "\n"
+        text = "\n".join(_csv_rows(task, _plain(payload["result"]))) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -629,7 +739,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.print_schema:
-        sys.stdout.write(json.dumps(full_schema(), sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(full_schema()) + "\n")
         return 0
     if args.task is None:
         sys.stderr.write("error: choose a task subcommand or --print-schema\n")
@@ -647,7 +757,9 @@ def main(argv=None):
         _validate(cfg.get("task", {}), args.task)
         cfg = copy.deepcopy(cfg)
         _fill_seeds(cfg, args.seed)
+        t1 = time.perf_counter()
         result, code = RUNNERS[args.task](cfg, prm, args)
+        t2 = time.perf_counter()
     except (LimitOpsError, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -664,13 +776,13 @@ def main(argv=None):
         "task": args.task,
         # threads and output format never affect results, so they stay out of
         # the payload and repeated runs compare byte-identical modulo timings
-        "resolved": _plain({
-            "config": cfg,
-            "task": prm,
-            "seed": args.seed,
-        }),
-        "result": _plain(result),
-        "timings": {"totalSeconds": round(time.perf_counter() - t0, 6)},
+        "resolved": {"config": cfg, "task": prm, "seed": args.seed},
+        "result": result,
+        "timings": {
+            "totalSeconds": round(time.perf_counter() - t0, 6),
+            "validateSeconds": round(t1 - t0, 6),
+            "taskSeconds": round(t2 - t1, 6),
+        },
     }
     _emit(args, payload, args.task)
     return code

@@ -481,10 +481,8 @@ class SpectrumEstimate:
             "method": self.method,
             "limitOperatorLabel": self.limit_label,
             "tau": self.tau,
-            "points": [
-                [float(z.real), float(z.imag), float(i)]
-                for z, i in zip(self.cloud, self.cloud_indicators)
-            ],
+            "points": np.stack([self.cloud.real, self.cloud.imag,
+                                self.cloud_indicators], axis=1),
             "meta": self.meta,
         }
 

@@ -516,8 +516,10 @@ class Covering:
         report["diam_ok"] = report["max_cell_diam"] <= 4 * r
         counts = adj.astype(np.int64).sum(axis=1)
         report["max_neighbor_count"] = int(counts.max()) if counts.size else 0
+        # graph balls are nested, so the largest radius-6r ball over the scope
+        # is the largest ball of every radius up to 6r
         n6 = self.space.ball_size(6 * r) if self.space.kind == "lattice" else max(
-            n for _, n in geometry_profile(self.space, int(6 * r), self.scope)
+            len(self.space._bfs(x, int(6 * r))) for x in pts[:, 0].tolist()
         )
         report["neighbor_bound"] = int(n6)
         report["neighbor_ok"] = report["max_neighbor_count"] <= n6
@@ -530,9 +532,9 @@ class Covering:
 
     def export(self):
         pts = self.scope.points
-        net = _points_json(self.space, self.net)
+        net = _points_out(self.space, self.net)
         cells = [
-            {"cell": j, "net_point": net[j], "points": _points_json(self.space, pts[members])}
+            {"cell": j, "net_point": net[j], "points": _points_out(self.space, pts[members])}
             for j, members in enumerate(_kernels.cell_members(self.cell_of, self.ncells))
         ]
         return {
@@ -543,10 +545,10 @@ class Covering:
         }
 
 
-def _points_json(space, pts):
-    """Rows of a point array as JSON lists: plain ints on graphs, lists of
-    ints on lattices."""
-    return pts[:, 0].tolist() if space.kind == "graph" else pts.tolist()
+def _points_out(space, pts):
+    """A point array as exported: flat node ids on graphs, rows of
+    coordinates on lattices."""
+    return pts[:, 0] if space.kind == "graph" else pts
 
 
 def build_covering(space, scope, r):
@@ -657,9 +659,9 @@ class PartitionOfUnity:
             keep = vals > 0
             tents.append({
                 "tent": j,
-                "center": (self.centers[j] * self.pitch).tolist(),
-                "support": _points_json(self.space, sup[keep]),
-                "values": vals[keep].tolist(),
+                "center": self.centers[j] * self.pitch,
+                "support": _points_out(self.space, sup[keep]),
+                "values": vals[keep],
             })
         return {
             "schema_version": 1,

@@ -1,9 +1,14 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from limitops.cli import CONFIG_SCHEMA, TASK_SCHEMAS, main
+from limitops.cli import (
+    CONFIG_SCHEMA, TASK_SCHEMAS, _csv_rows, _dumps, _plain, full_schema, main,
+)
 
 
 Z1 = {"kind": "lattice", "dim": 1}
@@ -64,6 +69,13 @@ def test_subcommand_print_schema(capsys):
     code, out, _ = run(["geometry", "--print-schema"], capsys)
     assert code == 0
     assert json.loads(out)["config"] == CONFIG_SCHEMA
+
+
+@pytest.mark.parametrize("argv", [["--print-schema"], ["geometry", "--print-schema"]])
+def test_print_schema_bytes(capsys, argv):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == json.dumps(full_schema(), sort_keys=True, indent=2) + "\n"
 
 
 def test_no_task_is_an_error(capsys):
@@ -135,7 +147,10 @@ def test_geometry_payload(tmp_path, capsys):
     assert data["task"] == "geometry"
     assert data["result"]["profile"] == [[r, (2 * r + 1) ** 2] for r in range(1, 5)]
     assert data["resolved"]["seed"] == 0
-    assert data["timings"]["totalSeconds"] >= 0
+    timings = data["timings"]
+    assert set(timings) == {"totalSeconds", "validateSeconds", "taskSeconds"}
+    for key in ("validateSeconds", "taskSeconds"):
+        assert 0 <= timings[key] <= timings["totalSeconds"]
 
 
 def test_geometry_csv(tmp_path, capsys):
@@ -201,6 +216,36 @@ def test_fredholm_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     res = json.loads(out)["result"]
     assert res["verdict"] == "Fredholm-consistent"
+
+
+@pytest.mark.parametrize("task, cfg", [
+    ("partition", {"space": Z2, "task": {"variation": 0.5, "scopeRadius": 12}}),
+    ("covering", {"space": Z2, "task": {"scopeRadius": 10, "r": 2}}),
+    ("essential-spectrum", {
+        "space": Z1, "operator": PERIODIC_OP,
+        "sequences": [{"v": [2], "label": "even"}],
+        "task": {"method": "nuGrid", "windowRadius": 20, "pitch": 0.25,
+                 "zBox": [-3.0, 3.0, -1.0, 1.0], "tau": 0.1},
+    }),
+])
+def test_csv_rows_match_json_payload(tmp_path, capsys, task, cfg):
+    """CSV cells format the plain values of the result: each row equals the
+    row rebuilt from the stdlib-parsed JSON payload of the same config. A
+    list cell keeps the result's own dict key order, which the sorted JSON
+    payload cannot restore, so such a cell is compared with its keys sorted."""
+    path = write_cfg(tmp_path, cfg)
+    code, text, _ = run([task, "--config", path], capsys)
+    assert code == 0
+    expected = list(_csv_rows(task, json.loads(text)["result"]))
+    code, out, _ = run([task, "--config", path, "--format", "csv"], capsys)
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == len(expected) > 1
+    for row, want in zip(rows, expected):
+        key, _, cell = row.partition(",")
+        if row != want and cell.startswith("["):
+            row = f"{key},{json.dumps(json.loads(cell), sort_keys=True)}"
+        assert row == want
 
 
 def test_compactness_csv(tmp_path, capsys):
@@ -276,3 +321,54 @@ def test_thread_count_does_not_change_bytes(tmp_path, capsys):
     assert payload_without_timings(a) == payload_without_timings(b)
     cloud = json.loads(a)["result"]["unionCloud"]
     assert len(cloud) > 0
+
+
+# -- payload writer -------------------------------------------------------------
+
+_ARRAY_DTYPES = (np.bool_, np.int8, np.int64, np.uint64, np.float16, np.float32,
+                 np.float64, np.complex128)
+_ARRAYS = st.one_of(
+    st.sampled_from(_ARRAY_DTYPES).flatmap(lambda dt: hnp.arrays(
+        dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))),
+    st.sampled_from([np.int64, np.float64]).map(lambda dt: np.empty((0, 2), dt)),
+)
+_NUMPY_SCALARS = st.one_of(
+    st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.complex_numbers().map(np.complex128),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2 ** 63, 2 ** 80), st.integers(-2 ** 80, -2 ** 63),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(), st.complex_numbers(), _NUMPY_SCALARS, _ARRAYS,
+)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(),
+                  st.none())
+_PAYLOADS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4),
+), max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+@example(np.full((2, 0, 3), 1.0))
+@example(np.arange(24).reshape(2, 3, 4))
+@example({"a": [np.array([[np.nan, -0.0], [np.inf, -np.inf]]), (1, "é\n")]})
+@example({1: np.array([[1 + 2j, 3.0], [complex(np.nan, 1), -0.0]]), (2,): np.array(2.5),
+          None: np.array([[True], [False]]), 2.5: np.float32(0.1)})
+def test_writer_matches_stdlib(obj):
+    assert _dumps(obj) == json.dumps(_plain(obj), sort_keys=True, indent=2)
+
+
+def test_writer_rejects_what_json_rejects():
+    for obj in ({"a": object()}, [{1, 2}]):
+        with pytest.raises(TypeError):
+            json.dumps(_plain(obj))
+        with pytest.raises(TypeError):
+            _dumps(obj)

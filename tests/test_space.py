@@ -231,6 +231,18 @@ def test_covering_verify_matches_reference_on_corrupted_coverings(case):
         assert rep == _reference_report(c)
 
 
+@pytest.mark.parametrize("r", [1, 1.5, 2])
+def test_graph_neighbor_bound_is_the_profile_maximum(r):
+    # balls are nested, so the radius-6r balls alone give the maximum of the
+    # whole profile up to 6r
+    scope = Window(GRID, 17, 6)
+    rep = build_covering(GRID, scope, r).verify()
+    n6 = max(n for _, n in geometry_profile(GRID, int(6 * r), scope))
+    assert rep["neighbor_bound"] == n6
+    assert rep["neighbor_ok"] == (rep["max_neighbor_count"] <= n6)
+    assert rep["ok"]
+
+
 def test_covering_scans_form_no_block_beyond_one_cell(monkeypatch, z2):
     # the net, the cell assignment and every check of verify() read ball
     # neighbours only; full distance blocks are formed inside one cell at most
