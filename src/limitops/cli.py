@@ -31,6 +31,9 @@ from .fredholm import (
 )
 
 SCHEMA_VERSION = "1"
+# a covering payload lists its net only up to this many points; a larger net
+# is left out and the payload says so under "netOmitted"
+NET_CAP = 10_000
 
 TASKS = (
     "geometry",
@@ -435,11 +438,24 @@ def _write(obj, level, out):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _float_leaves(flat):
+    """The JSON text of each entry of a 1-d float array, formatting each
+    distinct bit pattern once and expanding through the inverse index. It
+    keys on bits, not values: 0.0 == -0.0, but the two print differently."""
+    bits, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    values = bits.view(flat.dtype)
+    fmt = float.__repr__ if np.isfinite(values).all() else _float_json
+    text = np.array(list(map(fmt, values.tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_array(a, level, out):
     """Append a bool, int or float array in one join: the separator between
     two leaves closes and reopens as many brackets as axes their indices
-    cross, and each axis's separator is built once. Other arrays (complex,
-    object, extended precision) go through ``tolist``."""
+    cross, and each axis's separator is built once. Floats are formatted
+    once per distinct bit pattern (``_float_leaves``); ints and bools leaf
+    by leaf. Other arrays (complex, object, extended precision) go through
+    ``tolist``."""
     kind = a.dtype.kind
     if kind not in "biuf" or a.dtype.itemsize > 8:
         _write(a.tolist(), level, out)
@@ -452,8 +468,7 @@ def _write_array(a, level, out):
     elif kind == "b":
         leaves = list(map(_BOOL_JSON.__getitem__, a.ravel().tolist()))
     elif kind == "f":
-        fmt = float.__repr__ if np.isfinite(a).all() else _float_json
-        leaves = list(map(fmt, a.ravel().tolist()))
+        leaves = _float_leaves(a.ravel())
     else:
         leaves = list(map(int.__repr__, a.ravel().tolist()))
     ind = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
@@ -533,8 +548,10 @@ def _run_covering(cfg, prm, args):
     cov = build_covering(space, scope, prm["r"])
     report = cov.verify()
     out = {"report": report, "cells": cov.ncells, "r": prm["r"]}
-    if cov.net.shape[0] <= 10000:
+    if cov.ncells <= NET_CAP:
         out["net"] = cov.net
+    else:
+        out["netOmitted"] = {"points": cov.ncells, "cap": NET_CAP}
     return out, 0
 
 

@@ -17,7 +17,7 @@ points rather than O(n^2).
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from math import comb, prod
 
 import numpy as np
@@ -641,28 +641,45 @@ class PartitionOfUnity:
         return total
 
     def export(self, max_points=200_000):
-        pts = self.scope.points
-        if pts.shape[0] > max_points:
+        """Every tent with its support (in scope order) and its values there.
+
+        The scope's size is checked against ``max_points`` before any point
+        is materialised. A point x lies in the support box of the tent at
+        grid index k exactly when, on every axis, k is floor(x/pitch) or
+        ceil(x/pitch); so each point's at most 2^dim tents are enumerated
+        and located among the centers directly, O(n 2^dim) for n scope
+        points, rather than one mask over the scope per tent.
+        """
+        npoints = self.space.ball_size(self.scope.radius)
+        if npoints > max_points:
             raise InvalidConfigError(
-                f"partition export materializes the scope ({pts.shape[0]} points); "
+                f"partition export materializes the scope ({npoints} points); "
                 f"cap is {max_points}"
             )
-        tents = []
-        for j in range(self.ntents):
-            lo, hi = self.support_box(j)
-            mask = (
-                (pts[:, : self.space.dim] >= lo[None, :])
-                & (pts[:, : self.space.dim] <= hi[None, :])
-            ).all(axis=1)
-            sup = pts[mask]
-            vals = self.values(j, sup) if sup.size else np.empty(0)
-            keep = vals > 0
-            tents.append({
+        pts = self.scope.points
+        x = pts[:, : self.space.dim]
+        floor = x // self.pitch
+        up = x % self.pitch != 0  # ceil(x/pitch) = floor + up
+        # every 0/1 corner of the candidate box; a corner rounds an axis up
+        # only where that axis has a distinct ceiling
+        corners = np.array(list(product((0, 1), repeat=self.space.dim)), dtype=np.int64)
+        ok = ~((corners[None, :, :] > up[:, None, :]).any(axis=2))
+        point, corner = np.nonzero(ok)  # point-major: scope order within a tent
+        tent = _BoxIndex(self.centers).locate(floor[point] + corners[corner])
+        found = tent >= 0
+        order = np.argsort(tent[found], kind="stable")
+        tent, support = tent[found][order], pts[point[found][order]]
+        bounds = np.searchsorted(tent, np.arange(self.ntents + 1)).tolist()
+        # every hat is >= 1/pitch on its support box, so no value is 0
+        tents = [
+            {
                 "tent": j,
                 "center": self.centers[j] * self.pitch,
-                "support": _points_out(self.space, sup[keep]),
-                "values": vals[keep],
-            })
+                "support": _points_out(self.space, support[lo:hi]),
+                "values": self.values(j, support[lo:hi]),
+            }
+            for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
         return {
             "schema_version": 1,
             "space": self.space.to_descriptor(),

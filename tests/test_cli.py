@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from limitops import cli
 from limitops.cli import (
     CONFIG_SCHEMA, TASK_SCHEMAS, _csv_rows, _dumps, _plain, full_schema, main,
 )
@@ -171,6 +173,25 @@ def test_covering_payload(tmp_path, capsys):
     assert rep["diam_ok"] and rep["neighbor_ok"]
 
 
+@pytest.mark.parametrize("ncells_over_cap", [0, 1])
+def test_covering_net_beyond_the_cap_is_flagged(tmp_path, capsys, monkeypatch,
+                                                ncells_over_cap):
+    cfg = write_cfg(tmp_path, {"space": Z1, "task": {"scopeRadius": 12, "r": 1}})
+    code, out, _ = run(["covering", "--config", cfg], capsys)
+    assert code == 0
+    full = json.loads(out)["result"]
+    assert full["cells"] == 13 and "netOmitted" not in full
+    monkeypatch.setattr(cli, "NET_CAP", full["cells"] - ncells_over_cap)
+    code, out, _ = run(["covering", "--config", cfg], capsys)
+    assert code == 0
+    res = json.loads(out)["result"]
+    if ncells_over_cap:
+        assert "net" not in res
+        assert res.pop("netOmitted") == {"points": 13, "cap": 12}
+        del full["net"]
+    assert res == full
+
+
 def test_partition_payload(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"space": Z1, "task": {"variation": 0.5,
                                                      "scopeRadius": 40}})
@@ -323,6 +344,41 @@ def test_thread_count_does_not_change_bytes(tmp_path, capsys):
     assert len(cloud) > 0
 
 
+# Payload bytes, less the trailing "timings" block, as the writer gave them
+# when these hashes were taken; byte identity is checked on every Python the
+# CI matrix runs.
+_GRID_ADJ = {str(i * 7 + j): [a * 7 + b for a, b in ((i - 1, j), (i + 1, j), (i, j - 1),
+                                                     (i, j + 1))
+                              if 0 <= a < 6 and 0 <= b < 7]
+             for i in range(6) for j in range(7)}
+_GOLDEN = [
+    ("partition", {"space": {"kind": "lattice", "dim": 2, "basepoint": [-7, 3]},
+                   "task": {"variation": 0.5, "scopeRadius": 30}},
+     "f0e09261cd5f88901eae32bcca65c520af3bf888497b975564287b8d9cfcfa4d"),
+    ("partition", {"space": {"kind": "lattice", "dim": 1, "fiber": 3},
+                   "task": {"variation": 0.3, "scopeRadius": 25}},
+     "e28892fcf5e5fe4f4985e8835c999756ff57beceb869dfbf2733620c02c9704c"),
+    ("covering", {"space": Z2, "task": {"scopeRadius": 10, "r": 2, "center": [-3, 4]}},
+     "3b623b7b563fe13c91e84650026bca311513b19748d20a0ba29b3456d5514fdd"),
+    ("covering", {"space": {"kind": "graph", "adjacency": _GRID_ADJ, "basepoint": 17},
+                  "task": {"scopeRadius": 6, "r": 1}},
+     "ccd9a236109b36969d1a1c78d574887e6a2607d3d4452e1dae1f457b24ac71d4"),
+    ("geometry", {"space": {"kind": "lattice", "dim": 3, "metric": "l1"},
+                  "task": {"rMax": 5, "probeCenter": [2, -1, 4]}},
+     "bd11e92cda76b1b6ba94e2d9ebfb2b8eeb6fd49121309859ded08745dc9c719d"),
+]
+
+
+@pytest.mark.parametrize("task, cfg, digest", _GOLDEN,
+                         ids=["partition-z2", "partition-z1-fiber", "covering-z2",
+                              "covering-grid-graph", "geometry-z3-l1"])
+def test_payload_bytes_are_pinned(tmp_path, capsys, task, cfg, digest):
+    code, out, _ = run([task, "--config", write_cfg(tmp_path, cfg)], capsys)
+    assert code == 0
+    head = out[: out.index(',\n  "timings": {')]
+    assert hashlib.sha256(head.encode()).hexdigest() == digest
+
+
 # -- payload writer -------------------------------------------------------------
 
 _ARRAY_DTYPES = (np.bool_, np.int8, np.int64, np.uint64, np.float16, np.float32,
@@ -332,6 +388,28 @@ _ARRAYS = st.one_of(
         dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))),
     st.sampled_from([np.int64, np.float64]).map(lambda dt: np.empty((0, 2), dt)),
 )
+
+
+def _pool(dtype, values, nan_bits=()):
+    """Values of one dtype plus NaNs with the given bit patterns."""
+    vals = np.array(values, dtype=dtype)
+    nans = np.array(nan_bits, dtype=f"u{vals.itemsize}").view(vals.dtype)
+    return np.concatenate([vals, nans])
+
+
+# few distinct entries, so arrays repeat them: 0.0 beside -0.0, NaNs that
+# differ in sign and payload bits, infinities, subnormals, big uint64s
+_POOLS = (
+    _pool(np.float64, [0.0, -0.0, np.inf, -np.inf, 5e-324, 0.1, -2.5],
+          [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001]),
+    _pool(np.float32, [0.0, -0.0, np.inf, -np.inf, 1e-45, 0.1],
+          [0x7FC00000, 0xFFC00001, 0x7F800001]),
+    _pool(np.float16, [0.0, -0.0, np.inf, -np.inf, 6e-08, 0.1], [0x7E00, 0xFE01, 0x7C01]),
+    _pool(np.uint64, [0, 1, 2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1]),
+)
+_POOLED_ARRAYS = st.sampled_from(_POOLS).flatmap(lambda pool: hnp.arrays(
+    np.intp, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.integers(0, pool.size - 1)).map(pool.__getitem__))
 _NUMPY_SCALARS = st.one_of(
     st.booleans().map(np.bool_),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
@@ -344,7 +422,7 @@ _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(2 ** 63, 2 ** 80), st.integers(-2 ** 80, -2 ** 63),
     st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
-    st.text(), st.complex_numbers(), _NUMPY_SCALARS, _ARRAYS,
+    st.text(), st.complex_numbers(), _NUMPY_SCALARS, _ARRAYS, _POOLED_ARRAYS,
 )
 _KEYS = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(),
                   st.none())
@@ -358,6 +436,7 @@ _PAYLOADS = st.recursive(_LEAVES, lambda inner: st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_PAYLOADS)
 @example(np.full((2, 0, 3), 1.0))
+@example(np.array([0.0, -0.0, 0.0, -0.0]))
 @example(np.arange(24).reshape(2, 3, 4))
 @example({"a": [np.array([[np.nan, -0.0], [np.inf, -np.inf]]), (1, "é\n")]})
 @example({1: np.array([[1 + 2j, 3.0], [complex(np.nan, 1), -0.0]]), (2,): np.array(2.5),

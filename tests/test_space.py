@@ -14,6 +14,7 @@ from limitops import (
     geometry_profile,
     separated_net,
 )
+from limitops.cli import _dumps
 
 from conftest import GRID, Z1_FIBER3, window
 
@@ -373,3 +374,57 @@ def test_partition_export_cap(z1):
     assert len(out["tents"]) == part.ntents
     with pytest.raises(InvalidConfigError):
         part.export(max_points=10)
+
+
+def test_partition_export_cap_is_checked_before_the_scope_exists(monkeypatch, z2):
+    def no_ball(self, x, radius):
+        raise AssertionError("the refused export materialised its scope")
+
+    monkeypatch.setattr(Space, "ball", no_ball)
+    probe = build_partition(z2, window(z2, 1), 0.5)
+    part = build_partition(z2, window(z2, 20 * probe.support_diam), 0.5)
+    with pytest.raises(InvalidConfigError, match=r"^partition export materializes "
+                       r"the scope \(1640961 points\); cap is 200000$"):
+        part.export(max_points=200_000)
+
+
+def _export_by_box_masks(part):
+    """PartitionOfUnity.export as one box mask over the scope per tent."""
+    pts = part.scope.points
+    dim = part.space.dim
+    tents = []
+    for j in range(part.ntents):
+        lo, hi = part.support_box(j)
+        mask = ((pts[:, :dim] >= lo[None, :]) & (pts[:, :dim] <= hi[None, :])).all(axis=1)
+        sup = pts[mask]
+        vals = part.values(j, sup) if sup.size else np.empty(0)
+        keep = vals > 0
+        tents.append({
+            "tent": j,
+            "center": part.centers[j] * part.pitch,
+            "support": sup[keep],
+            "values": vals[keep],
+        })
+    return {
+        "schema_version": 1,
+        "space": part.space.to_descriptor(),
+        "variation": part.variation,
+        "pitch": part.pitch,
+        "support_diam": part.support_diam,
+        "tents": tents,
+    }
+
+
+@pytest.mark.parametrize("space, center, radius, t", [
+    (Space(kind="lattice", dim=1), (0,), 40, 0.5),
+    (Space(kind="lattice", dim=1), (-57,), 23, 0.3),
+    (Space(kind="lattice", dim=2), (0, 0), 35, 0.5),
+    (Space(kind="lattice", dim=2), (-31, -8), 22, 0.5),
+    (Space(kind="lattice", dim=2, metric="l1"), (-13, 5), 29, 0.5),
+    (Space(kind="lattice", dim=3, metric="l1"), (-4, -9, 2), 11, 0.9),
+    (Z1_FIBER3, (-20, 2), 25, 0.5),
+])
+def test_partition_export_matches_box_mask_reference(space, center, radius, t):
+    part = build_partition(space, Window(space, center, radius), t)
+    assert radius % part.pitch != 0
+    assert _dumps(part.export()) == _dumps(_export_by_box_masks(part))
