@@ -711,7 +711,7 @@ def _csv_rows(task, result):
                 for k in sorted(node):
                     yield from walk(f"{prefix}{k}.", node[k])
             elif isinstance(node, list):
-                yield f"{prefix[:-1]},{json.dumps(node)}"
+                yield f"{prefix[:-1]},{json.dumps(node, sort_keys=True)}"
             else:
                 yield f"{prefix[:-1]},{node}"
 

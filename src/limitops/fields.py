@@ -200,14 +200,7 @@ class ExpressionField(Field):
 
     def _sampled_bound(self, space):
         rad = {1: 20000, 2: 300, 3: 40}.get(space.dim, 12)
-        axes = [np.arange(-rad, rad + 1, dtype=np.int64)] * space.dim
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        if space.fiber > 1:
-            reps = np.repeat(pts, space.fiber, axis=0)
-            fib = np.tile(np.arange(space.fiber, dtype=np.int64), pts.shape[0])
-            pts = np.hstack([reps, fib[:, None]])
-        vals = self.eval(space, pts)
+        vals = self.eval(space, space.box_points([-rad] * space.dim, [rad] * space.dim))
         vals = vals[np.isfinite(vals)]
         return float(np.abs(vals).max()) if vals.size else 0.0, False
 

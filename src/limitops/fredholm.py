@@ -11,6 +11,7 @@ the declared sequence family need not exhaust the boundary.
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from ._kernels import PointLocator
 from .errors import InvalidConfigError, UnsupportedConstructionError
 from .fields import ConstantField, PeriodicField, _apply_shift
 from .operator import (
-    BandOperator,
     _abs_diagonal,
     _distinct_sorted,
     _points,
@@ -53,17 +53,8 @@ def _tall_block(B, support_pts, rows_pts=None):
         # all rows that columns in the support can reach
         reach = B.propagation
         if space.kind == "lattice":
-            lo = support_pts.min(axis=0) - reach
-            hi = support_pts.max(axis=0) + reach
-            axes = [np.arange(a, b + 1, dtype=np.int64)
-                    for a, b in zip(lo[: space.dim], hi[: space.dim])]
-            grids = np.meshgrid(*axes, indexing="ij")
-            rows_pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-            if space.fiber > 1:
-                reps = np.repeat(rows_pts, space.fiber, axis=0)
-                fib = np.tile(np.arange(space.fiber, dtype=np.int64),
-                              rows_pts.shape[0])
-                rows_pts = np.hstack([reps, fib[:, None]])
+            rows_pts = space.box_points(support_pts.min(axis=0)[: space.dim] - reach,
+                                        support_pts.max(axis=0)[: space.dim] + reach)
         else:
             raise InvalidConfigError("graph lower norms need explicit row points")
     return B.block(rows_pts, support_pts)
@@ -96,6 +87,50 @@ def _lower_norm_p(M, p, starts=4, iters=200):
     return best
 
 
+def _bands(n, entries):
+    """Sum (rows, cols, vals) entries with rows >= cols, in list order, into
+    lower band storage of width max(rows - cols) + 1."""
+    width = max((int((r - c).max(initial=0)) for r, c, _ in entries), default=0)
+    ab = np.zeros((width + 1, n), dtype=np.complex128)
+    if entries:
+        rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
+        np.add.at(ab, (rows - cols, cols), vals)
+    return ab
+
+
+def _gram_bands(B, pts):
+    """(B^H B)[S, S] in lower band storage at its exact bandwidth, and the
+    lower and upper bands of the slice B[S, S], for sorted distinct lattice
+    points S; None if a coefficient is not finite (checked before any
+    product) or the Gram bands overflow.
+
+    Column j of the tall block B[:, S] holds c_k(s_j - k) in row s_j - k, so
+    the Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
+    u = s_j - k = s_l - k'. O(n |stencil|^2) for n points."""
+    space = B.space
+    n = pts.shape[0]
+    loc = PointLocator(pts)
+    locate = cache(lambda v: loc.locate(_apply_shift(space, pts, np.asarray(v))))
+    cols = [f.eval(space, _apply_shift(space, pts, -np.asarray(k)))
+            for k, f in B.stencil.items()]
+    if not all(np.isfinite(c).all() for c in cols):
+        return None
+    idx = np.arange(n)
+    gram, sl, su = [], [], []
+    for k, ck in zip(B.stencil, cols):
+        for k2, ck2 in zip(B.stencil, cols):
+            l = locate(tuple(np.subtract(k2, k)))
+            j = np.nonzero((l >= 0) & (l <= idx))[0]
+            gram.append((j, l[j], np.conj(ck[j]) * ck2[l[j]]))
+        j = locate(tuple(np.negative(k)))  # the slice's row s_l - k in column l
+        lo = np.nonzero(j >= idx)[0]
+        up = np.nonzero((j >= 0) & (j <= idx))[0]
+        sl.append((j[lo], lo, ck[lo]))
+        su.append((up, j[up], ck[up]))
+    gram = _bands(n, gram)
+    return (gram, _bands(n, sl), _bands(n, su)) if np.isfinite(gram).all() else None
+
+
 def _lower_norm_structured(B, pts):
     """p = 2 lower norm of the tall block of B on a lattice support, from the
     operator's structure; None where the dense SVD must decide."""
@@ -105,31 +140,10 @@ def _lower_norm_structured(B, pts):
     if B.propagation == 0:
         c = _abs_diagonal(B, pts)
         return float(c.min()) if np.isfinite(c).all() else None
-    space = B.space
-    # Column j of the tall block holds c_k(s_j - k) in row s_j - k, so the
-    # Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
-    # u = s_j - k = s_l - k'. In lexicographic order the Gram matrix is
-    # banded; keep its lower triangle in LAPACK band storage.
-    loc = PointLocator(pts)
-    n = pts.shape[0]
-    offs = [np.asarray(k) for k in B.stencil]
-    cols = [f.eval(space, _apply_shift(space, pts, -k))
-            for k, f in zip(offs, B.stencil.values())]
-    idx = np.arange(n)
-    js, ls, vals = [], [], []
-    for k, ck in zip(offs, cols):
-        for k2, ck2 in zip(offs, cols):
-            l = loc.locate(_apply_shift(space, pts, k2 - k))
-            j = np.nonzero((l >= 0) & (l <= idx))[0]
-            js.append(j)
-            ls.append(l[j])
-            vals.append(np.conj(ck[j]) * ck2[l[j]])
-    j, l = np.concatenate(js), np.concatenate(ls)
-    ab = np.zeros((int((j - l).max(initial=0)) + 1, n), dtype=np.complex128)
-    np.add.at(ab, (j - l, l), np.concatenate(vals))
-    if not np.isfinite(ab).all():
+    bands = _gram_bands(B, pts)
+    if bands is None:
         return None
-    lam = _kernels.min_eig_banded(ab)
+    lam = _kernels.min_eig_banded(bands[0])
     if lam < GRAM_FLOOR * B.norm_bound()[0] ** 2:
         return None
     return float(np.sqrt(lam))
@@ -142,13 +156,13 @@ def lower_norm_window(B, support, p=2, rows=None):
     everything the support can reach. On a lattice, multiplication operators
     (propagation 0) give min |c(u)| over the support, exactly; other
     operators give the square root of the smallest eigenvalue of the tall
-    block's Gram matrix, built in band storage. That differs from the
-    singular value by about eps * norm^2 / value. The dense SVD takes over
-    where the eigenvalue is below GRAM_FLOOR * norm_bound^2, where a point
-    repeats, or where a coefficient is not finite (so the SVD's error
-    surfaces). Explicit rows always take the dense SVD; when they are fewer
-    than the support points a kernel vector exists and the value is 0, for
-    every p. Other exponents: a certified upper bound from minimization
+    block's Gram matrix, banded by ``_gram_bands`` as in the sweep. That
+    differs from the singular value by about eps * norm^2 / value. The dense
+    SVD takes over where the eigenvalue is below GRAM_FLOOR * norm_bound^2,
+    where a point repeats, or where a coefficient is not finite (so the SVD's
+    error surfaces). Explicit rows always take the dense SVD; when they are
+    fewer than the support points a kernel vector exists and the value is 0,
+    for every p. Other exponents: a certified upper bound from minimization
     restarts. Nonincreasing under support enlargement.
     """
     support_pts = _points(support)
@@ -353,8 +367,10 @@ def floquet_spectrum(op, theta_grid=512):
 
 
 def _banded_data(B, radius):
-    """Lower-banded Gram and slice data of the tall window block of B on the
-    one-dimensional lattice (with optional fiber)."""
+    """``_gram_bands`` of B on the window -radius..radius about 0 of the
+    one-dimensional lattice (optional fiber m), each band array zero-padded
+    to bw + 1 rows, bw = 2 (w m + m - 1) for reach w: (gram, slice_lower,
+    slice_upper, bw, n). No dense block is formed."""
     space = B.space
     if space.kind != "lattice" or space.dim != 1:
         raise UnsupportedConstructionError(
@@ -363,35 +379,13 @@ def _banded_data(B, radius):
         )
     m = space.fiber
     wl = max((abs(k[0]) for k in B.stencil), default=0)
-    n = (2 * radius + 1) * m
-    pad = wl * m
-
-    def pts(u_lo, u_hi):
-        us = np.arange(u_lo, u_hi + 1, dtype=np.int64)
-        if m == 1:
-            return us.reshape(-1, 1)
-        reps = np.repeat(us, m)
-        fib = np.tile(np.arange(m, dtype=np.int64), us.size)
-        return np.stack([reps, fib], axis=1)
-
-    cols = pts(-radius, radius)
-    rows = pts(-radius - wl, radius + wl)
-    T0 = B.block(rows, cols)
-    if not np.isfinite(T0).all():
+    pts = space.box_points([-radius], [radius])
+    bands = _gram_bands(B, pts)
+    if bands is None:
         raise InvalidConfigError(_NON_FINITE_BANDS)
-    G0 = T0.conj().T @ T0
-    S = T0[pad : pad + n, :]
-    bt = wl * m + (m - 1)
-    bw = 2 * bt
-    gb = np.zeros((bw + 1, n), dtype=np.complex128)
-    sl = np.zeros((bw + 1, n), dtype=np.complex128)
-    su = np.zeros((bw + 1, n), dtype=np.complex128)
-    for i in range(bw + 1):
-        if i < n:
-            gb[i, : n - i] = np.diagonal(G0, offset=-i)
-            sl[i, : n - i] = np.diagonal(S, offset=-i)
-            su[i, : n - i] = np.diagonal(S, offset=i)
-    return gb, sl, su, bw, n
+    bw = 2 * (wl * m + m - 1)
+    gb, sl, su = (np.pad(b, ((0, bw + 1 - b.shape[0]), (0, 0))) for b in bands)
+    return gb, sl, su, bw, pts.shape[0]
 
 
 def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
@@ -436,7 +430,8 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     """min(nu_window(B - z), nu_window((B - z)*)) over the grid, via the
     banded sweep. Structural symmetries of constant-coefficient kernels
     (real values: sigma(z) = sigma(conj z); Hermitian stencil: the adjoint
-    pass equals the direct pass at conj z) cut the work up to fourfold.
+    pass equals the direct pass at conj z) cut the work up to fourfold. The
+    bands come straight from the stencil (``_banded_data``), O(n |stencil|^2).
 
     tau=None values every point. With tau given, a point whose value is
     certified above tau (one banded Cholesky factorisation per pass, see

@@ -262,6 +262,15 @@ class Space:
         pts = self._translate(self.as_array([x]), offs).reshape(-1, self.point_arity)
         return pts[_bfs_order(pts, d)]
 
+    def box_points(self, lo, hi):
+        """The lattice points with lo <= u <= hi on every axis, each with every
+        fiber slot, in lexicographic order."""
+        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+        if self.fiber > 1:
+            axes.append(np.arange(self.fiber, dtype=np.int64))
+        grids = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.reshape(-1) for g in grids], axis=1)
+
     def _translate(self, pts, offs):
         """(n, m, point_arity) array of every point shifted by every offset,
         the fiber coordinate wrapping."""

@@ -38,7 +38,7 @@ from limitops import (
     window_norm,
 )
 
-from limitops.fredholm import _grid, _tall_block
+from limitops.fredholm import _banded_data, _grid, _tall_block
 
 from conftest import window
 
@@ -315,6 +315,80 @@ def test_floquet_rejects_unsupported_shapes(z2):
 # -- banded nu-grid ----------------------------------------------------------
 
 
+def _dense_banded_reference(B, radius):
+    """The sweep's band data from the dense tall window block T0 and the
+    dense product T0^H T0, diagonal by diagonal."""
+    m = B.space.fiber
+    wl = max((abs(k[0]) for k in B.stencil), default=0)
+    n, pad = (2 * radius + 1) * m, wl * m
+
+    def pts(lo, hi):
+        us = np.arange(lo, hi + 1, dtype=np.int64)
+        if m == 1:
+            return us.reshape(-1, 1)
+        return np.stack([np.repeat(us, m), np.tile(np.arange(m), us.size)], axis=1)
+
+    T0 = B.block(pts(-radius - wl, radius + wl), pts(-radius, radius))
+    G0 = T0.conj().T @ T0
+    S = T0[pad : pad + n]
+    bw = 2 * (wl * m + m - 1)
+    gb, sl, su = (np.zeros((bw + 1, n), dtype=np.complex128) for _ in range(3))
+    for i in range(min(bw + 1, n)):
+        gb[i, : n - i] = np.diagonal(G0, offset=-i)
+        sl[i, : n - i] = np.diagonal(S, offset=-i)
+        su[i, : n - i] = np.diagonal(S, offset=i)
+    return gb, sl, su, bw, n
+
+
+_FIB3 = Space(kind="lattice", dim=1, fiber=3)
+_Z1 = Space(kind="lattice", dim=1)
+BANDED_CASES = {
+    "z1": laplacian_stencil(_Z1) + multiplication(_Z1, PeriodicField([0.5, 0.0, -0.5])),
+    "z1-fiber3": BandOperator(_FIB3, {(1, 0): 1.0, (-1, 2): 0.5j, (0, 1): 0.6,
+                                      (2, 5): SeededRandomField(3)}),
+    "non-hermitian": BandOperator(_Z1, {(0,): PeriodicField([1 + 1j, -0.5j, 2.0]),
+                                        (1,): PeriodicField([0.3, 1j]),
+                                        (-2,): 0.7 - 0.2j}),
+    # the Gram matrix is the identity (bandwidth 0), the slice has bandwidth 2
+    "pure-shift": shift_operator(_Z1, (2,)),
+    "zero": BandOperator(_Z1, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(BANDED_CASES))
+def test_banded_data_matches_dense_reference(name):
+    B = BANDED_CASES[name]
+    eps_scale = 8 * np.finfo(float).eps * B.norm_bound()[0] ** 2
+    for radius in (0, 1, 7, 60):
+        gb, sl, su, bw, n = _banded_data(B, radius)
+        rgb, rsl, rsu, rbw, rn = _dense_banded_reference(B, radius)
+        assert (bw, n) == (rbw, rn)
+        assert gb.shape == rgb.shape and sl.shape == rsl.shape and su.shape == rsu.shape
+        assert np.array_equal(sl, rsl) and np.array_equal(su, rsu)
+        assert np.abs(gb - rgb).max() <= eps_scale
+
+
+def test_sweep_setup_forms_no_dense_block(z1, monkeypatch):
+    # the dense set-up took about 6 s and an n^2 block at this radius
+    def no_block(*args, **kwargs):
+        raise AssertionError("dense block formed")
+
+    monkeypatch.setattr(BandOperator, "block", no_block)
+    A = laplacian_stencil(z1) + multiplication(z1, PeriodicField([0.5, 0.0, -0.5]))
+    got = nu_grid_indicator(A, [0.3 + 0.1j, 2.5 + 0.5j], radius=2000)
+    assert np.isfinite(got).all() and (got > 0).all()
+
+
+@pytest.mark.parametrize("tau", [None, 0.6])
+def test_nu_grid_zero_operator(z1, tau):
+    # the empty stencil is the zero operator: nu(0 - z) = |z|
+    zs = np.array([0.0, 0.5, 1j, -0.75, 0.75 + 1j, -2 - 0.5j])
+    got = nu_grid_indicator(BandOperator(z1, {}), zs, radius=5, tau=tau)
+    above = np.abs(zs) > (np.inf if tau is None else tau)
+    assert np.array_equal(np.isinf(got), above)
+    assert np.array_equal(got[~above], np.abs(zs[~above]))
+
+
 def test_nu_grid_matches_dense_lower_norms(z1):
     A = laplacian_stencil(z1) + multiplication(z1, PeriodicField([0.5, 0.0, -0.5]))
     zs = np.array([0.0 + 0.0j, 1.0 + 0.0j, 2.5 + 0.5j, 0.3 - 1.2j])
@@ -383,7 +457,7 @@ def test_nu_grid_rejects_non_finite_input(z1):
 
 
 def test_nu_grid_non_finite_coefficient_raises_before_any_arithmetic(z1):
-    # the window block is checked before its Gram matrix is formed, so no
+    # the coefficients are checked before any band product is formed, so no
     # numpy warning precedes the error
     A = laplacian_stencil(z1) + multiplication(z1, ExpressionField("1/n"))
     with warnings.catch_warnings():
