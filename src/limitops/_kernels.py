@@ -6,10 +6,16 @@ Point arrays are int64 of shape (n, point_arity). The net and cell scans take
 the space's neighbour enumeration (``Space.pairs_within``), so lattices and
 graphs run the same scan, and each point meets only the points of one ball
 around it: O(n |B(R)|) under bounded geometry, not O(n^2).
+
+LAPACK is loaded on first use (``_lapack``). Importing ``scipy.linalg`` costs
+more than the rest of the package's import together, and the tasks that never
+factor a band matrix (geometry, covering, partition, bdo-diagnostic) then
+never load scipy.
 """
 
+import functools
+
 import numpy as np
-from scipy.linalg.lapack import dlamch, zhbevx, zpbtrf, zpbtrs
 
 # No compiled lane exists; perfbench/worker.py still records this flag in its
 # run record.
@@ -91,6 +97,20 @@ def cell_scan(points, cell_of, ncells, thresh, pairs):
     return adj, diam
 
 
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on the first call."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+@functools.cache
+def _abstol():
+    """The absolute tolerance scipy's eigvals_banded passes to zhbevx."""
+    return 2 * _lapack().dlamch("S")
+
+
 def cholesky_banded(ab, lower):
     """``scipy.linalg.cholesky_banded`` for complex128 without the wrapper's
     per-call overhead. LAPACK zpbtrf overwrites ``ab``, in place when it is
@@ -99,7 +119,7 @@ def cholesky_banded(ab, lower):
     is not positive definite."""
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    c, info = zpbtrf(ab, lower=lower, overwrite_ab=1)
+    c, info = _lapack().zpbtrf(ab, lower=lower, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
@@ -115,16 +135,12 @@ def cho_solve_banded(cb_and_lower, b):
     cb, lower = cb_and_lower
     if not (np.isfinite(cb).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = zpbtrs(cb, b, lower=lower)
+    x, info = _lapack().zpbtrs(cb, b, lower=lower)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
     return x
-
-
-# scipy's eigvals_banded passes this absolute tolerance to zhbevx
-_ABSTOL = 2 * dlamch("S")
 
 
 def min_eig_banded(ab):
@@ -136,8 +152,9 @@ def min_eig_banded(ab):
     LinAlgError when LAPACK reports a failure."""
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    w, _, _, _, info = zhbevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2, lower=1,
-                              abstol=_ABSTOL, mmax=1, overwrite_ab=1)
+    w, _, _, _, info = _lapack().zhbevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2,
+                                        lower=1, abstol=_abstol(), mmax=1,
+                                        overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"zhbevx failed with info {info}")
     if info < 0:

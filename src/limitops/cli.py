@@ -328,14 +328,13 @@ def full_schema():
 
 @functools.cache
 def _validator(task):
-    """Validator for the config schema (``task`` None) or a task's schema; the
-    schema itself is checked once per process."""
+    """Validator for the config schema (``task`` None) or a task's schema. The
+    schemas are constants, so they are not meta-checked here but once, in
+    ``tests/test_cli.py::test_print_schema_is_valid_jsonschema``."""
     from jsonschema.validators import validator_for
 
     schema = CONFIG_SCHEMA if task is None else TASK_SCHEMAS[task]
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return validator_for(schema)(schema)
 
 
 def _validate(instance, task):
@@ -801,7 +800,11 @@ def main(argv=None):
             "taskSeconds": round(t2 - t1, 6),
         },
     }
-    _emit(args, payload, args.task)
+    try:
+        _emit(args, payload, args.task)
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     return code
 
 

@@ -1,11 +1,17 @@
+import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from jsonschema.validators import validator_for
 
 from limitops import cli
 from limitops.cli import (
@@ -23,6 +29,13 @@ PERIODIC_OP = {
         {"kind": "multiplication",
          "field": {"type": "periodic", "values": [0.3, -0.4], "period": [2]}},
     ],
+}
+
+NU_GRID_CFG = {
+    "space": Z1, "operator": PERIODIC_OP,
+    "sequences": [{"v": [2], "label": "even"}],
+    "task": {"method": "nuGrid", "windowRadius": 20, "pitch": 0.25,
+             "zBox": [-3.0, 3.0, -1.0, 1.0], "tau": 0.1},
 }
 
 RANDOM_OP = {
@@ -56,15 +69,31 @@ def payload_without_timings(text):
 # -- schema -------------------------------------------------------------------
 
 
+def meta_check(schema):
+    """Check ``schema`` against its metaschema, with the validator class the
+    CLI builds for it. The CLI itself never does: its schemas are constants,
+    so this check runs here, once, instead of in every CLI process."""
+    validator_for(schema).check_schema(schema)
+
+
 def test_print_schema_is_valid_jsonschema(capsys):
     code, out, _ = run(["--print-schema"], capsys)
     assert code == 0
     blob = json.loads(out)
     assert blob["schemaVersion"] == "1"
-    jsonschema.Draft202012Validator.check_schema(blob["config"])
-    for name, sch in blob["tasks"].items():
-        jsonschema.Draft202012Validator.check_schema(sch)
     assert set(blob["tasks"]) == set(TASK_SCHEMAS)
+    schema = full_schema()
+    for task, sch in [(None, schema["config"]), *schema["tasks"].items()]:
+        meta_check(sch)
+        assert type(cli._validator(task)) is validator_for(sch)
+
+
+@pytest.mark.parametrize("where", ["properties", "$defs"])
+def test_meta_check_rejects_a_broken_schema(where):
+    broken = copy.deepcopy(CONFIG_SCHEMA)
+    broken[where]["space"] = {"type": 5}
+    with pytest.raises(jsonschema.SchemaError):
+        meta_check(broken)
 
 
 def test_subcommand_print_schema(capsys):
@@ -242,12 +271,7 @@ def test_fredholm_cli_end_to_end(tmp_path, capsys):
 @pytest.mark.parametrize("task, cfg", [
     ("partition", {"space": Z2, "task": {"variation": 0.5, "scopeRadius": 12}}),
     ("covering", {"space": Z2, "task": {"scopeRadius": 10, "r": 2}}),
-    ("essential-spectrum", {
-        "space": Z1, "operator": PERIODIC_OP,
-        "sequences": [{"v": [2], "label": "even"}],
-        "task": {"method": "nuGrid", "windowRadius": 20, "pitch": 0.25,
-                 "zBox": [-3.0, 3.0, -1.0, 1.0], "tau": 0.1},
-    }),
+    ("essential-spectrum", NU_GRID_CFG),
 ])
 def test_csv_rows_match_json_payload(tmp_path, capsys, task, cfg):
     """CSV cells format the plain values of the result: each row equals the
@@ -286,6 +310,67 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["task"] == "geometry"
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"space": Z2, "task": {"rMax": 3}})
+    dest = tmp_path / "missing" / "report.json"
+    code, out, err = run(["geometry", "--config", cfg, "--out", str(dest)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(dest)!r}\n"
+
+
+# -- cold start -----------------------------------------------------------------
+
+
+def run_fresh(script, *argv):
+    """Run ``script`` in a fresh interpreter that imports limitops from the
+    tree under test; return what it prints, parsed as JSON."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    loaded = run_fresh("import json, sys, limitops.cli\n"
+                       "print(json.dumps(sorted(m for m in sys.modules"
+                       " if m.split('.')[0] == 'scipy')))")
+    assert loaded == []
+
+
+_LEAN_JOBS = [
+    ("geometry", {"space": Z2, "task": {"rMax": 3}}),
+    ("covering", {"space": Z2, "task": {"scopeRadius": 6, "r": 2}}),
+    ("partition", {"space": Z1, "task": {"variation": 0.5, "scopeRadius": 20}}),
+    ("bdo-diagnostic", {"space": Z1, "operator": RANDOM_OP,
+                        "task": {"tGrid": [0.5, 0.25], "scopeRadius": 20}}),
+]
+
+
+def test_lapack_loads_on_first_use(tmp_path, capsys):
+    """Jobs that factor no band matrix never load scipy.linalg; the first
+    nuGrid job loads it and gives the in-process payload."""
+    jobs = [*_LEAN_JOBS, ("essential-spectrum", NU_GRID_CFG)]
+    calls = [(task, write_cfg(tmp_path, cfg, f"{i}.json"), str(tmp_path / f"{i}.out"))
+             for i, (task, cfg) in enumerate(jobs)]
+    steps = run_fresh(
+        "import json, sys\n"
+        "from limitops.cli import main\n"
+        "steps = []\n"
+        "for task, cfg, out in json.loads(sys.argv[1]):\n"
+        "    code = main([task, '--config', cfg, '--out', out])\n"
+        "    steps.append([task, code, 'scipy.linalg' in sys.modules])\n"
+        "print(json.dumps(steps))\n",
+        json.dumps(calls))
+    lean = [[task, 0, False] for task, _ in _LEAN_JOBS]
+    assert steps == lean + [["essential-spectrum", 0, True]]
+    task, cfg, out = calls[-1]
+    code, text, _ = run([task, "--config", cfg], capsys)
+    assert code == 0
+    assert payload_without_timings(Path(out).read_text()) == payload_without_timings(text)
 
 
 # -- seeds and determinism ------------------------------------------------------
