@@ -1,6 +1,7 @@
 """Hot numeric kernels in numpy and LAPACK: the greedy net selection and the
 cell scan behind coverings, the banded sigma-min sweep behind the
-essential-spectrum grid, and a point locator for lookups in point arrays.
+essential-spectrum grid, and the one point locator (rows packed into int64
+keys) behind every lookup of points in a point array.
 
 Point arrays are int64 of shape (n, point_arity). The net and cell scans take
 the space's neighbour enumeration (``Space.pairs_within``), so lattices and
@@ -14,38 +15,57 @@ never load scipy.
 """
 
 import functools
+import math
 
 import numpy as np
+
+from .errors import InvalidConfigError
 
 # No compiled lane exists; perfbench/worker.py still records this flag in its
 # run record.
 USING_NUMBA = False
 
 
-def _row_keys(arr):
-    """Pack small-integer rows into orderable tuples for searchsorted."""
-    a = np.ascontiguousarray(arr, dtype=np.int64)
-    return a.view([("", np.int64)] * a.shape[1]).reshape(-1)
-
-
 class PointLocator:
     """Row indices of query points in a fixed point array (-1 where absent),
-    by binary search over its lexicographically sorted rows."""
+    by binary search over int64 keys packed row-major over the array's
+    bounding box: queries outside the box miss without a search, of repeated
+    rows the lowest index wins, and an empty array locates nothing. A box of
+    2^63 cells or more is refused. A lattice window's box holds about dim!
+    times its points at most, and table keys are clipped to the queries' box
+    first (``fields._locate_keys``), so only far-apart graph node ids reach it."""
 
     def __init__(self, pts):
-        pts = np.ascontiguousarray(pts, dtype=np.int64)
-        self.order = np.lexsort(pts.T[::-1])
-        self.sorted = pts[self.order]
-        self.keys = _row_keys(self.sorted)
+        pts = np.asarray(pts, dtype=np.int64)
+        # the initial values make an empty array's box empty
+        self.lo = pts.min(axis=0, initial=np.iinfo(np.int64).max)
+        hi = pts.max(axis=0, initial=np.iinfo(np.int64).min)
+        self.shape = [max(int(h) - int(l) + 1, 0) for l, h in zip(self.lo, hi)]
+        if math.prod(self.shape) >= 2 ** 63:
+            raise InvalidConfigError(
+                f"point box {tuple(self.shape)} is too large to index by int64 keys")
+        keys = self._pack(pts)[0]
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def _pack(self, pts):
+        """Packed keys of the rows (junk outside the box), and which rows lie in the box."""
+        rel = np.asarray(pts, dtype=np.int64) - self.lo  # wraps, but the test below holds
+        keys = np.zeros(rel.shape[0], dtype=np.int64)
+        inside = np.ones(rel.shape[0], dtype=bool)
+        for c, size in enumerate(self.shape):
+            col = rel[:, c]
+            inside &= col.view(np.uint64) < size  # 0 <= col < size
+            keys = keys * size + col
+        return keys, inside
 
     def locate(self, query):
-        q = np.ascontiguousarray(query, dtype=np.int64)
-        pos = np.searchsorted(self.keys, _row_keys(q))
-        out = np.full(q.shape[0], -1, dtype=np.int64)
-        ok = pos < self.sorted.shape[0]
-        cand = pos[ok]
-        match = (self.sorted[cand] == q[ok]).all(axis=1)
-        out[np.nonzero(ok)[0][match]] = self.order[cand[match]]
+        keys, inside = self._pack(query)
+        out = np.full(keys.size, -1, dtype=np.int64)
+        inside = np.flatnonzero(inside)
+        pos = np.minimum(np.searchsorted(self.keys, keys[inside]), self.keys.size - 1)
+        found = self.keys[pos] == keys[inside]
+        out[inside[found]] = self.order[pos[found]]
         return out
 
 

@@ -8,9 +8,11 @@ config file, seed, and format (wall-clock timings sit under the separate
 
 import argparse
 import copy
+import errno
 import functools
 import json
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -717,6 +719,16 @@ def _csv_rows(task, result):
         yield from walk("", result)
 
 
+def _check_out(path):
+    """Raise, before the task runs, the OSError that writing ``path`` would
+    raise when its folder is missing, not a directory or not writable."""
+    folder = os.path.dirname(os.path.abspath(path))
+    for code, ok in ((errno.ENOENT, os.path.exists(folder)), (errno.ENOTDIR, os.path.isdir(folder)),
+                     (errno.EACCES, os.access(folder, os.W_OK))):
+        if not ok:
+            raise OSError(code, os.strerror(code), path)
+
+
 def _emit(args, payload, task):
     if args.format == "csv":
         text = "\n".join(_csv_rows(task, _plain(payload["result"]))) + "\n"
@@ -773,6 +785,8 @@ def main(argv=None):
         _validate(cfg.get("task", {}), args.task)
         cfg = copy.deepcopy(cfg)
         _fill_seeds(cfg, args.seed)
+        if args.out:
+            _check_out(args.out)
         t1 = time.perf_counter()
         result, code = RUNNERS[args.task](cfg, prm, args)
         t2 = time.perf_counter()

@@ -34,9 +34,14 @@ def _normalize_shift(space, v):
 
 
 def _locate_keys(space, keys, pts):
-    """Index of each point among the padded keys, -1 where absent."""
+    """Index of each point (int64 rows) among the padded keys, -1 where absent.
+    Only the keys inside the points' bounding box are indexed, so keys spread
+    far apart cannot overflow the locator's packed box."""
     keys = np.asarray(list(keys), dtype=np.int64).reshape(-1, space.point_arity)
-    return PointLocator(keys).locate(pts)
+    big = np.iinfo(np.int64)
+    near = np.flatnonzero(((keys >= pts.min(axis=0, initial=big.max))
+                           & (keys <= pts.max(axis=0, initial=big.min))).all(axis=1))
+    return np.append(near, -1)[PointLocator(keys[near]).locate(pts)]  # a miss stays -1
 
 
 def _apply_shift(space, pts, v):

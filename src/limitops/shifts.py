@@ -19,7 +19,6 @@ from .fields import (
     EmptyPredicate,
     ExpressionField,
     ExpressionPredicate,
-    Field,
     FiniteSetPredicate,
     FullPredicate,
     HalfspacePredicate,

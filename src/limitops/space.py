@@ -18,7 +18,7 @@ points rather than O(n^2).
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -216,7 +216,7 @@ class Space:
         the rows of a."""
         nb = b.shape[0]
         if self.kind == "graph":
-            per_row, index = len(self.adjacency), _BoxIndex(b)
+            per_row, index = len(self.adjacency), _kernels.PointLocator(b)
         else:
             per_row = np.inf if np.isinf(radius) else self.ball_size(radius)
             if per_row > nb:
@@ -224,7 +224,7 @@ class Space:
             else:
                 offs, offs_d = _lattice_offsets(
                     self.dim, self.metric, self.fiber, int(np.floor(radius)))
-                index = _BoxIndex(b)
+                index = _kernels.PointLocator(b)
         step = max(1, _PAIRS_CHUNK // per_row)
         parts = []
         for lo in range(0, a.shape[0], step):
@@ -355,46 +355,6 @@ def _lattice_ball_size(dim, metric, fiber, radius):
 def _bfs_order(pts, dist):
     keys = tuple(pts[:, a] for a in range(pts.shape[1] - 1, -1, -1)) + (dist,)
     return np.lexsort(keys)
-
-
-class _BoxIndex:
-    """Row indices of query points in an array of distinct points (-1 where
-    absent), by binary search over int64 keys packed row-major over the
-    array's bounding box; queries outside the box miss without a search."""
-
-    def __init__(self, pts):
-        self.lo = pts.min(axis=0)
-        self.shape = [int(h) - int(l) + 1 for l, h in zip(self.lo, pts.max(axis=0))]
-        # The indexed points are a subset of a materialised window, whose box
-        # fits in int64; refuse rather than overflow if one ever does not.
-        if prod(self.shape) >= 2 ** 63:
-            raise InvalidConfigError(
-                f"point box {tuple(self.shape)} is too large to index by int64 keys")
-        keys, _ = self._pack(pts)
-        self.order = np.argsort(keys)
-        self.keys = keys[self.order]
-
-    def _pack(self, pts):
-        """Packed keys of the rows, and which rows lie in the box (keys of
-        the others are meaningless)."""
-        rel = pts - self.lo
-        keys = np.zeros(pts.shape[0], dtype=np.int64)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for c, size in enumerate(self.shape):
-            col = rel[:, c]
-            inside &= col.view(np.uint64) < size  # 0 <= col < size
-            keys = keys * size + col
-        return keys, inside
-
-    def locate(self, query):
-        keys, inside = self._pack(query)
-        inside = np.flatnonzero(inside)
-        keys = keys[inside]
-        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        found = self.keys[pos] == keys
-        out = np.full(query.shape[0], -1, dtype=np.int64)
-        out[inside[found]] = self.order[pos[found]]
-        return out
 
 
 @dataclass
@@ -674,7 +634,7 @@ class PartitionOfUnity:
         corners = np.array(list(product((0, 1), repeat=self.space.dim)), dtype=np.int64)
         ok = ~((corners[None, :, :] > up[:, None, :]).any(axis=2))
         point, corner = np.nonzero(ok)  # point-major: scope order within a tent
-        tent = _BoxIndex(self.centers).locate(floor[point] + corners[corner])
+        tent = _kernels.PointLocator(self.centers).locate(floor[point] + corners[corner])
         found = tent >= 0
         order = np.argsort(tent[found], kind="stable")
         tent, support = tent[found][order], pts[point[found][order]]

@@ -312,12 +312,26 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["task"] == "geometry"
 
 
-def test_unwritable_out_is_an_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"space": Z2, "task": {"rMax": 3}})
-    dest = tmp_path / "missing" / "report.json"
-    code, out, err = run(["geometry", "--config", cfg, "--out", str(dest)], capsys)
-    assert (code, out) == (1, "")
-    assert err == f"error: [Errno 2] No such file or directory: {str(dest)!r}\n"
+def test_unwritable_out_is_an_error(tmp_path, capsys, monkeypatch):
+    # the destination is checked before the task runs, with the message
+    # writing it would give
+    def boom(*args):
+        raise AssertionError("the task ran")
+
+    monkeypatch.setitem(cli.RUNNERS, "essential-spectrum", boom)
+    cfg = write_cfg(tmp_path, {"space": {"kind": "lattice", "dim": 1},
+                               "operator": {"kind": "shift", "v": [1]}})
+    (tmp_path / "file").write_text("")
+    for dest, error in ((tmp_path / "missing" / "report.json", "[Errno 2] No such file or directory"),
+                        (tmp_path / "file" / "report.json", "[Errno 20] Not a directory")):
+        code, out, err = run(["essential-spectrum", "--config", cfg, "--out", str(dest)],
+                             capsys)
+        assert (code, out, err) == (1, "", f"error: {error}: {str(dest)!r}\n")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    dest = tmp_path / "report.json"
+    code, out, err = run(["essential-spectrum", "--config", cfg, "--out", str(dest)], capsys)
+    assert (code, out, err) == (1, "", f"error: [Errno 13] Permission denied: {str(dest)!r}\n")
+    assert not dest.exists()
 
 
 # -- cold start -----------------------------------------------------------------

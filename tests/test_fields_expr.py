@@ -122,6 +122,23 @@ def test_table_field(z1):
     assert f.bound(z1)[0] == 5.0
 
 
+def test_table_and_finite_set_with_spread_or_no_keys(z1):
+    # keys far apart (a packed box over all of them would not fit in int64)
+    # and no keys at all; only the keys in the points' box are indexed
+    z9 = Space(dim=9)
+    big = 2 ** 62
+    for space, keys, pts, hits in (
+            (z9, [(0,) * 9, (1000,) * 9], [[0] * 9, [1] * 9, [0] * 8 + [1]], [0, -1, -1]),
+            (z1, [(-big,), (big,), (1,)], [[0], [1], [2]], [-1, 2, -1]),
+            (z1, [(-big,), (big,), (1,)], [[big], [big - 1]], [1, -1]),
+            (z1, [], [[0], [1]], [-1, -1])):
+        pts = np.asarray(pts, dtype=np.int64)
+        values = [2.0 + k for k in range(len(keys))]
+        got = TableField(dict(zip(keys, values)), default=-1.0).eval(space, pts)
+        assert got.tolist() == [values[h] if h >= 0 else -1.0 for h in hits]
+        assert FiniteSetPredicate(keys).test(space, pts).tolist() == [h >= 0 for h in hits]
+
+
 def test_expression_bound_sampled_once(z1, z2, monkeypatch):
     # the sampled sup is computed once per space shape and kept
     f = ExpressionField("sin(n1) / 2")

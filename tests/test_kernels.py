@@ -92,6 +92,53 @@ def test_pairs_within_refuses_unpackable_box():
         g.pairs_within([-big], [-big, big], 1)
 
 
+def _dict_locate(pts, query):
+    first = {}
+    for i, row in enumerate(map(tuple, pts.tolist())):
+        first.setdefault(row, i)  # of repeated rows the lowest index wins
+    return [first.get(row, -1) for row in map(tuple, query.tolist())]
+
+
+def test_point_locator_matches_dict_lookup():
+    # window points with repeats (graph arity 1, fiber arity 2, Z^3), queries
+    # from a larger window plus one step outside the box on each axis, and
+    # the empty index
+    rng = np.random.default_rng(7)
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    cases = []
+    for pts in (GRID.ball(17, 2), Z1_FIBER3.ball((0, 1), 4),
+                Space(dim=3, metric="l1").ball((0, 0, 0), 2)):
+        pts = pts[rng.integers(0, pts.shape[0], size=pts.shape[0])]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        outside = []
+        for c in range(pts.shape[1]):
+            for edge in (lo[c] - 1, hi[c] + 1):
+                q = pts[:2].copy()
+                q[:, c] = edge
+                outside.append(q)
+        query = np.vstack([pts, rng.integers(lo - 2, hi + 3, size=(300, pts.shape[1]))]
+                          + outside)
+        cases += [(pts, query), (pts[:0], query)]
+    # near the int64 limits the packing subtraction wraps; no false hit
+    near_top = np.array([[top, 0], [top - 2, 1], [top - 1, 1]])
+    near_bottom = np.array([[bottom, 0], [bottom + 2, 1], [bottom + 1, 0]])
+    cases += [(near_top, np.vstack([near_top, near_bottom])),
+              (near_bottom, np.vstack([near_bottom, near_top]))]
+    for pts, query in cases:
+        got = K.PointLocator(pts).locate(query)
+        assert got.dtype == np.int64
+        assert got.tolist() == _dict_locate(pts, query)
+
+
+def test_point_locator_refuses_unpackable_box():
+    K.PointLocator([[0], [2 ** 63 - 2]])  # 2^63 - 1 cells still pack
+    for pts, shape in (([[-1], [2 ** 63 - 2]], "(9223372036854775808,)"),
+                       ([[0, 0], [2 ** 32, 2 ** 31 - 1]], "(4294967297, 2147483648)")):
+        with pytest.raises(InvalidConfigError) as err:
+            K.PointLocator(pts)
+        assert str(err.value) == f"point box {shape} is too large to index by int64 keys"
+
+
 def test_greedy_net_matches_bruteforce(z2_l1):
     for space, pts, sep in ((z2_l1, z2_l1.ball((0, 0), 6), 3.0),
                             (GRID, GRID.ball(17, 6), 3.0),

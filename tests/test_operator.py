@@ -106,6 +106,12 @@ def test_block_kernel_values(z1):
     assert M[1, 0] == 0.0
 
 
+def test_block_repeated_columns_fill_the_first(z1):
+    # of repeated columns only the first holds the kernel entry
+    M = shift_operator(z1, (1,)).block(np.asarray([[0], [1]]), np.asarray([[1], [1], [2]]))
+    assert np.array_equal(M, [[1, 0, 0], [0, 0, 1]])
+
+
 # -- adjoints -------------------------------------------------------------------
 
 
