@@ -127,19 +127,21 @@ def _lapack():
 
 @functools.cache
 def _abstol():
-    """The absolute tolerance scipy's eigvals_banded passes to zhbevx."""
+    """The absolute tolerance scipy's eigvals_banded passes to dsbevx/zhbevx."""
     return 2 * _lapack().dlamch("S")
 
 
 def cholesky_banded(ab, lower):
-    """``scipy.linalg.cholesky_banded`` for complex128 without the wrapper's
-    per-call overhead. LAPACK zpbtrf overwrites ``ab``, in place when it is
-    Fortran-ordered, so pass a copy you own. Raises like scipy: ValueError on
-    non-finite input or an illegal argument, LinAlgError when a leading minor
-    is not positive definite."""
+    """``scipy.linalg.cholesky_banded`` without the wrapper's per-call
+    overhead: LAPACK dpbtrf for a real ``ab``, zpbtrf otherwise. It
+    overwrites ``ab``, in place when it is Fortran-ordered and of that dtype,
+    so pass a copy you own. Raises like scipy: ValueError on non-finite input
+    or an illegal argument, LinAlgError when a leading minor is not positive
+    definite."""
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    c, info = _lapack().zpbtrf(ab, lower=lower, overwrite_ab=1)
+    pbtrf = _lapack().dpbtrf if np.isrealobj(ab) else _lapack().zpbtrf
+    c, info = pbtrf(ab, lower=lower, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
@@ -164,21 +166,22 @@ def cho_solve_banded(cb_and_lower, b):
 
 
 def min_eig_banded(ab):
-    """Smallest eigenvalue of a Hermitian matrix in lower band storage: the
-    LAPACK zhbevx call of ``scipy.linalg.eigvals_banded(ab, lower=True,
-    select="i", select_range=(0, 0))`` with the same arguments, so the same
-    bits, without the wrapper's overhead. May overwrite ``ab``. Raises like
-    scipy: ValueError on non-finite input or an illegal argument,
-    LinAlgError when LAPACK reports a failure."""
+    """Smallest eigenvalue of a real symmetric or complex Hermitian matrix in
+    lower band storage: the LAPACK call of ``scipy.linalg.eigvals_banded(ab,
+    lower=True, select="i", select_range=(0, 0))``, dsbevx for a real ``ab``
+    and zhbevx otherwise, with the same arguments, so the same bits, without
+    the wrapper's overhead. May overwrite ``ab``. Raises like scipy:
+    ValueError on non-finite input or an illegal argument, LinAlgError when
+    LAPACK reports a failure."""
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    w, _, _, _, info = _lapack().zhbevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2,
-                                        lower=1, abstol=_abstol(), mmax=1,
-                                        overwrite_ab=1)
+    bevx = _lapack().dsbevx if np.isrealobj(ab) else _lapack().zhbevx
+    w, _, _, _, info = bevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2, lower=1,
+                            abstol=_abstol(), mmax=1, overwrite_ab=1)
     if info > 0:
-        raise np.linalg.LinAlgError(f"zhbevx failed with info {info}")
+        raise np.linalg.LinAlgError(f"{bevx.__name__} failed with info {info}")
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal hbevx")
+        raise ValueError(f"illegal value in {-info}-th argument of {bevx.__name__}")
     return float(w[0])
 
 
@@ -193,6 +196,12 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
     symmetric). Every point is computed on its own, so any split of zs gives
     the same bits.
 
+    The arithmetic follows the data. When the Gram bands and S are real and
+    S is symmetric (slice_lower == conj(slice_upper)), G(z) = T^H T
+    - 2 Re(z) S + |z|^2 I is real for every z, and each point is factored in
+    float64 (LAPACK dpbtrf, dsbevx); otherwise in complex128 (zpbtrf,
+    zhbevx).
+
     With tau given, one banded Cholesky factorisation of G(z) - tau^2 I
     decides first. It succeeds exactly when the smallest eigenvalue of G(z)
     exceeds tau^2 (Sylvester's law of inertia), and then the entry is inf:
@@ -201,13 +210,16 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
     flags non-finite input (z, or an entry of the bands).
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    gb = np.ascontiguousarray(gram_bands, dtype=np.complex128)
-    sl = np.ascontiguousarray(slice_lower, dtype=np.complex128)
-    su_c = np.conj(np.ascontiguousarray(slice_upper, dtype=np.complex128))
+    gb, sl, su = (np.ascontiguousarray(a, dtype=np.complex128)
+                  for a in (gram_bands, slice_lower, slice_upper))
+    su_c = np.conj(su)
+    real = not (gb.imag.any() or sl.imag.any()) and np.array_equal(sl, su_c)
+    if real:
+        gb, sl = gb.real.copy(), sl.real.copy()
     tau2 = None if tau is None else float(tau) ** 2
     out = np.empty(zs.size)
     for iz, z in enumerate(zs):
-        base = gb - np.conj(z) * sl - z * su_c
+        base = gb - 2 * z.real * sl if real else gb - np.conj(z) * sl - z * su_c
         base[0] += (z * np.conj(z)).real
         try:
             if tau2 is not None:

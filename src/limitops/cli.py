@@ -775,6 +775,9 @@ def main(argv=None):
     if not args.config:
         sys.stderr.write("error: --config is required\n")
         return 1
+    if args.threads < 1:
+        sys.stderr.write("error: --threads must be at least 1\n")
+        return 1
     t0 = time.perf_counter()
     try:
         with open(args.config) as fh:

@@ -413,25 +413,16 @@ def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
     return out
 
 
-def _structural_flags(B):
-    const = all(isinstance(f, ConstantField) for f in B.stencil.values())
-    if not const:
-        return False, False
-    adj = B.adjoint()
-    herm = set(adj.stencil) == set(B.stencil) and all(
-        complex(adj.stencil[k].value) == complex(B.stencil[k].value)
-        for k in B.stencil
-    )
-    realk = all(complex(f.value).imag == 0.0 for f in B.stencil.values())
-    return herm, realk
-
-
 def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     """min(nu_window(B - z), nu_window((B - z)*)) over the grid, via the
-    banded sweep. Structural symmetries of constant-coefficient kernels
-    (real values: sigma(z) = sigma(conj z); Hermitian stencil: the adjoint
-    pass equals the direct pass at conj z) cut the work up to fourfold. The
-    bands come straight from the stencil (``_banded_data``), O(n |stencil|^2).
+    banded sweep. The bands come straight from the stencil
+    (``_banded_data``), O(n |stencil|^2), for B and for its adjoint, and two
+    exact symmetries are read off them, which cut the work up to fourfold:
+    bands with no imaginary part give sigma(z) = sigma(conj z), so each
+    conjugate pair is swept once; adjoint bands equal to B's make the adjoint
+    pass the direct pass at conj z, so both run as one pass over the distinct
+    points of zs and conj zs. Equal bands give equal bits, so the folds never
+    change a value.
 
     tau=None values every point. With tau given, a point whose value is
     certified above tau (one banded Cholesky factorisation per pass, see
@@ -440,22 +431,19 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     points raise InvalidConfigError.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128).reshape(-1)
-    herm, realk = _structural_flags(B)
 
     def run(bands, vals):
-        if realk:
-            key = np.where(vals.imag < 0, np.conj(vals), vals)
-            uniq, inv = np.unique(key, return_inverse=True)
-            return _sweep_threaded(bands, uniq, threads, tau)[inv]
-        return _sweep_threaded(bands, vals, threads, tau)
+        if not any(b.imag.any() for b in bands[:3]):
+            vals = np.where(vals.imag < 0, np.conj(vals), vals)
+        uniq, inv = np.unique(vals, return_inverse=True)
+        return _sweep_threaded(bands, uniq, threads, tau)[inv]
 
     bands = _banded_data(B, radius)
-    direct = run(bands, zs)
-    if herm:
-        adj = direct if realk else run(bands, np.conj(zs))
-    else:
-        adj = run(_banded_data(B.adjoint(), radius), np.conj(zs))
-    return np.minimum(direct, adj)
+    adj_bands = _banded_data(B.adjoint(), radius)
+    if all(np.array_equal(a, b) for a, b in zip(bands[:3], adj_bands[:3])):
+        both = run(bands, np.concatenate([zs, np.conj(zs)]))
+        return np.minimum(both[: zs.size], both[zs.size :])
+    return np.minimum(run(bands, zs), run(adj_bands, np.conj(zs)))
 
 
 # -- spectra ---------------------------------------------------------------------

@@ -334,6 +334,20 @@ def test_unwritable_out_is_an_error(tmp_path, capsys, monkeypatch):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_an_error(tmp_path, capsys, monkeypatch, threads):
+    # no silent clamp to one thread: the value is refused before the config
+    # is read (a missing config file gives the same error) or the task runs
+    def boom(*args):
+        raise AssertionError("the task ran")
+
+    monkeypatch.setitem(cli.RUNNERS, "essential-spectrum", boom)
+    for cfg in (write_cfg(tmp_path, NU_GRID_CFG), str(tmp_path / "missing.json")):
+        code, out, err = run(["essential-spectrum", "--config", cfg, "--threads", threads],
+                             capsys)
+        assert (code, out, err) == (1, "", "error: --threads must be at least 1\n")
+
+
 # -- cold start -----------------------------------------------------------------
 
 

@@ -38,7 +38,8 @@ from limitops import (
     window_norm,
 )
 
-from limitops.fredholm import _banded_data, _grid, _tall_block
+from limitops import _kernels, fredholm
+from limitops.fredholm import _banded_data, _grid, _sweep_threaded, _tall_block
 
 from conftest import window
 
@@ -403,12 +404,74 @@ def test_nu_grid_matches_dense_lower_norms(z1):
         assert np.isclose(got[i], min(direct, adj), rtol=1e-4, atol=1e-8)
 
 
+def _periodic(z1, values):
+    return laplacian_stencil(z1) + multiplication(z1, PeriodicField(values))
+
+
 def test_nu_grid_real_kernel_mirror_symmetry(z1):
-    A = laplacian_stencil(z1)
+    # constant or not, real bands give sigma(z) = sigma(conj z) bit for bit
     zs = np.array([0.5 + 0.7j, 0.5 - 0.7j, -1.0 + 0.2j, -1.0 - 0.2j])
-    got = nu_grid_indicator(A, zs, radius=50)
-    assert got[0] == got[1]
-    assert got[2] == got[3]
+    for A in (laplacian_stencil(z1), _periodic(z1, [0.5, 0.0, -0.5])):
+        got = nu_grid_indicator(A, zs, radius=50)
+        assert got[0] == got[1]
+        assert got[2] == got[3]
+
+
+def _unfolded(A, zs, radius, tau):
+    """The indicator without folds: direct and adjoint passes over every z."""
+    return np.minimum(_sweep_threaded(_banded_data(A, radius), zs, 1, tau),
+                      _sweep_threaded(_banded_data(A.adjoint(), radius), np.conj(zs), 1, tau))
+
+
+def _record_sweeps(monkeypatch):
+    """Record the points of every sweep pass and of every kernel call."""
+    passes, kernel = [], []
+
+    def threaded(bands, zs, *args):
+        passes.append(zs)
+        return _sweep_threaded(bands, zs, *args)
+
+    def sweep(gb, sl, su, zs, tau=None):
+        kernel.append(zs)
+        return sweep_kernel(gb, sl, su, zs, tau)
+
+    sweep_kernel = _kernels.sigma_min_sweep
+    monkeypatch.setattr(fredholm, "_sweep_threaded", threaded)
+    monkeypatch.setattr(_kernels, "sigma_min_sweep", sweep)
+    return passes, kernel
+
+
+@pytest.mark.parametrize("tau", [None, 0.3])
+def test_nu_grid_folds_are_exact(z1, tau):
+    # Laplacian + a real periodic potential is real and self-adjoint, which
+    # only its bands tell: the folded indicator is bitwise the unfolded
+    # minimum of the direct and adjoint passes
+    A = _periodic(z1, [0.5, 0.0, -0.5])
+    zs = _grid((-3.0, 3.0, -0.6, 0.6), 0.1)
+    got = nu_grid_indicator(A, zs, radius=40, tau=tau)
+    assert np.array_equal(got, _unfolded(A, zs, 40, tau))
+
+
+def test_nu_grid_sweeps_each_folded_point_once(z1, monkeypatch):
+    # real, self-adjoint bands: one pass over the distinct points of the
+    # grid with each conjugate pair folded into the upper half plane
+    A = _periodic(z1, [0.5, 0.0, -0.5])
+    zs = _grid((-3.0, 3.0, -0.6, 0.6), 0.1)
+    passes, kernel = _record_sweeps(monkeypatch)
+    nu_grid_indicator(A, zs, radius=40, tau=0.3)
+    folded = np.unique(np.where(zs.imag < 0, np.conj(zs), zs))
+    assert len(passes) == 1 and np.array_equal(passes[0], folded)
+    assert np.array_equal(np.concatenate(kernel), folded)
+
+
+def test_nu_grid_complex_non_self_adjoint_runs_both_passes(z1, monkeypatch):
+    A = _periodic(z1, [0.3 + 0.2j, -0.1j])
+    zs = _grid((-3.0, 3.0, -0.6, 0.6), 0.1)
+    passes, _ = _record_sweeps(monkeypatch)
+    got = nu_grid_indicator(A, zs, radius=40, tau=0.3)
+    assert len(passes) == 2
+    assert all(np.array_equal(p, np.unique(v)) for p, v in zip(passes, (zs, np.conj(zs))))
+    assert np.array_equal(got, _unfolded(A, zs, 40, 0.3))
 
 
 def test_grid_holds_exact_conjugate_pairs():

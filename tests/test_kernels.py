@@ -18,6 +18,11 @@ def banded_random(n, b, seed, hermitian=False):
     return T
 
 
+def real_symmetric(n, b, seed):
+    """Real symmetric band matrix: the real part of a Hermitian one."""
+    return banded_random(n, b, seed, hermitian=True).real.astype(np.complex128)
+
+
 def pack_sweep_inputs(T, b):
     """Lower banded storage of T^H T plus the two triangles of S = T, padded
     to the Gram bandwidth 2b."""
@@ -198,19 +203,28 @@ def _sweep_cases():
         cases.append((*pack_sweep_inputs(T, 2), MIXED_Z.astype(np.complex128)))
     T = np.diag([1e-3, 1.001e-3, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]).astype(np.complex128)
     cases.append((*pack_sweep_inputs(T, 0), np.array([0.0 + 0.0j])))
+    gb, sl, su, bw = pack_sweep_inputs(real_symmetric(60, 2, seed=3), 2)
+    cases.append((gb.real, sl.real, su.real, bw, MIXED_Z.astype(np.complex128)))
     return cases
 
 
 def _shifted_gram(gb, sl, su, z):
-    base = gb - np.conj(z) * sl - z * np.conj(su)
+    """G(z) as the sweep forms it: in float64 for real bands and symmetric S."""
+    if np.isrealobj(gb):
+        base = gb - 2 * z.real * sl
+    else:
+        base = gb - np.conj(z) * sl - z * np.conj(su)
     base[0] += (z * np.conj(z)).real
     return base
 
 
 def test_cholesky_banded_matches_scipy_bitwise():
-    # the sweep's gate calls LAPACK zpbtrf directly; scipy's wrapper on the
-    # same input must give the same factor, and fail where it fails
-    for gb, sl, su, bw, zs in _sweep_cases():
+    # the sweep's gate calls LAPACK dpbtrf (real bands) or zpbtrf directly;
+    # scipy's wrapper on the same input must give the same factor, and fail
+    # where it fails
+    cases = _sweep_cases()
+    assert any(np.isrealobj(gb) for gb, *_ in cases)
+    for gb, sl, su, bw, zs in cases:
         for z in zs:
             for shift in (0.0, 0.25):
                 work = _shifted_gram(gb, sl, su, z)
@@ -226,9 +240,12 @@ def test_cholesky_banded_matches_scipy_bitwise():
 
 
 def test_min_eig_banded_matches_scipy_bitwise():
-    # the sweep and the structured lower norm call LAPACK zhbevx directly
-    # with the arguments of scipy's eigvals_banded(select="i")
-    for gb, sl, su, bw, zs in _sweep_cases():
+    # the sweep and the structured lower norm call LAPACK dsbevx (real bands)
+    # or zhbevx directly with the arguments of scipy's
+    # eigvals_banded(select="i")
+    cases = _sweep_cases()
+    assert any(np.isrealobj(gb) for gb, *_ in cases)
+    for gb, sl, su, bw, zs in cases:
         for z in zs:
             base = _shifted_gram(gb, sl, su, z)
             ref = scipy.linalg.eigvals_banded(base, lower=True, select="i",
@@ -238,47 +255,91 @@ def test_min_eig_banded_matches_scipy_bitwise():
 
 def test_sweep_gate_keeps_cloud_values():
     # with tau, a point reads inf only where the dense sigma_min exceeds tau,
-    # and every point at or below tau keeps its ungated value bit for bit
-    T = banded_random(60, 2, seed=3)
-    gb, sl, su, bw = pack_sweep_inputs(T, 2)
+    # and every point at or below tau keeps its ungated value bit for bit; a
+    # real symmetric T runs the float64 lane
     zs = (np.linspace(-4.0, 4.0, 41)[:, None]
           + 1j * np.linspace(-4.0, 4.0, 41)[None, :]).reshape(-1)
-    ref = np.array([np.linalg.svd(T - z * np.eye(60), compute_uv=False)[-1]
-                    for z in zs])
-    # halfway between two sorted values, so no point sits within rounding
-    # of tau
-    s = np.sort(ref)
-    k = zs.size // 5
-    tau = 0.5 * (s[k] + s[k + 1])
-    assert s[k + 1] - s[k] > 1e-9
-    full = K.sigma_min_sweep(gb, sl, su, zs)
-    gated = K.sigma_min_sweep(gb, sl, su, zs, tau)
-    low = full <= tau
-    assert 0 < low.sum() < zs.size
-    assert np.array_equal(gated[low], full[low])
-    assert np.all(ref[np.isinf(gated)] > tau)
-    assert np.array_equal(np.isinf(gated), ~low)
+    for T in (banded_random(60, 2, seed=3), real_symmetric(60, 2, seed=3)):
+        gb, sl, su, bw = pack_sweep_inputs(T, 2)
+        ref = np.array([np.linalg.svd(T - z * np.eye(60), compute_uv=False)[-1]
+                        for z in zs])
+        full = K.sigma_min_sweep(gb, sl, su, zs)
+        assert np.allclose(full, ref, rtol=1e-5, atol=1e-9)
+        # tau halfway across the first gap wider than rounding after the
+        # lowest fifth (a real T gives conjugate pairs of equal values), so
+        # no point sits within rounding of it
+        s = np.sort(ref)
+        k = zs.size // 5 + np.argmax(np.diff(s[zs.size // 5:]) > 1e-9)
+        tau = 0.5 * (s[k] + s[k + 1])
+        assert s[k + 1] - s[k] > 1e-9
+        gated = K.sigma_min_sweep(gb, sl, su, zs, tau)
+        low = full <= tau
+        assert 0 < low.sum() < zs.size
+        assert np.array_equal(gated[low], full[low])
+        assert np.all(ref[np.isinf(gated)] > tau)
+        assert np.array_equal(np.isinf(gated), ~low)
 
 
-@pytest.mark.parametrize("where", ["z=nan", "z=inf", "gram nan", "gram inf"])
-def test_sweep_flags_non_finite_input(where):
-    # -1.0 flags non-finite input, also where LAPACK alone would not fail: it
-    # never reads the unused corner of the band storage, and an infinite last
-    # pivot factors
-    gb, sl, su, bw, _ = _sweep_cases()[0]
-    zs = np.array([0.5, -1.7 + 0.3j], dtype=np.complex128)
-    if where == "z=nan":
-        zs[0] = np.nan
-    elif where == "z=inf":
-        zs[0] = np.inf
-    elif where == "gram nan":
-        gb[bw, -1] = np.nan
-    else:
-        gb[0, -1] = np.inf
-    for tau in (None, 0.1):
-        with np.errstate(invalid="ignore"):
-            out = K.sigma_min_sweep(gb, sl, su, zs, tau)
+def _record_lanes(monkeypatch):
+    """Record the dtype of every array the sweep hands to its LAPACK helpers."""
+    seen = set()
+
+    def recording(fn):
+        def wrapped(ab, *args, **kwargs):
+            seen.add(ab.dtype.type)
+            return fn(ab, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(K, "cholesky_banded", recording(K.cholesky_banded))
+    monkeypatch.setattr(K, "min_eig_banded", recording(K.min_eig_banded))
+    return seen
+
+
+@pytest.mark.parametrize("where", ["z=nan", "z=inf", "z=i*inf", "z=i*nan",
+                                   "gram nan", "gram inf"])
+def test_sweep_flags_non_finite_input(where, monkeypatch):
+    # -1.0 flags non-finite input on both lanes, also where LAPACK alone
+    # would not fail: it never reads the unused corner of the band storage,
+    # and an infinite last pivot factors. On the real lane Re z is finite for
+    # z = i*inf and i*nan, |z|^2 is not.
+    cases = _sweep_cases()
+    lanes = _record_lanes(monkeypatch)
+    for (gb, sl, su, bw, _), lane in ((cases[0], np.complex128), (cases[-1], np.float64)):
+        lanes.clear()
+        zs = np.array([0.5, -1.7 + 0.3j], dtype=np.complex128)
         if where.startswith("z="):
-            assert out[0] == -1.0 and out[1] > 0.0
+            zs[0] = {"z=nan": np.nan, "z=inf": np.inf, "z=i*inf": complex(0, np.inf),
+                     "z=i*nan": complex(0, np.nan)}[where]
+        elif where == "gram nan":
+            gb[bw, -1] = np.nan
         else:
-            assert np.all(out == -1.0)
+            gb[0, -1] = np.inf
+        for tau in (None, 0.1):
+            with np.errstate(invalid="ignore"):
+                out = K.sigma_min_sweep(gb, sl, su, zs, tau)
+            if where.startswith("z="):
+                assert out[0] == -1.0 and out[1] > 0.0
+            else:
+                assert np.all(out == -1.0)
+        assert lanes == {lane}
+
+
+@pytest.mark.parametrize("kind", ["real symmetric", "complex hermitian",
+                                  "complex symmetric", "real non-symmetric"])
+def test_sweep_lane_follows_the_data(kind, monkeypatch):
+    # float64 only for a real symmetric S; complex Hermitian, complex
+    # symmetric and real non-symmetric slices keep complex arithmetic
+    C = banded_random(40, 2, seed=5)
+    T = {"real symmetric": real_symmetric(40, 2, seed=5),
+         "complex hermitian": banded_random(40, 2, seed=5, hermitian=True),
+         "complex symmetric": 0.5 * (C + C.T),
+         "real non-symmetric": C.real.astype(np.complex128)}[kind]
+    gb, sl, su, bw = pack_sweep_inputs(T, 2)
+    lanes = _record_lanes(monkeypatch)
+    out = K.sigma_min_sweep(gb, sl, su, MIXED_Z, tau=0.5)
+    assert lanes == {np.float64 if kind == "real symmetric" else np.complex128}
+    ref = np.array([np.linalg.svd(T - z * np.eye(40), compute_uv=False)[-1]
+                    for z in MIXED_Z])
+    valued = np.isfinite(out)
+    assert np.allclose(out[valued], ref[valued], rtol=1e-5, atol=1e-9)
+    assert np.all(ref[~valued] > 0.5)
