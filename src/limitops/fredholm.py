@@ -42,6 +42,8 @@ _NON_FINITE_BANDS = ("non-finite input to the banded sweep: the window's Gram or
 # below this multiple of norm_bound()^2 the Gram eigenvalue has lost too many
 # digits to squaring, and the dense SVD decides
 GRAM_FLOOR = 1e-8
+# complex entries in one stack of Bloch matrices handed to eigvals (32 MiB)
+_BLOCH_STACK = 1 << 21
 
 
 # -- lower norms ---------------------------------------------------------------
@@ -282,46 +284,59 @@ def invertibility_estimate(B, schedule, tau=0.05, p=2):
 # -- analytic oracles -----------------------------------------------------------
 
 
-def _require_constant(op):
+def _bloch_spectrum(op, theta_grid):
+    """Eigenvalues of the Bloch matrices of a lattice operator with constant
+    or periodic coefficients, over a torus grid: theta_grid points for d = 1,
+    else max(16, round(theta_grid^(1/d))) per axis. For the period lattice
+    diag(L), L the lcm of the periods, row u of the cell 0 <= u <= L - 1
+    (every fiber slot) takes c_k(u) exp(i q . theta) in column s, where
+    u + k = q L + s. Stacks hold at most _BLOCH_STACK entries."""
+    space = op.space
+    if space.kind != "lattice":
+        raise UnsupportedConstructionError("Bloch oracles are lattice notions")
+    d = space.dim
+    L = np.ones(d, dtype=np.int64)
+    for k, f in op.stencil.items():
+        if isinstance(f, PeriodicField):
+            f._table_ok(space)
+            L = np.lcm(L, f.period)
+        elif not isinstance(f, ConstantField):
+            raise InvalidConfigError(
+                f"Bloch oracle needs constant or periodic coefficients; offset {k} "
+                f"is {type(f).__name__}"
+            )
+    cell = space.box_points([0] * d, L - 1)
+    loc, n = PointLocator(cell), cell.shape[0]
+    entries = []  # (row, column, coefficient, q) in stencil order
+    for k, f in op.stencil.items():
+        tgt = _apply_shift(space, cell, k)
+        q, tgt[:, :d] = np.divmod(tgt[:, :d], L)
+        entries += zip(range(n), loc.locate(tgt), f.eval(space, cell), q)
+    per_axis = theta_grid if d == 1 else max(16, int(round(theta_grid ** (1.0 / d))))
+    axis = np.linspace(0.0, 2 * np.pi, per_axis, endpoint=False)
+    thetas = np.stack(np.meshgrid(*[axis] * d, indexing="ij")).reshape(d, -1)
+    step = max(1, _BLOCH_STACK // (n * n))
+    out = []
+    for th in (thetas[:, i : i + step] for i in range(0, thetas.shape[1], step)):
+        M = np.zeros((th.shape[1], n, n), dtype=np.complex128)
+        for u, s, c, q in entries:
+            phase = sum((q[a] * th[a] for a in range(d)), np.zeros(th.shape[1]))
+            M[:, u, s] += c * np.exp(1j * phase)
+        out.append(np.linalg.eigvals(M))
+    return _sorted_complex(np.concatenate(out))
+
+
+def symbol_spectrum(op, theta_grid=2048):
+    """Range of the Fourier symbol of a translation-invariant band operator
+    on Z^d (matrix-valued over the cyclic fiber): the Bloch oracle with every
+    period 1. Non-constant coefficients raise InvalidConfigError."""
     for k, f in op.stencil.items():
         if not isinstance(f, ConstantField):
             raise InvalidConfigError(
                 f"symbol oracle needs constant coefficients; offset {k} is "
                 f"{type(f).__name__}"
             )
-
-
-def symbol_spectrum(op, theta_grid=2048, p=2):
-    """Range of the Fourier symbol of a translation-invariant band operator
-    (matrix-valued over the cyclic fiber, scalar otherwise). The identity
-    with the spectrum is asserted for p = 2 and heuristic for other p."""
-    space = op.space
-    if space.kind != "lattice":
-        raise UnsupportedConstructionError("symbol oracle is a lattice notion")
-    _require_constant(op)
-    d = space.dim
-    per_axis = theta_grid if d == 1 else max(16, int(round(theta_grid ** (1.0 / d))))
-    thetas = [np.linspace(0.0, 2 * np.pi, per_axis, endpoint=False) for _ in range(d)]
-    grids = np.meshgrid(*thetas, indexing="ij")
-    flat = [g.reshape(-1) for g in grids]
-    m = space.fiber
-    if m == 1:
-        vals = np.zeros(flat[0].size, dtype=np.complex128)
-        for k, f in op.stencil.items():
-            phase = np.zeros(flat[0].size)
-            for a in range(d):
-                phase = phase + k[a] * flat[a]
-            vals += f.value * np.exp(1j * phase)
-        return _sorted_complex(vals)
-    npts = flat[0].size
-    out = np.empty(npts * m, dtype=np.complex128)
-    for i in range(npts):
-        M = np.zeros((m, m), dtype=np.complex128)
-        for k, f in op.stencil.items():
-            phase = sum(k[a] * flat[a][i] for a in range(d))
-            M[np.arange(m), (np.arange(m) + k[-1]) % m] += f.value * np.exp(1j * phase)
-        out[i * m : (i + 1) * m] = np.linalg.eigvals(M)
-    return _sorted_complex(out)
+    return _bloch_spectrum(op, theta_grid)
 
 
 def _sorted_complex(vals):
@@ -331,36 +346,9 @@ def _sorted_complex(vals):
 
 
 def floquet_spectrum(op, theta_grid=512):
-    """Union over the torus of the eigenvalues of the L x L twisted block
-    matrices of a periodic band operator on the one-dimensional lattice."""
-    space = op.space
-    if space.kind != "lattice" or space.dim != 1 or space.fiber != 1:
-        raise UnsupportedConstructionError(
-            "Floquet oracle covers period-L operators on the plain "
-            "one-dimensional lattice"
-        )
-    L = 1
-    for f in op.stencil.values():
-        if isinstance(f, PeriodicField):
-            L = int(np.lcm(L, f.period[0]))
-        elif not isinstance(f, ConstantField):
-            raise InvalidConfigError(
-                "Floquet oracle needs periodic or constant coefficients"
-            )
-    us = np.arange(L, dtype=np.int64).reshape(-1, 1)
-    coeffs = {k: f.eval(space, us) for k, f in op.stencil.items()}
-    thetas = np.linspace(0.0, 2 * np.pi, theta_grid, endpoint=False)
-    out = np.empty(theta_grid * L, dtype=np.complex128)
-    for i, th in enumerate(thetas):
-        z = np.exp(1j * th)
-        M = np.zeros((L, L), dtype=np.complex128)
-        for k, c in coeffs.items():
-            for u in range(L):
-                tgt = u + k[0]
-                q, s = divmod(tgt, L)
-                M[u, s] += c[u] * z ** q
-        out[i * L : (i + 1) * L] = np.linalg.eigvals(M)
-    return _sorted_complex(out)
+    """Eigenvalues of the Bloch matrices of a band operator with periodic or
+    constant coefficients on Z^d, any fiber, over a grid on the torus."""
+    return _bloch_spectrum(op, theta_grid)
 
 
 # -- banded sweep ----------------------------------------------------------------
@@ -495,14 +483,12 @@ def _grid(box, pitch):
 
 
 def _auto_method(op):
-    if all(isinstance(f, ConstantField) for f in op.stencil.values()):
+    """symbolOracle when every coefficient is constant, floquet when every
+    coefficient is constant or periodic (Z^d, any fiber), nuGrid otherwise."""
+    fields = op.stencil.values()
+    if all(isinstance(f, ConstantField) for f in fields):
         return "symbolOracle"
-    if (
-        op.space.dim == 1
-        and op.space.fiber == 1
-        and all(isinstance(f, (ConstantField, PeriodicField))
-                for f in op.stencil.values())
-    ):
+    if all(isinstance(f, (ConstantField, PeriodicField)) for f in fields):
         return "floquet"
     return "nuGrid"
 
@@ -514,19 +500,15 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
     auto-selected method. nuGrid indicators read inf at grid points whose
     window lower norm is certified above tau."""
     chosen = _auto_method(op) if method == "auto" else method
-    if chosen in ("symbolOracle", "symbol"):
-        pts = symbol_spectrum(op, theta_grid)
-        return SpectrumEstimate(
-            method="symbolOracle", limit_label=label, tau=tau, points=pts,
-            indicators=np.zeros(pts.size), cloud=pts,
-            meta={"thetaGrid": theta_grid},
-        )
     if chosen == "floquet":
-        pts = floquet_spectrum(op, min(theta_grid, 512))
+        theta_grid = min(theta_grid, 512)
+        pts = floquet_spectrum(op, theta_grid)
+    elif chosen in ("symbolOracle", "symbol"):
+        chosen, pts = "symbolOracle", symbol_spectrum(op, theta_grid)
+    if chosen in ("symbolOracle", "floquet"):
         return SpectrumEstimate(
-            method="floquet", limit_label=label, tau=tau, points=pts,
-            indicators=np.zeros(pts.size), cloud=pts,
-            meta={"thetaGrid": min(theta_grid, 512)},
+            method=chosen, limit_label=label, tau=tau, points=pts,
+            indicators=np.zeros(pts.size), cloud=pts, meta={"thetaGrid": theta_grid},
         )
     if chosen != "nuGrid":
         raise InvalidConfigError(f"unknown spectrum method {chosen!r}")
@@ -661,23 +643,21 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
                                 budget=2 ** 20, threads=1):
     """Union of per-limit-operator spectrum estimates, with provenance.
 
-    Constant-coefficient limits use the symbol oracle, periodic ones the
-    Floquet oracle, everything else the lower-norm grid sweep (or as forced
-    by the method argument).
+    With method "auto", limits whose coefficients are all constant use the
+    symbol oracle, limits with constant or periodic coefficients on Z^d (any
+    fiber) the Floquet oracle (both are the Bloch oracle), everything else
+    the lower-norm grid sweep; the method argument can force a route.
     """
     if not sequences:
         raise InvalidConfigError("essential spectrum needs at least one sequence")
     A_hat = hat(A, proj) if proj is not None else A
     limits, divergences = _extract_limits(A_hat, sequences, radii, tol, budget)
-    estimates = []
-    for lim in limits:
-        estimates.append(
-            spectrum_estimate_for(
-                lim.op, lim.sequence_label, tau=tau, pitch=pitch, radius=radius,
-                z_box=z_box, theta_grid=theta_grid, method=method,
-                threads=threads,
-            )
-        )
+    estimates = [
+        spectrum_estimate_for(lim.op, lim.sequence_label, tau=tau, pitch=pitch,
+                              radius=radius, z_box=z_box, theta_grid=theta_grid,
+                              method=method, threads=threads)
+        for lim in limits
+    ]
     clouds = [e.cloud for e in estimates if e.cloud.size]
     union = (np.unique(np.concatenate(clouds)) if clouds
              else np.empty(0, dtype=np.complex128))

@@ -185,11 +185,11 @@ class BandOperator:
 
     def to_descriptor(self):
         return {
+            "kind": "band",
             "stencil": [
                 {"offset": list(k), "coeff": f.to_descriptor()}
                 for k, f in self.stencil.items()
             ],
-            "omega": self.propagation,
         }
 
     def __repr__(self):

@@ -64,8 +64,8 @@ class Ray:
         return Ray(v, w, label=(self.label or "ray") + f"[{residue} mod {modulus}]")
 
     def to_descriptor(self):
-        return {"kind": "ray", "label": self.label, "v": list(self.direction),
-                "w": list(self.offset) if self.offset else None}
+        out = {"kind": "ray", "label": self.label, "v": list(self.direction)}
+        return {**out, "w": list(self.offset)} if self.offset else out
 
 
 class _BoundRay:

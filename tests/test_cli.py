@@ -13,7 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from jsonschema.validators import validator_for
 
-from limitops import cli
+from limitops import (
+    BandOperator, PeriodicField, Ray, Space, TableField, Window, cli, laplacian_stencil,
+    multiplication, operator_from_descriptor, sequence_from_descriptor,
+)
 from limitops.cli import (
     CONFIG_SCHEMA, TASK_SCHEMAS, _csv_rows, _dumps, _plain, full_schema, main,
 )
@@ -94,6 +97,52 @@ def test_meta_check_rejects_a_broken_schema(where):
     broken[where]["space"] = {"type": 5}
     with pytest.raises(jsonschema.SchemaError):
         meta_check(broken)
+
+
+def _roundtrip_cases():
+    z1 = Space(kind="lattice", dim=1)
+    z2 = Space(kind="lattice", dim=2)
+    fib = Space(kind="lattice", dim=1, fiber=2)
+    ops = [
+        (z2, laplacian_stencil(z2) + multiplication(z2, PeriodicField([[2.5], [-2.5]]))),
+        (z1, BandOperator(z1, {(0,): TableField({(0,): 3.0, (1,): -1j}, 0.5),
+                               (2,): 0.25 - 0.5j})),
+        (fib, BandOperator(fib, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 0.6 - 0.1j})),
+    ]
+    rays = [(z2, Ray((1, 0))), (z2, Ray((1, 0), (2, 0)))]
+    return ([("operator", sp, op) for sp, op in ops]
+            + [("sequence", sp, seq) for sp, seq in rays])
+
+
+@pytest.mark.parametrize("kind, space, obj", _roundtrip_cases(),
+                         ids=["z2-periodic", "table", "fiber2", "ray", "ray-offset"])
+def test_emitted_descriptors_load_back(kind, space, obj):
+    # what the library writes into payloads is a valid config fragment
+    desc = json.loads(_dumps(obj.to_descriptor()))
+    jsonschema.validate(desc, {"$schema": CONFIG_SCHEMA["$schema"],
+                               "$defs": CONFIG_SCHEMA["$defs"],
+                               "$ref": f"#/$defs/{kind}"})
+    if kind == "operator":
+        back = operator_from_descriptor(space, desc)
+        w = Window(space, space.basepoint, 4)
+        assert np.array_equal(back.block(w, w), obj.block(w, w))
+    else:
+        b1, b2 = obj.bind(space), sequence_from_descriptor(desc).bind(space)
+        assert [b1.point(n) for n in range(5)] == [b2.point(n) for n in range(5)]
+
+
+def test_limit_operator_loads_as_a_config(tmp_path, capsys):
+    code, out, _ = run(["limits", "--config", write_cfg(tmp_path, {
+        "space": Z1, "operator": PERIODIC_OP,
+        "sequences": [{"v": [2], "label": "even"}]})], capsys)
+    assert code == 0
+    limit = json.loads(out)["result"]["limits"][0]["operator"]
+    assert limit["kind"] == "band" and "omega" not in limit
+    code, out, _ = run(["essential-spectrum", "--config", write_cfg(tmp_path, {
+        "space": Z1, "operator": limit,
+        "sequences": [{"v": [2], "label": "even"}]}, "limit.json")], capsys)
+    assert code == 0
+    assert [e["method"] for e in json.loads(out)["result"]["estimates"]] == ["floquet"]
 
 
 def test_subcommand_print_schema(capsys):

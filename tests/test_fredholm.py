@@ -41,7 +41,7 @@ from limitops import (
 from limitops import _kernels, fredholm
 from limitops.fredholm import _banded_data, _grid, _sweep_threaded, _tall_block
 
-from conftest import window
+from conftest import GRID, Z1_FIBER3, window
 
 
 # -- lower norms ------------------------------------------------------------
@@ -308,9 +308,78 @@ def test_floquet_matches_symbol_for_constant_operators(z1):
     assert hausdorff_distance(f, s) <= 1e-9
 
 
-def test_floquet_rejects_unsupported_shapes(z2):
+def test_floquet_rejects_graph_spaces():
+    # graph spaces carry no translations, so only the empty stencil lives there
     with pytest.raises(UnsupportedConstructionError):
-        floquet_spectrum(laplacian_stencil(z2))
+        floquet_spectrum(BandOperator(GRID, {}))
+
+
+def test_floquet_rejects_other_coefficients(z2):
+    with pytest.raises(InvalidConfigError, match="constant or periodic"):
+        floquet_spectrum(laplacian_stencil(z2) + multiplication(z2, SeededRandomField(1)))
+    with pytest.raises(InvalidConfigError, match="does not match dim"):
+        floquet_spectrum(multiplication(z2, PeriodicField(np.ones((2, 2, 2)))))
+
+
+def test_floquet_separable_z2_potential(z2):
+    # V(x) = a (-1)^{x_1} on Z^2 separates: the period-(2, 1) Bloch matrix at
+    # (t1, t2) has eigenvalues +-sqrt(a^2 + 2 + 2 cos t1) + 2 cos t2
+    a = 2.5
+    A = laplacian_stencil(z2) + multiplication(z2, PeriodicField([[a], [-a]]))
+    pts = floquet_spectrum(A, theta_grid=512)
+    per_axis = max(16, int(round(512 ** 0.5)))
+    assert pts.size == 2 * per_axis ** 2
+    t = np.linspace(0.0, 2 * np.pi, per_axis, endpoint=False)
+    t1, t2 = (g.reshape(-1) for g in np.meshgrid(t, t, indexing="ij"))
+    root = np.sqrt(a * a + 2 + 2 * np.cos(t1))
+    want = np.concatenate([root, -root]) + np.tile(2 * np.cos(t2), 2)
+    assert np.abs(pts.imag).max() <= 1e-12
+    assert hausdorff_distance(pts, want) <= 1e-12
+    # theta = 0 is a grid point, so the top band edge is attained
+    assert abs(pts.real.max() - (np.sqrt(a * a + 4) + 2)) <= 1e-12
+    assert np.abs(pts).min() >= a - 2 - 1e-12
+
+
+def test_floquet_fibered_matches_nu_grid():
+    # fiber 3, a period-2 potential and period-3 hoppings (period-6 cell).
+    # The operator is Hermitian, so a window lower norm bounds the distance
+    # to the spectrum and the forced nuGrid cloud is within tau + pitch
+    pot = PeriodicField([[0.5, -0.2, 0.1], [-0.6, 0.3, 0.0]], period=(2,))
+    A = BandOperator(Z1_FIBER3, {(1, 0): PeriodicField([1.0, 0.8, 1.2]),
+                                 (-1, 0): PeriodicField([1.2, 1.0, 0.8]),
+                                 (0, 1): 0.4, (0, 2): 0.4, (0, 0): pot})
+    w = window(Z1_FIBER3, 6)
+    assert np.array_equal(A.adjoint().block(w, w), A.block(w, w))
+    tau, pitch = 0.12, 0.08
+    grid = spectrum_estimate_for(A, "fib", method="nuGrid", radius=30, pitch=pitch,
+                                 tau=tau, z_box=(-3.6, 3.6, -0.32, 0.32))
+    assert spectrum_estimate_for(A, "fib").method == "floquet"
+    pts = floquet_spectrum(A, theta_grid=512)
+    assert pts.size == 512 * 18
+    assert np.abs(pts.imag).max() <= 1e-12
+    assert hausdorff_distance(pts, grid.cloud) <= tau + pitch
+
+
+def test_bloch_stack_slices_keep_the_bits(z2, monkeypatch):
+    # a stack too large for one eigvals call is solved in slices; each Bloch
+    # matrix is assembled and solved on its own, so the bits do not move
+    A = laplacian_stencil(z2) + multiplication(z2, PeriodicField([[0.5, 1j], [-0.3, 0.2]]))
+    whole = floquet_spectrum(A, theta_grid=512)
+    monkeypatch.setattr(fredholm, "_BLOCH_STACK", 7 * 16)
+    assert floquet_spectrum(A, theta_grid=512).tobytes() == whole.tobytes()
+
+
+def test_symbol_spectrum_bits_are_the_scalar_symbol(z1):
+    # the oracle the symbolOracle payload comes from: sum_k c_k exp(i k theta)
+    # in stencil order, summed from zero, bit for bit
+    c1, c2, c3 = 0.43, 1.05 - 0.2j, 0.25
+    A = BandOperator(z1, {(1,): c2, (-1,): c1, (2,): c3})
+    theta = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+    vals = np.zeros(theta.size, dtype=np.complex128)
+    for k, c in ((-1, c1), (1, c2), (2, c3)):
+        vals += c * np.exp(1j * (k * theta))
+    want = fredholm._sorted_complex(vals)
+    assert symbol_spectrum(A).tobytes() == want.tobytes()
 
 
 # -- banded nu-grid ----------------------------------------------------------
@@ -529,13 +598,20 @@ def test_nu_grid_non_finite_coefficient_raises_before_any_arithmetic(z1):
             nu_grid_indicator(A, [0.3 + 0.1j, 5], radius=10)
 
 
-def test_spectrum_estimate_method_dispatch(z1):
+def test_spectrum_estimate_method_dispatch(z1, z2):
     lap = laplacian_stencil(z1)
     est = spectrum_estimate_for(lap, "lap")
     assert est.method == "symbolOracle"
     per = lap + multiplication(z1, PeriodicField([1.0, -1.0]))
     est2 = spectrum_estimate_for(per, "per")
     assert est2.method == "floquet"
+    # periodic limits on Z^d and on fibers take the Bloch oracle too
+    per2 = laplacian_stencil(z2) + multiplication(z2, PeriodicField([[2.5], [-2.5]]))
+    est_z2 = spectrum_estimate_for(per2, "per2", theta_grid=4096)
+    assert est_z2.method == "floquet"
+    assert est_z2.meta["thetaGrid"] == 512
+    fib = BandOperator(Z1_FIBER3, {(1, 0): 1.0, (0, 1): PeriodicField([0.2, 0.7])})
+    assert spectrum_estimate_for(fib, "fib").method == "floquet"
     rand = lap + multiplication(z1, SeededRandomField(3))
     est3 = spectrum_estimate_for(rand, "rand", radius=40, pitch=0.25, tau=0.5)
     assert est3.method == "nuGrid"
