@@ -41,8 +41,6 @@ from .fields import (
     SublatticePredicate,
     SumField,
     TableField,
-    field_from_descriptor,
-    predicate_from_descriptor,
 )
 from .operator import (
     BandOperator,
@@ -52,7 +50,6 @@ from .operator import (
     laplacian_stencil,
     localized_norm,
     multiplication,
-    operator_from_descriptor,
     restricted_norm,
     shift_operator,
     window_norm,
@@ -67,8 +64,14 @@ from .shifts import (
     limit_algebra_check,
     limit_operator,
     limit_set,
-    sequence_from_descriptor,
     subsequence_targeting,
+)
+from .descriptors import (
+    field_from_descriptor,
+    operator_from_descriptor,
+    predicate_from_descriptor,
+    sequence_from_descriptor,
+    space_from_descriptor,
 )
 from .subspace import SubspaceProjection, commutator_with_projection, hat, toeplitz
 from .fredholm import (

@@ -19,11 +19,20 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .descriptors import (
+    DEFS,
+    _INT_VEC,
+    _obj,
+    _ref,
+    operator_from_descriptor,
+    sequence_from_descriptor,
+    space_from_descriptor,
+)
 from .errors import LimitOpsError
-from .fields import _cplx, predicate_from_descriptor
-from .operator import bdo_diagnostic, operator_from_descriptor
-from .shifts import DivergenceReport, limit_operator, sequence_from_descriptor
-from .space import Space, Window, build_covering, build_partition, geometry_profile
+from .fields import _cplx
+from .operator import bdo_diagnostic
+from .shifts import DivergenceReport, limit_operator
+from .space import Window, build_covering, build_partition, geometry_profile
 from .subspace import SubspaceProjection
 from .fredholm import (
     compactness_test,
@@ -74,201 +83,19 @@ TASK_DEFAULTS = {
 
 # -- config schema ----------------------------------------------------------------
 
-_COMPLEX = {
-    "oneOf": [
-        {"type": "number"},
-        {
-            "type": "object",
-            "properties": {"re": {"type": "number"}, "im": {"type": "number"}},
-            "additionalProperties": False,
-        },
-    ]
-}
-_INT_VEC = {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 10}
-_NUM_VEC = {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 10}
-_FIELD_REF = {"$ref": "#/$defs/field"}
-_PRED_REF = {"$ref": "#/$defs/predicate"}
-_OP_REF = {"$ref": "#/$defs/operator"}
-_SEQ_REF = {"$ref": "#/$defs/sequence"}
-
-
-def _obj(props, required=()):
-    return {
-        "type": "object",
-        "properties": props,
-        "required": list(required),
-        "additionalProperties": False,
-    }
-
-
-_FIELD_DEF = {
-    "oneOf": [
-        _obj({"type": {"const": "constant"}, "value": _COMPLEX}, ["type", "value"]),
-        _obj(
-            {
-                "type": {"const": "periodic"},
-                "values": {"type": "array", "items": _COMPLEX, "minItems": 1},
-                "period": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "shape": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            },
-            ["type", "values", "period"],
-        ),
-        _obj({"type": {"const": "expression"}, "source": {"type": "string"}},
-             ["type", "source"]),
-        _obj(
-            {
-                "type": {"const": "table"},
-                "entries": {
-                    "type": "array",
-                    "items": _obj({"point": _INT_VEC, "value": _COMPLEX},
-                                  ["point", "value"]),
-                },
-                "default": _COMPLEX,
-            },
-            ["type", "entries"],
-        ),
-        _obj(
-            {
-                "type": {"const": "seededRandom"},
-                "seed": {"type": "integer"},
-                "mode": {"enum": ["disk", "phase", "real"]},
-                "scale": _COMPLEX,
-            },
-            ["type"],
-        ),
-        _obj({"type": {"const": "indicator"}, "predicate": _PRED_REF},
-             ["type", "predicate"]),
-        _obj({"type": {"const": "sum"},
-              "parts": {"type": "array", "items": _FIELD_REF, "minItems": 1}},
-             ["type", "parts"]),
-        _obj({"type": {"const": "product"},
-              "parts": {"type": "array", "items": _FIELD_REF, "minItems": 1}},
-             ["type", "parts"]),
-        _obj({"type": {"const": "scaled"}, "base": _FIELD_REF, "factor": _COMPLEX},
-             ["type", "base", "factor"]),
-        _obj({"type": {"const": "shifted"}, "base": _FIELD_REF, "offset": _INT_VEC},
-             ["type", "base", "offset"]),
-        _obj({"type": {"const": "conj"}, "base": _FIELD_REF}, ["type", "base"]),
-    ]
-}
-
-_PRED_DEF = {
-    "oneOf": [
-        _obj({"type": {"const": "full"}}, ["type"]),
-        _obj({"type": {"const": "empty"}}, ["type"]),
-        _obj({"type": {"const": "halfspace"}, "normal": _NUM_VEC,
-              "threshold": {"type": "number"}}, ["type", "normal", "threshold"]),
-        _obj(
-            {
-                "type": {"const": "sublattice"},
-                "modulus": {"oneOf": [{"type": "integer", "minimum": 1}, _INT_VEC]},
-                "residue": {"oneOf": [{"type": "integer"}, _INT_VEC]},
-            },
-            ["type", "modulus"],
-        ),
-        _obj({"type": {"const": "finiteSet"},
-              "points": {"type": "array", "items": _INT_VEC}}, ["type", "points"]),
-        _obj({"type": {"const": "expressionPredicate"}, "source": {"type": "string"},
-              "offset": _NUM_VEC}, ["type", "source"]),
-        _obj({"type": {"const": "not"}, "base": _PRED_REF}, ["type", "base"]),
-        _obj({"type": {"const": "and"},
-              "parts": {"type": "array", "items": _PRED_REF, "minItems": 1}},
-             ["type", "parts"]),
-    ]
-}
-
-_OP_DEF = {
-    "oneOf": [
-        _obj(
-            {
-                "kind": {"const": "band"},
-                "stencil": {
-                    "type": "array",
-                    "items": _obj({"offset": _INT_VEC, "coeff": _FIELD_REF,
-                                   "field": _FIELD_REF}, ["offset"]),
-                },
-            },
-            ["stencil"],
-        ),
-        _obj({"kind": {"const": "identity"}}, ["kind"]),
-        _obj({"kind": {"const": "laplacian"}}, ["kind"]),
-        _obj({"kind": {"const": "shift"}, "v": _INT_VEC}, ["kind", "v"]),
-        _obj({"kind": {"const": "multiplication"}, "field": _FIELD_REF},
-             ["kind", "field"]),
-        _obj({"kind": {"const": "sum"},
-              "terms": {"type": "array", "items": _OP_REF, "minItems": 1}},
-             ["kind", "terms"]),
-        _obj({"kind": {"const": "product"},
-              "factors": {"type": "array", "items": _OP_REF, "minItems": 1}},
-             ["kind", "factors"]),
-        _obj({"kind": {"const": "scaled"}, "operator": _OP_REF, "factor": _COMPLEX},
-             ["kind", "operator", "factor"]),
-        _obj({"kind": {"const": "adjoint"}, "operator": _OP_REF},
-             ["kind", "operator"]),
-        _obj({"kind": {"const": "translated"}, "operator": _OP_REF, "x": _INT_VEC},
-             ["kind", "operator", "x"]),
-    ]
-}
-
-_SEQ_DEF = {
-    "oneOf": [
-        _obj({"kind": {"const": "ray"}, "v": _INT_VEC, "w": _INT_VEC,
-              "label": {"type": "string"}}, ["v"]),
-        _obj({"kind": {"const": "explicit"},
-              "points": {"type": "array", "items": _INT_VEC, "minItems": 2},
-              "label": {"type": "string"}}, ["kind", "points"]),
-        _obj({"kind": {"const": "subsequence"}, "parent": _SEQ_REF,
-              "indices": {"type": "array", "items": {"type": "integer", "minimum": 0},
-                          "minItems": 2},
-              "label": {"type": "string"}}, ["kind", "parent", "indices"]),
-    ]
-}
-
-_SPACE_DEF = {
-    "oneOf": [
-        _obj(
-            {
-                "kind": {"const": "lattice"},
-                "dim": {"type": "integer", "minimum": 1, "maximum": 9},
-                "metric": {"enum": ["linf", "l1"]},
-                "fiber": {"type": "integer", "minimum": 1},
-                "basepoint": _INT_VEC,
-            }
-        ),
-        _obj(
-            {
-                "kind": {"const": "graph"},
-                "adjacency": {
-                    "type": "object",
-                    "patternProperties": {"^-?[0-9]+$": _INT_VEC},
-                    "additionalProperties": False,
-                },
-                "basepoint": {"type": "integer"},
-            },
-            ["kind", "adjacency"],
-        ),
-    ]
-}
-
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
-        "space": {"$ref": "#/$defs/space"},
-        "operator": _OP_REF,
-        "projection": _obj({"predicate": _PRED_REF}, ["predicate"]),
-        "sequences": {"type": "array", "items": _SEQ_REF},
+        "space": _ref("space"),
+        "operator": _ref("operator"),
+        "projection": _obj({"predicate": _ref("predicate")}, ["predicate"]),
+        "sequences": {"type": "array", "items": _ref("sequence")},
         "task": {"type": "object"},
     },
     "required": ["space"],
     "additionalProperties": False,
-    "$defs": {
-        "space": _SPACE_DEF,
-        "field": _FIELD_DEF,
-        "predicate": _PRED_DEF,
-        "operator": _OP_DEF,
-        "sequence": _SEQ_DEF,
-    },
+    "$defs": DEFS,
 }
 
 
@@ -504,7 +331,7 @@ def _fill_seeds(node, seed):
 
 
 def _space(cfg):
-    return Space.from_descriptor(cfg["space"])
+    return space_from_descriptor(cfg["space"])
 
 
 def _operator(cfg, space):
@@ -516,8 +343,7 @@ def _operator(cfg, space):
 def _projection(cfg, space):
     if "projection" not in cfg:
         return None
-    return SubspaceProjection(space, predicate_from_descriptor(
-        cfg["projection"]["predicate"]))
+    return SubspaceProjection.from_descriptor(space, cfg["projection"])
 
 
 def _sequences(cfg):

@@ -684,64 +684,6 @@ def _cplx(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _parse_cplx(v):
-    if isinstance(v, dict):
-        return complex(v.get("re", 0.0), v.get("im", 0.0))
-    return complex(v)
-
-
 def _cplx_array(arr):
     return [_cplx(z) for z in np.asarray(arr).reshape(-1)]
 
-
-def field_from_descriptor(desc):
-    t = desc["type"]
-    if t == "constant":
-        return ConstantField(_parse_cplx(desc["value"]))
-    if t == "periodic":
-        shape = desc.get("shape") or desc["period"]
-        vals = np.asarray([_parse_cplx(v) for v in desc["values"]],
-                          dtype=np.complex128).reshape(shape)
-        return PeriodicField(vals, desc["period"])
-    if t == "expression":
-        return ExpressionField(desc["source"])
-    if t == "table":
-        entries = {tuple(e["point"]): _parse_cplx(e["value"]) for e in desc["entries"]}
-        return TableField(entries, _parse_cplx(desc.get("default", 0.0)))
-    if t == "seededRandom":
-        return SeededRandomField(desc["seed"], desc.get("mode", "disk"),
-                                 _parse_cplx(desc.get("scale", 1.0)))
-    if t == "indicator":
-        return IndicatorField(predicate_from_descriptor(desc["predicate"]))
-    if t == "sum":
-        return SumField([field_from_descriptor(p) for p in desc["parts"]])
-    if t == "product":
-        return ProductField([field_from_descriptor(p) for p in desc["parts"]])
-    if t == "scaled":
-        return ScaledField(field_from_descriptor(desc["base"]), _parse_cplx(desc["factor"]))
-    if t == "shifted":
-        return _GenericShifted(field_from_descriptor(desc["base"]), tuple(desc["offset"]))
-    if t == "conj":
-        return _GenericConj(field_from_descriptor(desc["base"]))
-    raise InvalidConfigError(f"unknown field type {t!r}")
-
-
-def predicate_from_descriptor(desc):
-    t = desc["type"]
-    if t == "full":
-        return FullPredicate()
-    if t == "empty":
-        return EmptyPredicate()
-    if t == "halfspace":
-        return HalfspacePredicate(desc["normal"], desc["threshold"])
-    if t == "sublattice":
-        return SublatticePredicate(desc["modulus"], desc.get("residue"))
-    if t == "finiteSet":
-        return FiniteSetPredicate(desc["points"])
-    if t == "expressionPredicate":
-        return ExpressionPredicate(desc["source"], desc.get("offset"))
-    if t == "not":
-        return NotPredicate(predicate_from_descriptor(desc["base"]))
-    if t == "and":
-        return AndPredicate([predicate_from_descriptor(p) for p in desc["parts"]])
-    raise InvalidConfigError(f"unknown predicate type {t!r}")

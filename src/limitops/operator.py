@@ -446,55 +446,3 @@ def localized_norm(A, predicate, partition, scope, p=2):
                 best = max(best, _pnorm_bounds(M, p)[0])
     return best
 
-
-def operator_from_descriptor(space, desc):
-    """Build a band operator from a descriptor, flattening composite
-    expressions (sums, products, scalar multiples, adjoints, translates)
-    eagerly into a single stencil."""
-    from .fields import _parse_cplx, field_from_descriptor
-
-    if not isinstance(desc, dict):
-        raise InvalidConfigError("operator descriptor must be an object")
-    kind = desc.get("kind", "band" if "stencil" in desc else None)
-    if kind == "band":
-        stencil = {}
-        for item in desc["stencil"]:
-            k = tuple(int(c) for c in item["offset"])
-            f = field_from_descriptor(item.get("coeff", item.get("field")))
-            stencil[k] = stencil[k].plus(f) if k in stencil else f
-        return BandOperator(space, stencil)
-    if kind == "identity":
-        return identity(space)
-    if kind == "laplacian":
-        return laplacian_stencil(space)
-    if kind == "shift":
-        return shift_operator(space, tuple(int(c) for c in desc["v"]))
-    if kind == "multiplication":
-        return multiplication(space, field_from_descriptor(desc["field"]))
-    if kind == "sum":
-        terms = [operator_from_descriptor(space, t) for t in desc["terms"]]
-        if not terms:
-            raise InvalidConfigError("operator sum needs at least one term")
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
-        return out
-    if kind == "product":
-        factors = [operator_from_descriptor(space, t) for t in desc["factors"]]
-        if not factors:
-            raise InvalidConfigError("operator product needs at least one factor")
-        out = factors[0]
-        for t in factors[1:]:
-            out = out @ t
-        return out
-    if kind == "scaled":
-        return operator_from_descriptor(space, desc["operator"]).scaled(
-            _parse_cplx(desc["factor"])
-        )
-    if kind == "adjoint":
-        return operator_from_descriptor(space, desc["operator"]).adjoint()
-    if kind == "translated":
-        return operator_from_descriptor(space, desc["operator"]).translated(
-            tuple(int(c) for c in desc["x"])
-        )
-    raise InvalidConfigError(f"unknown operator kind {kind!r}")

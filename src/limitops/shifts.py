@@ -130,21 +130,6 @@ class Subsequence:
                 "parent": self.parent.to_descriptor(), "indices": list(self.indices)}
 
 
-def sequence_from_descriptor(desc):
-    kind = desc.get("kind", "ray")
-    if kind == "ray":
-        return Ray(tuple(desc["v"]), tuple(desc.get("w") or ()), desc.get("label", ""))
-    if kind == "explicit":
-        return ExplicitSequence(
-            tuple(tuple(p) if isinstance(p, list) else p for p in desc["points"]),
-            desc.get("label", "explicit"),
-        )
-    if kind == "subsequence":
-        return Subsequence(sequence_from_descriptor(desc["parent"]),
-                           tuple(desc["indices"]), desc.get("label", "subsequence"))
-    raise InvalidConfigError(f"unknown sequence kind {kind!r}")
-
-
 @dataclass
 class LimitOperator:
     op: BandOperator

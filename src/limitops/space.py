@@ -308,20 +308,6 @@ class Space:
             "basepoint": list(self.basepoint),
         }
 
-    @staticmethod
-    def from_descriptor(desc):
-        kind = desc.get("kind", "lattice")
-        if kind == "graph":
-            adj = {int(u): [int(v) for v in vs] for u, vs in desc["adjacency"].items()}
-            return Space(kind="graph", adjacency=adj, basepoint=desc.get("basepoint"))
-        return Space(
-            kind="lattice",
-            dim=int(desc.get("dim", 1)),
-            metric=desc.get("metric", "linf"),
-            fiber=int(desc.get("fiber", 1)),
-            basepoint=desc.get("basepoint"),
-        )
-
 
 @lru_cache(maxsize=128)
 def _lattice_offsets(dim, metric, fiber, radius):

@@ -4,13 +4,8 @@ A -> PAP + Q of a subspace operator to the whole space."""
 import numpy as np
 
 from .errors import InvalidConfigError
-from .fields import (
-    Field,
-    IndicatorField,
-    NotPredicate,
-    Predicate,
-    predicate_from_descriptor,
-)
+from .descriptors import predicate_from_descriptor
+from .fields import Field, IndicatorField, NotPredicate, Predicate
 from .operator import BandOperator, identity, multiplication
 
 

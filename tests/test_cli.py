@@ -14,12 +14,18 @@ from hypothesis.extra import numpy as hnp
 from jsonschema.validators import validator_for
 
 from limitops import (
-    BandOperator, PeriodicField, Ray, Space, TableField, Window, cli, laplacian_stencil,
-    multiplication, operator_from_descriptor, sequence_from_descriptor,
+    AndPredicate, BandOperator, ConstantField, EmptyPredicate, ExplicitSequence,
+    ExpressionField, ExpressionPredicate, FiniteSetPredicate, FullPredicate,
+    HalfspacePredicate, IndicatorField, InvalidConfigError, NotPredicate, PeriodicField,
+    ProductField, Ray, ScaledField, SeededRandomField, Space, Subsequence,
+    SublatticePredicate, SumField, TableField, Window, cli, field_from_descriptor, identity,
+    laplacian_stencil, multiplication, operator_from_descriptor, predicate_from_descriptor,
+    sequence_from_descriptor, shift_operator, space_from_descriptor,
 )
 from limitops.cli import (
     CONFIG_SCHEMA, TASK_SCHEMAS, _csv_rows, _dumps, _plain, full_schema, main,
 )
+from limitops.descriptors import FAMILIES
 
 
 Z1 = {"kind": "lattice", "dim": 1}
@@ -100,6 +106,11 @@ def test_meta_check_rejects_a_broken_schema(where):
 
 
 def _roundtrip_cases():
+    """(family, space, descriptor, reference). First the payload fragments
+    that once failed to load back, then at least one case per row of every
+    descriptor table. The descriptor is what the reference emits, except for
+    the composite operator kinds, which no emitter writes (operators emit
+    "band"): theirs is written out."""
     z1 = Space(kind="lattice", dim=1)
     z2 = Space(kind="lattice", dim=2)
     fib = Space(kind="lattice", dim=1, fiber=2)
@@ -109,26 +120,168 @@ def _roundtrip_cases():
                                (2,): 0.25 - 0.5j})),
         (fib, BandOperator(fib, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 0.6 - 0.1j})),
     ]
-    rays = [(z2, Ray((1, 0))), (z2, Ray((1, 0), (2, 0)))]
-    return ([("operator", sp, op) for sp, op in ops]
-            + [("sequence", sp, seq) for sp, seq in rays])
+    sequences = [Ray((1, 0)), Ray((1, 0), (2, 0)), ExplicitSequence(((0, 0), (3, 1), (7, 2))),
+                 Subsequence(Ray((1, 2), (0, -1)), (1, 4, 9), label="sparse")]
+    spaces = [Space(kind="lattice", dim=2, metric="l1", fiber=3, basepoint=(1, -1, 2)),
+              Space(kind="graph", adjacency={0: [1], 1: [0, 2], 2: [1]}, basepoint=1)]
+    table = TableField({(1, 0): 2.0, (-2, 3): 1j}, -1.0)
+    sub = SublatticePredicate((2, 3), (1, 0))
+    fields = [
+        ConstantField(2 - 3j), PeriodicField([[1, 2j], [3, 4]]),
+        ExpressionField("sin(n1) + i*n2"), table,
+        SeededRandomField(11, mode="phase", scale=0.5), IndicatorField(sub),
+        SumField([ConstantField(1.5), ExpressionField("n1")]),
+        ProductField([ExpressionField("n2"), PeriodicField([[1, -1]])]),
+        ScaledField(ExpressionField("n1*n2"), 0.5 + 2j),
+        ExpressionField("n1^2 - n2").shifted(z2, (3, -1)), ExpressionField("i*n1").conj(),
+    ]
+    half = HalfspacePredicate((1, -0.5), 0.5)
+    predicates = [
+        FullPredicate(), EmptyPredicate(), half, sub,
+        FiniteSetPredicate([(0, 0), (1, -1)]), ExpressionPredicate("n1 - n2", (1, 0)),
+        NotPredicate(half), AndPredicate([half, sub]),
+    ]
+    emitted = ([("operator", sp, op) for sp, op in ops]
+               + [("sequence", z2, q) for q in sequences]
+               + [("space", None, x) for x in spaces]
+               + [("field", z2, f) for f in fields]
+               + [("predicate", z2, p) for p in predicates])
+    shift = shift_operator(z2, (1, 0))
+    mult = multiplication(z2, ExpressionField("n1 + 2*n2"))
+    written = [
+        (z1, {"stencil": [{"offset": [1], "coeff": {"type": "constant", "value": 1.0}}]},
+         shift_operator(z1, (1,))),
+        (z2, {"kind": "identity"}, identity(z2)),
+        (z2, {"kind": "laplacian"}, laplacian_stencil(z2)),
+        (z2, {"kind": "shift", "v": [1, 0]}, shift),
+        (z2, {"kind": "multiplication", "field": table.to_descriptor()},
+         multiplication(z2, table)),
+        (z2, {"kind": "sum", "terms": [{"kind": "laplacian"}, {"kind": "shift", "v": [1, 0]}]},
+         laplacian_stencil(z2) + shift),
+        (z2, {"kind": "product", "factors": [{"kind": "shift", "v": [1, 0]},
+                                             mult.to_descriptor()]}, shift @ mult),
+        (z2, {"kind": "scaled", "operator": {"kind": "laplacian"},
+              "factor": {"re": 0.0, "im": 2.0}}, laplacian_stencil(z2).scaled(2j)),
+        (z2, {"kind": "adjoint", "operator": mult.to_descriptor()}, mult.adjoint()),
+        (z2, {"kind": "translated", "operator": mult.to_descriptor(), "x": [1, -1]},
+         mult.translated((1, -1))),
+    ]
+    return ([(family, sp, x.to_descriptor(), x) for family, sp, x in emitted]
+            + [("operator", sp, d, op) for sp, d, op in written])
 
 
-@pytest.mark.parametrize("kind, space, obj", _roundtrip_cases(),
-                         ids=["z2-periodic", "table", "fiber2", "ray", "ray-offset"])
-def test_emitted_descriptors_load_back(kind, space, obj):
-    # what the library writes into payloads is a valid config fragment
-    desc = json.loads(_dumps(obj.to_descriptor()))
+_ROUNDTRIP_CASES = _roundtrip_cases()
+
+
+def _row(family, desc):
+    key, default, _ = FAMILIES[family]
+    return family, desc.get(key, default)
+
+
+def _case_id(family, desc):
+    key, _, _ = FAMILIES[family]
+    return "-".join(_row(family, desc)) + ("" if key in desc else "-untagged")
+
+
+def test_roundtrip_cases_cover_every_table_row():
+    # a new kind cannot land without a round-trip case
+    assert ({_row(family, desc) for family, _, desc, _ in _ROUNDTRIP_CASES}
+            == {(family, tag) for family, (_, _, table) in FAMILIES.items() for tag in table})
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_unknown_tag_is_refused(family):
+    key, _, _ = FAMILIES[family]
+    with pytest.raises(InvalidConfigError, match=f"^unknown {family} {key} 'bogus'$"):
+        parse(family, Space(kind="lattice", dim=1), {key: "bogus"})
+
+
+_PROBE = np.array([[0, 0], [1, -2], [5, 3], [-4, 7], [2, 0], [3, 3]])
+
+
+def assert_same(family, space, back, ref):
+    """``back`` and ``ref`` agree where it can be seen: equal spaces, equal
+    field values and predicate tests on probe points, equal operator blocks
+    on a window, equal sequence points."""
+    if family == "space":
+        assert back == ref
+    elif family == "field":
+        np.testing.assert_array_equal(back.eval(space, _PROBE), ref.eval(space, _PROBE))
+    elif family == "predicate":
+        assert back.test(space, _PROBE).tolist() == ref.test(space, _PROBE).tolist()
+    elif family == "operator":
+        w = Window(space, space.basepoint, 4)
+        np.testing.assert_array_equal(back.block(w, w), ref.block(w, w))
+    else:
+        b1, b2 = ref.bind(space), back.bind(space)
+        assert [b1.point(n) for n in range(6)] == [b2.point(n) for n in range(6)]
+
+
+def parse(family, space, desc):
+    if family == "operator":
+        return operator_from_descriptor(space, desc)
+    return {"space": space_from_descriptor, "field": field_from_descriptor,
+            "predicate": predicate_from_descriptor,
+            "sequence": sequence_from_descriptor}[family](desc)
+
+
+def load_back(family, space, desc):
+    """Write ``desc`` as a payload would, check it against the schema's
+    ``$defs`` entry for ``family`` and parse it."""
+    desc = json.loads(_dumps(desc))
     jsonschema.validate(desc, {"$schema": CONFIG_SCHEMA["$schema"],
                                "$defs": CONFIG_SCHEMA["$defs"],
-                               "$ref": f"#/$defs/{kind}"})
-    if kind == "operator":
-        back = operator_from_descriptor(space, desc)
-        w = Window(space, space.basepoint, 4)
-        assert np.array_equal(back.block(w, w), obj.block(w, w))
-    else:
-        b1, b2 = obj.bind(space), sequence_from_descriptor(desc).bind(space)
-        assert [b1.point(n) for n in range(5)] == [b2.point(n) for n in range(5)]
+                               "$ref": f"#/$defs/{family}"})
+    return parse(family, space, desc)
+
+
+@pytest.mark.parametrize("family, space, desc, ref", _ROUNDTRIP_CASES,
+                         ids=["z2-periodic", "table", "fiber2", "ray", "ray-offset"]
+                         + [_case_id(c[0], c[2]) for c in _ROUNDTRIP_CASES[5:]])
+def test_emitted_descriptors_load_back(family, space, desc, ref):
+    # what the library writes into payloads is a valid config fragment, and
+    # every row of the descriptor tables parses what the schema accepts
+    assert_same(family, space, load_back(family, space, desc), ref)
+
+
+_Z2 = Space(kind="lattice", dim=2)
+_INTS = st.integers(-4, 4)
+_VEC = st.tuples(_INTS, _INTS)
+_SMALL = st.sampled_from([0.5, -2.0, 1j, 0.25 - 0.75j])
+_PREDICATES = st.recursive(
+    st.one_of(
+        st.tuples(st.sampled_from([1.0, -0.5, 2.0]), st.sampled_from([0.0, 1.0]), _INTS)
+        .map(lambda t: HalfspacePredicate(t[:2], t[2])),
+        st.tuples(st.integers(1, 3), st.integers(1, 3), _VEC)
+        .map(lambda t: SublatticePredicate(t[:2], t[2])),
+        st.lists(_VEC, max_size=3).map(FiniteSetPredicate),
+        st.tuples(st.sampled_from(["n1 - n2", "n1*n2 - 1"]), _VEC)
+        .map(lambda t: ExpressionPredicate(*t)),
+    ),
+    lambda inner: st.one_of(inner.map(NotPredicate),
+                            st.lists(inner, min_size=1, max_size=3).map(AndPredicate)),
+    max_leaves=4)
+_FIELD_LEAVES = st.one_of(
+    _SMALL.map(ConstantField),
+    st.lists(_SMALL, min_size=2, max_size=2).map(lambda v: PeriodicField([v, v[::-1]])),
+    st.sampled_from(["n1 + 2*n2", "cos(n1) - i*n2"]).map(ExpressionField),
+    st.dictionaries(_VEC, _SMALL, max_size=3).map(TableField),
+    st.integers(0, 2 ** 40).map(SeededRandomField),
+    _PREDICATES.map(IndicatorField),
+)
+_FIELDS = st.recursive(_FIELD_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, inner).map(lambda t: t[0].plus(t[1])),
+    st.tuples(inner, inner).map(lambda t: t[0].times(t[1])),
+    st.tuples(inner, _SMALL).map(lambda t: t[0].scaled(t[1])),
+    st.tuples(inner, _VEC).map(lambda t: t[0].shifted(_Z2, t[1])),
+    inner.map(lambda f: f.conj()),
+), max_leaves=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_FIELDS)
+def test_field_trees_round_trip(field):
+    assert_same("field", _Z2, load_back("field", _Z2, field.to_descriptor()), field)
 
 
 def test_limit_operator_loads_as_a_config(tmp_path, capsys):
@@ -198,6 +351,28 @@ def test_rejection_message_is_the_best_match(tmp_path, capsys, cfg, line):
     first = run(["geometry", "--config", path], capsys)
     second = run(["geometry", "--config", path], capsys)
     assert first == second == (1, "", line)
+
+
+def _indicator_op(predicate):
+    return {"kind": "multiplication", "field": {"type": "indicator", "predicate": predicate}}
+
+
+@pytest.mark.parametrize("operator, where", [
+    # an integer modulus reached SublatticePredicate and raised a TypeError
+    (_indicator_op({"type": "sublattice", "modulus": 2, "residue": 1}),
+     "operator/field/predicate/modulus"),
+    # a stencil entry without a coefficient was parsed as field None
+    ({"kind": "band", "stencil": [{"offset": [1]}]}, "operator/stencil/0"),
+    # a fractional offset was truncated to an integer shift
+    (_indicator_op({"type": "expressionPredicate", "source": "n1", "offset": [0.9]}),
+     "operator/field/predicate/offset/0"),
+], ids=["integer-modulus", "stencil-without-coeff", "fractional-offset"])
+def test_descriptors_the_parsers_cannot_take_are_rejected(tmp_path, capsys, operator, where):
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": operator, "sequences": [{"v": [1]}]})
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"config rejected at {where}: ")
+    assert "Traceback" not in err
 
 
 def test_unreadable_config_is_an_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ from limitops import (
     build_partition,
     geometry_profile,
     separated_net,
+    space_from_descriptor,
 )
 from limitops.cli import _dumps
 
@@ -109,9 +110,9 @@ def test_graph_points_must_be_nodes():
 
 def test_space_descriptor_roundtrip(z2):
     d = z2.to_descriptor()
-    assert Space.from_descriptor(d) == z2
+    assert space_from_descriptor(d) == z2
     g = Space(kind="graph", adjacency={0: [1], 1: [0]}, basepoint=0)
-    assert Space.from_descriptor(g.to_descriptor()) == g
+    assert space_from_descriptor(g.to_descriptor()) == g
 
 
 # -- windows -----------------------------------------------------------------
