@@ -188,50 +188,98 @@ def min_eig_banded(ab):
 def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
     """Smallest singular value of (T - z E) for each z, as the square root of
     the smallest eigenvalue of the banded Gram matrix
-    G(z) = (T - z E)^H (T - z E) (``min_eig_banded``, clamped at 0).
+    G(z) = (T - z E)^H (T - z E) = T^H T - conj(z) S - z S^H + |z|^2 I
+    (``min_eig_banded``, clamped at 0).
 
     gram_bands holds the lower banded storage (band i, column j) of T^H T;
     slice_lower[i, j] = S[j+i, j] and slice_upper[i, j] = S[j, j+i] are the
     two triangles of the square slice S = E^H T (equal when S is complex
-    symmetric). Every point is computed on its own, so any split of zs gives
-    the same bits.
+    symmetric). Each value depends on its own z and the bands alone, so any
+    split of zs gives the same bits.
 
-    The arithmetic follows the data. When the Gram bands and S are real and
-    S is symmetric (slice_lower == conj(slice_upper)), G(z) = T^H T
-    - 2 Re(z) S + |z|^2 I is real for every z, and each point is factored in
-    float64 (LAPACK dpbtrf, dsbevx); otherwise in complex128 (zpbtrf,
-    zhbevx).
+    The work follows the data. When S is Hermitian
+    (slice_lower == conj(slice_upper)), G(x + iy) = G(x) + y^2 I exactly,
+    and the sweep runs per column x = Re z (``_column_sweep``): one
+    eigenvalue lambda_x of G(x) per column values each of its points as
+    sqrt(max(lambda_x + y^2, 0)). If the Gram bands and S are real as well,
+    as for Delta + V with real V, G(x) is factored in float64 (LAPACK
+    dpbtrf, dsbevx), otherwise in complex128 (zpbtrf, zhbevx). Any other
+    slice is swept point by point in complex128.
 
-    With tau given, one banded Cholesky factorisation of G(z) - tau^2 I
-    decides first. It succeeds exactly when the smallest eigenvalue of G(z)
+    With tau given, one banded Cholesky factorisation of G - tau^2 I
+    decides first. It succeeds exactly when the smallest eigenvalue of G
     exceeds tau^2 (Sylvester's law of inertia), and then the entry is inf:
     sigma_min > tau is certified up to the rounding of that factorisation,
-    and no value is computed. Only the other points are valued. A -1.0 entry
-    flags non-finite input (z, or an entry of the bands).
+    and no value is computed. Only the other points are valued. On the
+    column path the gate runs once per column, on G(x); a point with
+    y^2 > tau^2 reads inf with no factorisation (sigma_min >= |Im z|, as
+    G(x) is positive semi-definite), and a point of a column whose gate
+    fails reads inf where lambda_x + y^2 > tau^2. A -1.0 entry flags
+    non-finite input (z, or an entry of the bands).
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     gb, sl, su = (np.ascontiguousarray(a, dtype=np.complex128)
                   for a in (gram_bands, slice_lower, slice_upper))
     su_c = np.conj(su)
-    real = not (gb.imag.any() or sl.imag.any()) and np.array_equal(sl, su_c)
-    if real:
-        gb, sl = gb.real.copy(), sl.real.copy()
     tau2 = None if tau is None else float(tau) ** 2
+    if np.array_equal(sl, su_c):
+        if not (gb.imag.any() or sl.imag.any()):
+            gb, sl = gb.real.copy(), sl.real.copy()
+        return _column_sweep(gb, sl, zs, tau2)
     out = np.empty(zs.size)
     for iz, z in enumerate(zs):
-        base = gb - 2 * z.real * sl if real else gb - np.conj(z) * sl - z * su_c
+        base = gb - np.conj(z) * sl - z * su_c
         base[0] += (z * np.conj(z)).real
         try:
-            if tau2 is not None:
-                work = base.copy(order="F")
-                work[0] -= tau2
-                try:
-                    cholesky_banded(work, lower=True)
-                    out[iz] = np.inf
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
-            out[iz] = np.sqrt(max(min_eig_banded(base), 0.0))
+            if tau2 is not None and _gate(base, tau2):
+                out[iz] = np.inf
+            else:
+                out[iz] = np.sqrt(max(min_eig_banded(base), 0.0))
         except ValueError:
             out[iz] = -1.0
+    return out
+
+
+def _gate(base, tau2):
+    """Whether G - tau2 I has a banded Cholesky factor, i.e. the smallest
+    eigenvalue of G (lower band storage in ``base``, left untouched)
+    exceeds tau2. Raises ValueError on non-finite input."""
+    work = base.copy(order="F")
+    work[0] -= tau2
+    try:
+        cholesky_banded(work, lower=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _column_sweep(gb, sl, zs, tau2):
+    """``sigma_min_sweep`` for a Hermitian slice S, where
+    G(x + iy) = G(x) + y^2 I with G(x) = T^H T - 2 x S + x^2 I: at most one
+    gate and one eigenvalue per distinct Re z. tau2 is tau^2 or None."""
+    out = np.full(zs.size, -1.0)
+    y2 = zs.imag ** 2
+    live = np.isfinite(zs)
+    # a non-finite band entry must reach LAPACK at every point, to be flagged
+    if tau2 is not None and np.isfinite(gb).all() and np.isfinite(sl).all():
+        far = live & (y2 > tau2)
+        out[far] = np.inf
+        live &= ~far
+    idx = np.flatnonzero(live)
+    # + 0.0 maps -0.0 to 0.0, so a column never depends on which one a chunk holds
+    xs, col = np.unique(zs.real[idx] + 0.0, return_inverse=True)
+    for x, members in zip(xs, cell_members(col, xs.size)):
+        pts = idx[members]
+        base = gb - 2 * x * sl
+        base[0] += x * x
+        try:
+            if tau2 is not None and _gate(base, tau2):
+                out[pts] = np.inf
+                continue
+            lam = min_eig_banded(base) + y2[pts]
+        except ValueError:
+            continue  # G(x) is not finite: the points keep their -1.0 flag
+        out[pts] = np.sqrt(np.maximum(lam, 0.0))
+        if tau2 is not None:
+            out[pts[lam > tau2]] = np.inf
     return out

@@ -44,6 +44,19 @@ def _locate_keys(space, keys, pts):
     return np.append(near, -1)[PointLocator(keys[near]).locate(pts)]  # a miss stays -1
 
 
+def _int_offset(v):
+    """The entries of an offset vector as ints; a non-integer entry is
+    refused, not truncated."""
+    v = tuple(v)
+    try:
+        out = tuple(int(c) for c in v)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != v:
+        raise InvalidConfigError(f"offset {list(v)} must have integer entries")
+    return out
+
+
 def _apply_shift(space, pts, v):
     out = pts + np.asarray(v, dtype=np.int64)[None, :]
     if space.fiber > 1:
@@ -445,7 +458,7 @@ class ExpressionPredicate(Predicate):
 
     def __init__(self, source, offset=None):
         self.expression = source if isinstance(source, Expression) else Expression(source)
-        self.offset = tuple(offset) if offset else None
+        self.offset = _int_offset(offset) if offset else None
 
     def test(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
@@ -616,11 +629,12 @@ class _GenericShifted(Field):
     """Fallback shift wrapper for fields without a closed-form translate."""
 
     def __init__(self, base, offset):
+        offset = _int_offset(offset)
         if isinstance(base, _GenericShifted):
             offset = tuple(a + b for a, b in zip(base.offset, offset))
             base = base.base
         self.base = base
-        self.offset = tuple(int(c) for c in offset)
+        self.offset = offset
 
     @property
     def exact(self):

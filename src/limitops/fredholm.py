@@ -378,8 +378,10 @@ def _banded_data(B, radius):
 
 def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
     """Run the banded sweep over fixed-size chunks of the grid, on up to
-    ``threads`` threads. Every point is computed on its own, so results are
-    identical for any --threads value. Non-finite input raises."""
+    ``threads`` threads. Each value depends on its own point and the bands
+    alone (a column of a Hermitian slice cut by a chunk boundary is valued
+    once on each side, with the same bits), so results are identical for
+    any chunk size and --threads value. Non-finite input raises."""
     gb, sl, su, _, _ = bands
     pieces = [zs[i : i + chunk] for i in range(0, zs.size, chunk)]
 
@@ -404,19 +406,22 @@ def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
 def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     """min(nu_window(B - z), nu_window((B - z)*)) over the grid, via the
     banded sweep. The bands come straight from the stencil
-    (``_banded_data``), O(n |stencil|^2), for B and for its adjoint, and two
-    exact symmetries are read off them, which cut the work up to fourfold:
-    bands with no imaginary part give sigma(z) = sigma(conj z), so each
-    conjugate pair is swept once; adjoint bands equal to B's make the adjoint
-    pass the direct pass at conj z, so both run as one pass over the distinct
-    points of zs and conj zs. Equal bands give equal bits, so the folds never
-    change a value.
+    (``_banded_data``), O(n |stencil|^2), for B and for its adjoint, and
+    three exact symmetries are read off them. Bands with no imaginary part
+    give sigma(z) = sigma(conj z), so each conjugate pair is swept once.
+    Adjoint bands equal to B's make the adjoint pass the direct pass at
+    conj z, so both run as one pass over the distinct points of zs and
+    conj zs. Equal bands give equal bits, so these two folds never change a
+    value. A Hermitian window slice S makes G(x + iy) = G(x) + y^2 I, so
+    the sweep works per column x = Re z: one gate and at most one
+    eigenvalue per column, and no work at all for a point with
+    |Im z| > tau (``_kernels.sigma_min_sweep``). Its values agree with the
+    point-by-point ones up to rounding.
 
     tau=None values every point. With tau given, a point whose value is
-    certified above tau (one banded Cholesky factorisation per pass, see
-    ``_kernels.sigma_min_sweep``) reads inf, and the points at or below tau
-    carry the same values as without tau. Non-finite coefficients or grid
-    points raise InvalidConfigError.
+    certified above tau reads inf, and the points at or below tau carry the
+    same values as without tau. Non-finite coefficients or grid points raise
+    InvalidConfigError.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128).reshape(-1)
 
@@ -498,7 +503,8 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
                           threads=1):
     """Spectrum estimate for a single (limit) operator by the requested or
     auto-selected method. nuGrid indicators read inf at grid points whose
-    window lower norm is certified above tau."""
+    window lower norm is certified above tau. The floquet route caps
+    theta_grid at 512 and reports the capped value in meta["thetaGrid"]."""
     chosen = _auto_method(op) if method == "auto" else method
     if chosen == "floquet":
         theta_grid = min(theta_grid, 512)

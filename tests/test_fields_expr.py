@@ -22,6 +22,7 @@ from limitops import (
     predicate_from_descriptor,
 )
 from limitops.expr import Expression
+from limitops.fields import _GenericShifted
 
 
 def pts1(*xs):
@@ -250,6 +251,28 @@ def test_expression_predicate(z1):
     assert p.test(z1, pts1(-3, -1, 0, 2, 5)).tolist() == [True, False, False, False, True]
     q = p.shifted(z1, (3,))
     assert q.test(z1, pts1(0)).tolist() == [True]  # tests the shifted point 3
+
+
+@pytest.mark.parametrize("offset", [(0.9,), (-0.5,), (np.nan,), (np.inf,), ("1",)])
+def test_non_integer_offsets_are_refused(z1, offset):
+    # an offset is never truncated: 0.9 once tested like offset 0
+    with pytest.raises(InvalidConfigError, match="integer entries"):
+        ExpressionPredicate("n1", offset)
+    with pytest.raises(InvalidConfigError, match="integer entries"):
+        _GenericShifted(ExpressionField("n1"), offset)
+    # shifting an already shifted field checks the new offset before adding it
+    once = _GenericShifted(ExpressionField("n1"), (0.0,))
+    with pytest.raises(InvalidConfigError, match="integer entries"):
+        _GenericShifted(once, offset)
+
+
+def test_integral_offsets_of_any_type_are_accepted(z1):
+    for offset in ((1,), (1.0,), (np.int64(1),), (np.float64(1.0),)):
+        assert ExpressionPredicate("n1", offset).offset == (1,)
+        assert ExpressionPredicate("n1", offset).test(z1, pts1(0)).tolist() == [True]
+        shifted = _GenericShifted(ExpressionField("n1"), offset)
+        assert shifted.offset == (1,)
+        assert np.allclose(shifted.eval(z1, pts1(0, 2)).real, [1, 3])
 
 
 def test_indicator_field(z1):

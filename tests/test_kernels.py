@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from limitops import InvalidConfigError, Space, _kernels as K
+from limitops.fredholm import _sweep_threaded
 
 from conftest import GRID, Z1_FIBER3
 
@@ -343,3 +344,123 @@ def test_sweep_lane_follows_the_data(kind, monkeypatch):
     valued = np.isfinite(out)
     assert np.allclose(out[valued], ref[valued], rtol=1e-5, atol=1e-9)
     assert np.all(ref[~valued] > 0.5)
+
+
+# -- the column fold for Hermitian slices -----------------------------------------
+
+
+def _hermitian_cases():
+    """(name, T) with S = T Hermitian: one real symmetric, one complex."""
+    return [("real", real_symmetric(50, 2, seed=7)),
+            ("complex", banded_random(50, 2, seed=7, hermitian=True))]
+
+
+# 17 columns of 13 points each, sorted by Re z then Im z, Im z = 0 included
+COLUMN_Z = (np.linspace(-4.0, 4.0, 17)[:, None]
+            + 1j * np.linspace(-3.0, 3.0, 13)[None, :]).reshape(-1)
+
+
+def _per_point(gb, sl, su, zs, tau=None):
+    """The point-by-point sweep: a gate on G(z) - tau^2 I, then the smallest
+    eigenvalue of G(z) itself."""
+    out = np.empty(zs.size)
+    for i, z in enumerate(zs):
+        base = _shifted_gram(gb, sl, su, z)
+        if tau is not None:
+            work = base.copy(order="F")
+            work[0] -= tau ** 2
+            try:
+                K.cholesky_banded(work, lower=True)
+                out[i] = np.inf
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        out[i] = np.sqrt(max(K.min_eig_banded(base), 0.0))
+    return out
+
+
+def _bands_of(name, T):
+    gb, sl, su, bw = pack_sweep_inputs(T, 2)
+    if name == "real":
+        gb, sl, su = gb.real, sl.real, su.real
+    return gb, sl, su, bw
+
+
+@pytest.mark.parametrize("name, T", _hermitian_cases())
+def test_column_fold_matches_per_point_path(name, T):
+    gb, sl, su, bw = _bands_of(name, T)
+    folded = K.sigma_min_sweep(gb, sl, su, COLUMN_Z)
+    assert np.abs(folded - _per_point(gb, sl, su, COLUMN_Z)).max() <= 1e-12
+    ref = np.array([np.linalg.svd(T - z * np.eye(50), compute_uv=False)[-1]
+                    for z in COLUMN_Z])
+    assert np.allclose(folded, ref, rtol=1e-5, atol=1e-9)
+    # a real symmetric slice keeps the bits of the point-by-point path on
+    # the real axis
+    if name == "real":
+        axis = COLUMN_Z.imag == 0
+        assert np.array_equal(folded[axis], _per_point(gb, sl, su, COLUMN_Z[axis]))
+
+
+@pytest.mark.parametrize("name, T", _hermitian_cases())
+def test_column_fold_keeps_cloud_membership(name, T):
+    gb, sl, su, bw = _bands_of(name, T)
+    full = _per_point(gb, sl, su, COLUMN_Z)
+    # tau halfway across a gap wider than rounding, as in
+    # test_sweep_gate_keeps_cloud_values
+    s = np.sort(full)
+    k = s.size // 4 + np.argmax(np.diff(s[s.size // 4:]) > 1e-9)
+    tau = 0.5 * (s[k] + s[k + 1])
+    folded = K.sigma_min_sweep(gb, sl, su, COLUMN_Z, tau)
+    ref = _per_point(gb, sl, su, COLUMN_Z, tau)
+    cloud = folded <= tau
+    assert 0 < cloud.sum() < COLUMN_Z.size
+    assert np.array_equal(cloud, ref <= tau)
+    assert np.array_equal(np.isinf(folded), np.isinf(ref))
+    assert np.abs(folded[cloud] - ref[cloud]).max() <= 1e-12
+
+
+def _count_calls(monkeypatch):
+    """Count the sweep's gate (banded Cholesky) and eigenvalue calls."""
+    calls = {"gate": 0, "eig": 0}
+
+    def counting(key, fn):
+        def wrapped(ab, *args, **kwargs):
+            calls[key] += 1
+            return fn(ab, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(K, "cholesky_banded", counting("gate", K.cholesky_banded))
+    monkeypatch.setattr(K, "min_eig_banded", counting("eig", K.min_eig_banded))
+    return calls
+
+
+@pytest.mark.parametrize("name, T", _hermitian_cases())
+def test_column_fold_gates_each_column_once(name, T, monkeypatch):
+    gb, sl, su, bw = _bands_of(name, T)
+    tau = 0.8
+    calls = _count_calls(monkeypatch)
+    far = COLUMN_Z[np.abs(COLUMN_Z.imag) > tau]
+    assert far.size and np.all(np.isinf(K.sigma_min_sweep(gb, sl, su, far, tau)))
+    assert calls == {"gate": 0, "eig": 0}
+    out = K.sigma_min_sweep(gb, sl, su, COLUMN_Z, tau)
+    columns = np.unique(COLUMN_Z.real).size
+    # each eigenvalue call follows a failed gate and values a whole column
+    assert 0 < calls["eig"] <= calls["gate"] <= columns
+    assert calls["eig"] >= np.unique(COLUMN_Z.real[np.isfinite(out)]).size
+    assert calls["gate"] + calls["eig"] < COLUMN_Z.size // 4
+    # without tau every column is valued once and no point is gated
+    calls.update(gate=0, eig=0)
+    K.sigma_min_sweep(gb, sl, su, COLUMN_Z)
+    assert calls == {"gate": 0, "eig": columns}
+
+
+@pytest.mark.parametrize("name, T", _hermitian_cases())
+def test_column_fold_bits_ignore_chunks_and_threads(name, T):
+    gb, sl, su, bw = _bands_of(name, T)
+    bands = (gb, sl, su, bw, T.shape[0])
+    for tau in (None, 0.8):
+        runs = [_sweep_threaded(bands, COLUMN_Z, threads, tau, chunk)
+                for chunk in (1, 7, 512) for threads in (1, 8)]
+        # 13-point columns straddle the 7-point chunks
+        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+        assert np.array_equal(runs[0], K.sigma_min_sweep(gb, sl, su, COLUMN_Z, tau))
