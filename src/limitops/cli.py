@@ -570,23 +570,29 @@ def _emit(args, payload, task):
 # -- entry point --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors exiting 1 like every other usage error of
+    the CLI (2 means that every limit extraction diverged)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="limitops",
         description="window-based diagnostics for band operators on lattices",
     )
+    ap.add_argument("task", nargs="?", choices=TASKS, help="the subcommand to run")
+    ap.add_argument("--config", help="path to the JSON config file")
+    ap.add_argument("--out", help="write the report here instead of stdout")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed for seeded random coefficients lacking one")
+    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--print-schema", action="store_true",
                     help="print the config file JSON schema and exit")
-    sub = ap.add_subparsers(dest="task")
-    for name in TASKS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="path to the JSON config file")
-        sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for seeded random coefficients lacking one")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--print-schema", action="store_true")
     return ap
 
 

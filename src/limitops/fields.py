@@ -18,8 +18,8 @@ _U64 = np.uint64
 
 def _pad(space, v, what="point"):
     """Shift vectors and table keys may omit the fiber coordinate; fill it
-    with 0."""
-    v = tuple(int(c) for c in v)
+    with 0. A non-integer entry is refused (``_int_offset``)."""
+    v = _int_offset(v, what)
     if len(v) == space.dim and space.fiber > 1:
         v = v + (0,)
     if len(v) != space.point_arity:
@@ -44,16 +44,17 @@ def _locate_keys(space, keys, pts):
     return np.append(near, -1)[PointLocator(keys[near]).locate(pts)]  # a miss stays -1
 
 
-def _int_offset(v):
-    """The entries of an offset vector as ints; a non-integer entry is
-    refused, not truncated."""
+def _int_offset(v, what="offset"):
+    """The entries of an integer vector (offset, shift, point, period,
+    modulus) as ints; a non-integer entry is refused, not truncated, and an
+    integral float such as 1.0 is accepted."""
     v = tuple(v)
     try:
-        out = tuple(int(c) for c in v)
+        out = tuple(map(int, v))
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or out != v:
-        raise InvalidConfigError(f"offset {list(v)} must have integer entries")
+    if out != v:
+        raise InvalidConfigError(f"{what} {list(v)} must have integer entries")
     return out
 
 
@@ -140,7 +141,7 @@ class PeriodicField(Field):
         self.values = np.asarray(values, dtype=np.complex128)
         if period is None:
             period = self.values.shape
-        self.period = tuple(int(p) for p in period)
+        self.period = _int_offset(period, "period")
         if any(p < 1 for p in self.period):
             raise InvalidConfigError("periods must be positive")
 
@@ -237,7 +238,8 @@ class TableField(Field):
 
     def __init__(self, entries, default=0.0):
         self.default = complex(default)
-        self.entries = {tuple(int(c) for c in k): complex(val) for k, val in entries.items()}
+        self.entries = {_int_offset(k, "table key"): complex(val)
+                        for k, val in entries.items()}
 
     def eval(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
@@ -406,12 +408,13 @@ class SublatticePredicate(Predicate):
     """x == residue (mod modulus), per lattice axis."""
 
     def __init__(self, modulus, residue=None):
-        self.modulus = tuple(int(m) for m in modulus)
+        self.modulus = _int_offset(modulus, "modulus")
         if any(m < 1 for m in self.modulus):
             raise InvalidConfigError("moduli must be positive")
         if residue is None:
             residue = (0,) * len(self.modulus)
-        self.residue = tuple(int(r) % m for r, m in zip(residue, self.modulus))
+        self.residue = tuple(r % m for r, m in
+                             zip(_int_offset(residue, "residue"), self.modulus))
 
     def test(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
@@ -432,7 +435,7 @@ class SublatticePredicate(Predicate):
 
 class FiniteSetPredicate(Predicate):
     def __init__(self, points):
-        self.points = {tuple(int(c) for c in p) for p in points}
+        self.points = {_int_offset(p, "point") for p in points}
 
     def test(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)

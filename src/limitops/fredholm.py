@@ -23,10 +23,11 @@ from .operator import (
     _abs_diagonal,
     _distinct_sorted,
     _points,
+    _real_lane,
     window_norm,
 )
 from .shifts import DivergenceReport, limit_operator
-from .space import Window
+from .space import Window, basepoint_windows
 from .subspace import hat
 
 FAMILY_CAVEAT = (
@@ -180,7 +181,7 @@ def lower_norm_window(B, support, p=2, rows=None):
     if M.shape[0] < M.shape[1]:
         return 0.0
     if p == 2:
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
+        return float(np.linalg.svd(_real_lane(M), compute_uv=False)[-1])
     return _lower_norm_p(M, p)
 
 
@@ -552,17 +553,16 @@ def compactness_test(A, sequences, radii=(5, 10, 20), tol=1e-9, budget=2 ** 20,
     window norm on every certified radius."""
     if not sequences:
         raise InvalidConfigError("compactness test needs at least one sequence")
-    space = A.space
     limits, divergences = _extract_limits(A, sequences, radii, min(tol, 1e-9),
                                           budget, p)
+    window = basepoint_windows(A.space)
     per_seq = []
     worst = 0.0
     for lim in limits:
         omega = lim.op.propagation
         norms = []
         for r in sorted(radii):
-            g = window_norm(lim.op, Window(space, space.basepoint, r),
-                            Window(space, space.basepoint, r + omega), p)
+            g = window_norm(lim.op, window(r), window(r + omega), p)
             norms.append(float(g if p == 2 else g[1]))
         worst = max(worst, max(norms))
         per_seq.append({
@@ -690,14 +690,13 @@ def ess_norm_estimate(A, proj, sequences, schedule=(25, 50, 100),
                       "general projections give a heuristic only")
     A_hat = hat(A, proj) if proj is not None else A
     limits, divergences = _extract_limits(A_hat, sequences, radii, tol, budget)
-    space = A_hat.space
+    window = basepoint_windows(A_hat.space)
     lowers, uppers, per_limit = [], [], []
     for lim in limits:
         omega = lim.op.propagation
         lo = 0.0
         for r in schedule:
-            g = window_norm(lim.op, Window(space, space.basepoint, r),
-                            Window(space, space.basepoint, r + omega), 2)
+            g = window_norm(lim.op, window(r), window(r + omega), 2)
             lo = max(lo, g)
         up, certified = lim.op.norm_bound()
         lowers.append(lo)

@@ -6,8 +6,9 @@ shifts and indicator restrictions all stay in this class, with propagation
 tracked structurally (exact for sums/adjoints, upper bound for products).
 Window blocks are assembled densely. p = 2 window norms are largest
 singular values: read off the diagonal for multiplication operators
-(propagation 0), from a dense SVD otherwise. Other exponents get certified
-intervals (sampled lower bound, row/column interpolation upper bound).
+(propagation 0), from a dense SVD otherwise; a block with no imaginary part
+goes to LAPACK in float64. Other exponents get certified intervals (sampled
+lower bound, row/column interpolation upper bound).
 """
 
 import warnings
@@ -140,12 +141,12 @@ class BandOperator:
         M = np.zeros((rows_pts.shape[0], cols_pts.shape[0]), dtype=np.complex128)
         if not rows_pts.size or not cols_pts.size:
             return M
-        loc = PointLocator(cols_pts)
+        locate = _locate(cols)
         for k, f in self.stencil.items():
             shifted = rows_pts + np.asarray(k, dtype=np.int64)[None, :]
             if self.space.fiber > 1:
                 shifted[:, -1] %= self.space.fiber
-            idx = loc.locate(shifted)
+            idx = locate(shifted)
             ok = idx >= 0
             if ok.any():
                 M[np.nonzero(ok)[0], idx[ok]] += f.eval(self.space, rows_pts[ok])
@@ -198,6 +199,18 @@ class BandOperator:
 
 def _points(pts):
     return pts.points if isinstance(pts, Window) else np.asarray(pts)
+
+
+def _locate(pts):
+    """Lookup of query rows in a window (its cached locator) or a point
+    array."""
+    return pts.locate if isinstance(pts, Window) else PointLocator(_points(pts)).locate
+
+
+def _real_lane(M):
+    """A complex block as float64 when no entry has an imaginary part, so
+    LAPACK runs in real arithmetic; the block itself otherwise."""
+    return M if M.imag.any() else np.ascontiguousarray(M.real)
 
 
 def _abs_diagonal(A, pts):
@@ -281,15 +294,17 @@ def _distinct_sorted(pts):
     return None if (pts[1:] == pts[:-1]).all(axis=1).any() else pts
 
 
-def _diagonal_norm(A, rows_pts, cols_pts):
+def _diagonal_norm(A, rows, cols):
     """max |c(u)| over the points rows and cols share, for a multiplication
     operator; None where the dense SVD must decide (a repeated point, or a
-    non-finite value)."""
+    non-finite value). Window points are distinct by construction."""
+    rows_pts, cols_pts = _points(rows), _points(cols)
     if not (rows_pts.size and cols_pts.size):
         return 0.0
-    if _distinct_sorted(rows_pts) is None or _distinct_sorted(cols_pts) is None:
-        return None
-    shared = rows_pts[PointLocator(cols_pts).locate(rows_pts) >= 0]
+    for w in (rows, cols):
+        if not isinstance(w, Window) and _distinct_sorted(_points(w)) is None:
+            return None
+    shared = rows_pts[_locate(cols)(rows_pts) >= 0]
     c = _abs_diagonal(A, shared)
     if not np.isfinite(c).all():
         return None
@@ -304,19 +319,26 @@ def window_norm(A, rows, cols, p=2):
     over the points rows and cols share, without forming the block; it
     equals the SVD value bitwise for real coefficients and to rounding for
     complex ones. Other operators, repeated points and non-finite
-    coefficients (so that the SVD's error surfaces) take a dense SVD.
+    coefficients (so that the SVD's error surfaces) take a dense SVD, in
+    float64 when the block has no imaginary part.
     Other p in (1, inf): certified interval (lower, upper).
     """
     if p == 2 and A.propagation == 0 and A.space.kind == "lattice":
-        g = _diagonal_norm(A, _points(rows), _points(cols))
+        g = _diagonal_norm(A, rows, cols)
         if g is not None:
             return g
     M = A.block(rows, cols)
     if p == 2:
-        if M.size == 0 or not np.any(M):
-            return 0.0
-        return float(np.linalg.svd(M, compute_uv=False)[0])
+        return _sigma_max(M)
     return _pnorm_bounds(M, p)
+
+
+def _sigma_max(M):
+    """Largest singular value of a dense block; exactly 0.0 for an empty or
+    all-zero one."""
+    if M.size == 0 or not np.any(M):
+        return 0.0
+    return float(np.linalg.svd(_real_lane(M), compute_uv=False)[0])
 
 
 def commutator_stack_norm(A, partition, scope, p=2):
@@ -342,7 +364,8 @@ def commutator_stack_norm(A, partition, scope, p=2):
     hi = np.maximum(hi_r, cpts[:, : space.dim].max(axis=0))
     tents = partition.tents_meeting(lo, hi)
     if p == 2:
-        G = np.zeros((cpts.shape[0], cpts.shape[0]), dtype=np.complex128)
+        block = _real_lane(block)
+        G = np.zeros((cpts.shape[0], cpts.shape[0]), dtype=block.dtype)
         for j in tents:
             pc = partition.root_values(j, cpts, 2)
             pr = partition.root_values(j, rpts, 2)
@@ -413,7 +436,7 @@ def restricted_norm(A, predicate, scope, p=2):
     rows = scope.pad(A.propagation)
     M = A.block(rows, cols)
     if p == 2:
-        return float(np.linalg.svd(M, compute_uv=False)[0]) if np.any(M) else 0.0
+        return _sigma_max(M)
     return _pnorm_bounds(M, p)
 
 
@@ -440,9 +463,6 @@ def localized_norm(A, predicate, partition, scope, p=2):
         seen.add(key)
         M = A.block(rows, pts[mask])
         if np.any(M):
-            if p == 2:
-                best = max(best, float(np.linalg.svd(M, compute_uv=False)[0]))
-            else:
-                best = max(best, _pnorm_bounds(M, p)[0])
+            best = max(best, _sigma_max(M) if p == 2 else _pnorm_bounds(M, p)[0])
     return best
 

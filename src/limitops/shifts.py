@@ -36,7 +36,7 @@ from .fields import (
     _normalize_shift,
 )
 from .operator import BandOperator, window_norm
-from .space import Window
+from .space import Window, basepoint_windows
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,11 @@ class LimitOperator:
         from the recorded gaps."""
         bound = seq.bind(A.space)
         omega = max(A.propagation, self.op.propagation)
+        window = basepoint_windows(A.space)
         worst = 0.0
         for radius, n, gap in self.certificate:
             diff = conjugate(A, bound.point(n)) - self.op
-            g = window_norm(diff, Window(A.space, A.space.basepoint, radius),
-                            Window(A.space, A.space.basepoint, radius + omega), p)
+            g = window_norm(diff, window(radius), window(radius + omega), p)
             worst = max(worst, abs(g - gap))
         return worst
 
@@ -337,16 +337,6 @@ def _schedule(budget):
         n *= 2
 
 
-def _gap(A_shifted, candidate, space, radius, omega, p):
-    diff = A_shifted - candidate
-    return window_norm(
-        diff,
-        Window(space, space.basepoint, radius),
-        Window(space, space.basepoint, radius + omega),
-        p,
-    )
-
-
 def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     """Limit of the conjugates of A along the sequence, or a divergence
     report.
@@ -364,6 +354,9 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     bound = seq.bind(space)
     radii = sorted(radii)
     omega = A.propagation
+    # the gap windows of each radius, built once for the whole scan
+    window = basepoint_windows(space)
+    pairs = {r: (window(r), window(r + omega)) for r in radii}
 
     analytic = None
     if isinstance(bound, _BoundRay):
@@ -372,8 +365,8 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
             if all(v is not None for v in limits.values()):
                 analytic = BandOperator(space, limits)
         except _Divergent as d:
-            g = _gap(conjugate(A, bound.point(d.n1)), conjugate(A, bound.point(d.n2)),
-                     space, radii[-1], omega, p)
+            g = window_norm(conjugate(A, bound.point(d.n1)) - conjugate(A, bound.point(d.n2)),
+                            *pairs[radii[-1]], p)
             return DivergenceReport(
                 sequence_label=bound.label,
                 witness_indices=(d.n1, d.n2),
@@ -388,7 +381,7 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
         for radius in radii:
             best = np.inf
             for n in _schedule(budget):
-                g = _gap(conjugate(A, bound.point(n)), analytic, space, radius, omega, p)
+                g = window_norm(conjugate(A, bound.point(n)) - analytic, *pairs[radius], p)
                 g = g if p == 2 else g[1]
                 if g < best:
                     best = g
@@ -403,7 +396,7 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
 
     # numeric path
     maxrad = radii[-1]
-    sample = Window(space, space.basepoint, maxrad + omega)
+    sample = window(maxrad + omega)
     prev_idx, prev = None, None
     settled_at = None
     last_gaps = None
@@ -414,7 +407,7 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
         if prev is not None:
             gaps = []
             for radius in radii:
-                g = _gap(cur, prev, space, radius, omega, p)
+                g = window_norm(cur - prev, *pairs[radius], p)
                 gaps.append(g if p == 2 else g[1])
             last_gaps = (prev_idx, n, gaps)
             if max(gaps) <= tol:
@@ -449,7 +442,7 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     limit = BandOperator(space, stencil)
     cert = []
     for radius in radii:
-        g = _gap(final, limit, space, radius, omega, p)
+        g = window_norm(final - limit, *pairs[radius], p)
         cert.append((radius, settled_at, float(g if p == 2 else g[1])))
     msg = ("coefficients sampled on the certificate windows; values beyond "
            "radius %d are extrapolated" % (maxrad + omega))
@@ -496,16 +489,15 @@ def limit_algebra_check(A, B, seq, radii=(5, 10, 20), tol=1e-8, p=2):
     lp = limit_operator(A @ B, seq, radii=radii, tol=tol, p=p)
     if isinstance(lp, DivergenceReport):
         return lp
-    space = A.space
+    window = basepoint_windows(A.space)
     sum_defects, prod_defects = [], []
     omega_s = max(ls.op.propagation, (la.op + lb.op).propagation)
     omega_p = max(lp.op.propagation, (la.op @ lb.op).propagation)
     for radius in radii:
-        ws = Window(space, space.basepoint, radius)
-        ds = window_norm(ls.op - (la.op + lb.op), ws,
-                         Window(space, space.basepoint, radius + omega_s), p)
-        dp = window_norm(lp.op - (la.op @ lb.op), ws,
-                         Window(space, space.basepoint, radius + omega_p), p)
+        ds = window_norm(ls.op - (la.op + lb.op), window(radius),
+                         window(radius + omega_s), p)
+        dp = window_norm(lp.op - (la.op @ lb.op), window(radius),
+                         window(radius + omega_p), p)
         sum_defects.append(float(ds if p == 2 else ds[1]))
         prod_defects.append(float(dp if p == 2 else dp[1]))
     combined = 2 * tol

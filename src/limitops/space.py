@@ -16,7 +16,7 @@ points rather than O(n^2).
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, product
 from math import comb
 
@@ -348,7 +348,9 @@ class Window:
     """A closed metric ball used as a finite scope.
 
     Points materialize lazily (in the deterministic breadth-first order), so a
-    window can describe a large scope without ever enumerating it.
+    window can describe a large scope without ever enumerating it. They are
+    distinct and read-only: one window, with its cached points and locator,
+    can serve every block of a scan.
     """
 
     space: Space
@@ -366,6 +368,7 @@ class Window:
     def points(self):
         if self._points is None:
             self._points = self.space.ball(self.center, self.radius)
+            self._points.flags.writeable = False
         return self._points
 
     @property
@@ -397,6 +400,12 @@ class Window:
         if self._locator is None:
             self._locator = _kernels.PointLocator(self.points)
         return self._locator.locate(self.space.as_array(pts))
+
+
+def basepoint_windows(space):
+    """radius -> Window(space, basepoint, radius), each built once, so a scan
+    over radii enumerates and indexes every window's points once."""
+    return cache(lambda radius: Window(space, space.basepoint, radius))
 
 
 def geometry_profile(space, r_max, probe):

@@ -317,6 +317,36 @@ def test_no_task_is_an_error(capsys):
     assert "task" in err
 
 
+@pytest.mark.parametrize("argv", [["nosuch"], ["geometry", "--threads", "x"],
+                                  ["geometry", "--format", "xml"], ["geometry", "--bogus"]])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse would exit 2, the code that says every limit extraction diverged
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: limitops") and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fredholm", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: limitops") and "--config" in out
+
+
+def test_usage_error_exit_code_of_the_process():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "limitops.cli", "nosuch"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert "invalid choice" in proc.stderr
+
+
 def test_missing_config_is_an_error(capsys):
     code, _, err = run(["geometry"], capsys)
     assert code == 1

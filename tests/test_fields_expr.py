@@ -275,6 +275,36 @@ def test_integral_offsets_of_any_type_are_accepted(z1):
         assert np.allclose(shifted.eval(z1, pts1(0, 2)).real, [1, 3])
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.7, np.nan, np.inf, "1"])
+def test_non_integer_vectors_are_refused_not_truncated(z1, bad):
+    # each of these once truncated: a shift by 0.5 acted as a shift by 0, a
+    # modulus 2.5 became 2 and a period 2.7 became 2
+    with pytest.raises(InvalidConfigError, match="shift .* must have integer entries"):
+        ExpressionField("n1").shifted(z1, (bad,))
+    with pytest.raises(InvalidConfigError, match="modulus .* must have integer entries"):
+        SublatticePredicate((bad,))
+    with pytest.raises(InvalidConfigError, match="residue .* must have integer entries"):
+        SublatticePredicate((2,), (bad,))
+    with pytest.raises(InvalidConfigError, match="period .* must have integer entries"):
+        PeriodicField([1, 2, 3], period=(bad,))
+    with pytest.raises(InvalidConfigError, match="table key .* must have integer entries"):
+        TableField({(bad,): 1.0})
+    with pytest.raises(InvalidConfigError, match="point .* must have integer entries"):
+        FiniteSetPredicate({(bad,)})
+    with pytest.raises(InvalidConfigError, match="must have integer entries"):
+        SublatticePredicate((2,)).shifted(z1, (bad,))
+
+
+def test_integral_vectors_of_any_type_are_accepted(z1):
+    for one in (1, 1.0, np.int64(1), np.float64(1.0)):
+        assert np.allclose(ExpressionField("n1").shifted(z1, (one,)).eval(z1, pts1(0)).real, 1)
+        assert SublatticePredicate((2 * one,), (one,)).modulus == (2,)
+        assert SublatticePredicate((2 * one,), (one,)).residue == (1,)
+        assert PeriodicField([1, 2, 3], period=(3 * one,)).period == (3,)
+        assert TableField({(one,): 5.0}).eval(z1, pts1(1)).tolist() == [5.0]
+        assert FiniteSetPredicate({(one,)}).test(z1, pts1(0, 1)).tolist() == [False, True]
+
+
 def test_indicator_field(z1):
     f = IndicatorField(SublatticePredicate((2,)))
     assert np.allclose(f.eval(z1, pts1(0, 1, 2)).real, [1, 0, 1])

@@ -117,13 +117,19 @@ STRUCTURED_SPACES = [
 STRUCTURED_IDS = ["z1", "z1-fiber3", "z2-linf", "z2-l1"]
 
 
+def _svdvals(M):
+    """Singular values on the library's lane: a block with no imaginary part
+    goes to LAPACK in float64."""
+    return np.linalg.svd(M if M.imag.any() else M.real, compute_uv=False)
+
+
 def _dense_lower(B, pts):
-    return float(np.linalg.svd(_tall_block(B, pts), compute_uv=False)[-1])
+    return float(_svdvals(_tall_block(B, pts))[-1])
 
 
 def _dense_norm(A, rows, cols):
     M = A.block(rows, cols)
-    return float(np.linalg.svd(M, compute_uv=False)[0]) if np.any(M) else 0.0
+    return float(_svdvals(M)[0]) if np.any(M) else 0.0
 
 
 def _supports(space):

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import limitops.fredholm
+import limitops.operator
 from limitops import (
     BandOperator,
     ConstantField,
     Space,
     ExpressionField,
+    FullPredicate,
     HalfspacePredicate,
+    IndicatorField,
     InvalidConfigError,
     PeriodicField,
     TruncationError,
@@ -20,6 +24,7 @@ from limitops import (
     identity,
     laplacian_stencil,
     localized_norm,
+    lower_norm_window,
     multiplication,
     operator_from_descriptor,
     restricted_norm,
@@ -207,6 +212,109 @@ def test_restricted_norm_empty_predicate_warns(z1):
     with pytest.warns(UserWarning):
         got = restricted_norm(A, HalfspacePredicate((1,), 10**9), window(z1, 5))
     assert got == 0.0
+
+
+# -- the float64 lane of dense p = 2 norms -------------------------------------
+
+
+def _record_dtypes(monkeypatch, name):
+    """The dtype of every array handed to np.linalg.<name> from now on."""
+    seen = []
+    orig = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+def _complex_lane(monkeypatch):
+    """Hand every dense block to LAPACK as complex128, as before the lane."""
+    for mod in (limitops.operator, limitops.fredholm):
+        monkeypatch.setattr(mod, "_real_lane", lambda M: M)
+
+
+def _shift_gap(z2, c, x=(3, 0), y=(-3, 0)):
+    """The difference of the conjugates at x and y of I + c S_(0,1) M_H, H a
+    halfspace. Near the origin it is c S_(0,1) when x and y lie on either
+    side of H (a block that is real exactly when c is), and 0 when they lie
+    on one side."""
+    H = multiplication(z2, IndicatorField(HalfspacePredicate((1, 0), 0)))
+    A = identity(z2) + c * (shift_operator(z2, (0, 1)) @ H)
+    return A.translated(x) - A.translated(y)
+
+
+@pytest.mark.parametrize("c, dtype", [(0.3, np.float64), (0.3 + 0.2j, np.complex128)])
+def test_window_norm_hands_real_blocks_to_lapack_in_float64(z2, monkeypatch, c, dtype):
+    D = _shift_gap(z2, c)
+    rows, cols = window(z2, 4), window(z2, 5)
+    block = D.block(rows, cols)
+    assert block.dtype == np.complex128  # blocks stay complex
+    ref = float(np.linalg.svd(block, compute_uv=False)[0])
+    seen = _record_dtypes(monkeypatch, "svd")
+    got = window_norm(D, rows, cols)
+    assert seen == [dtype]
+    assert got > 0.1
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode, dtype", [("real", np.float64), ("phase", np.complex128)])
+def test_commutator_of_a_real_operator_runs_in_float64(z2, monkeypatch, mode, dtype):
+    A = laplacian(z2) + multiplication(z2, SeededRandomField(31, mode=mode))
+    scope = window(z2, 3)
+    part = build_partition(z2, scope.pad(1), 0.5)
+    with monkeypatch.context() as m:
+        _complex_lane(m)
+        ref = commutator_stack_norm(A, part, scope)
+    seen = _record_dtypes(monkeypatch, "eigvalsh")
+    got = commutator_stack_norm(A, part, scope)
+    assert seen == [dtype]
+    assert got > 0.1
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode, dtype", [("real", np.float64), ("phase", np.complex128)])
+def test_dense_norms_hand_real_blocks_to_lapack_in_float64(z1, monkeypatch, mode, dtype):
+    A = laplacian(z1) + multiplication(z1, SeededRandomField(32, mode=mode))
+    scope = window(z1, 12)
+    part = build_partition(z1, scope.pad(1), 0.5)
+    pred = HalfspacePredicate((1,), 0)
+    calls = [
+        lambda: restricted_norm(A, pred, scope),
+        lambda: localized_norm(A, pred, part, scope),
+        # explicit rows: the dense fallback of the lower norm
+        lambda: lower_norm_window(A, window(z1, 5), rows=window(z1, 6)),
+    ]
+    for call in calls:
+        with monkeypatch.context() as m:
+            _complex_lane(m)
+            ref = call()
+        with monkeypatch.context() as m:
+            seen = _record_dtypes(m, "svd")
+            got = call()
+        assert seen and set(seen) == {np.dtype(dtype)}
+        assert got > 0.1
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_all_zero_blocks_give_exactly_zero_without_an_svd(z2, monkeypatch):
+    far = BandOperator(z2, {(0, 1): TableField({(50, 50): 1.0})})
+    assert far.propagation == 1
+    w = window(z2, 3)
+    seen = _record_dtypes(monkeypatch, "svd")
+    for got in (window_norm(far, w, w.pad(1)), restricted_norm(far, FullPredicate(), w),
+                window_norm(_shift_gap(z2, 0.3, y=(4, 0)), window(z2, 2), window(z2, 3))):
+        assert type(got) is float and got == 0.0
+    assert seen == []
+
+
+def test_window_points_are_read_only(z2):
+    w = window(z2, 2)
+    with pytest.raises(ValueError):
+        w.points[0, 0] = 7
+    assert w.points[0].tolist() == [0, 0]
 
 
 # -- commutators with partition multipliers --------------------------------------

@@ -12,6 +12,7 @@ from limitops import (
     PeriodicField,
     Ray,
     SeededRandomField,
+    Space,
     Subsequence,
     TableField,
     conjugate,
@@ -133,6 +134,31 @@ def test_numeric_limit_of_decaying_perturbation(z1):
     assert np.allclose(out.op.block(w.points, w.points),
                        laplacian_stencil(z1).block(w.points, w.points), atol=1e-7)
     assert out.certificate[-1][2] <= 1e-8
+
+
+def _ball_calls(monkeypatch):
+    """(center, radius) of every Space.ball call from now on."""
+    calls = []
+    ball = Space.ball
+
+    def counting(self, x, radius):
+        calls.append((tuple(x), radius))
+        return ball(self, x, radius)
+
+    monkeypatch.setattr(Space, "ball", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field, exact", [
+    (TableField({(0, 0): 2.0, (3, 1): -1.0}), True),
+    (ExpressionField("exp(0-abs(n1)/2)"), False),
+], ids=["exact", "numeric"])
+def test_limit_scan_enumerates_each_window_once(z2, monkeypatch, field, exact):
+    A = laplacian_stencil(z2) + multiplication(z2, field)
+    calls = _ball_calls(monkeypatch)
+    out = limit_operator(A, Ray((1, 0)), radii=(2, 3, 4), tol=1e-6)
+    assert out.exact == exact and len(out.certificate) == 3
+    assert calls and len(calls) == len(set(calls)), calls
 
 
 def test_random_coefficients_diverge(z1):
