@@ -12,6 +12,7 @@ import numpy as np
 from ._kernels import PointLocator
 from .errors import InvalidConfigError, InvalidPointError
 from .expr import Expression
+from .space import _int_offset
 
 _U64 = np.uint64
 
@@ -33,6 +34,15 @@ def _normalize_shift(space, v):
     return _pad(space, v, "shift")
 
 
+def _moved_keys(space, keys, v):
+    """The padded keys translated by -v, in order: where a field or set
+    shifted by v keeps what it had at each key."""
+    keys = np.asarray([_pad(space, k) for k in keys], dtype=np.int64)
+    moved = space.translate(keys.reshape(-1, space.point_arity),
+                            np.negative(_normalize_shift(space, v)))
+    return list(map(tuple, moved.tolist()))
+
+
 def _locate_keys(space, keys, pts):
     """Index of each point (int64 rows) among the padded keys, -1 where absent.
     Only the keys inside the points' bounding box are indexed, so keys spread
@@ -42,27 +52,6 @@ def _locate_keys(space, keys, pts):
     near = np.flatnonzero(((keys >= pts.min(axis=0, initial=big.max))
                            & (keys <= pts.max(axis=0, initial=big.min))).all(axis=1))
     return np.append(near, -1)[PointLocator(keys[near]).locate(pts)]  # a miss stays -1
-
-
-def _int_offset(v, what="offset"):
-    """The entries of an integer vector (offset, shift, point, period,
-    modulus) as ints; a non-integer entry is refused, not truncated, and an
-    integral float such as 1.0 is accepted."""
-    v = tuple(v)
-    try:
-        out = tuple(map(int, v))
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out != v:
-        raise InvalidConfigError(f"{what} {list(v)} must have integer entries")
-    return out
-
-
-def _apply_shift(space, pts, v):
-    out = pts + np.asarray(v, dtype=np.int64)[None, :]
-    if space.fiber > 1:
-        out[:, -1] %= space.fiber
-    return out
 
 
 class Field:
@@ -144,6 +133,11 @@ class PeriodicField(Field):
         self.period = _int_offset(period, "period")
         if any(p < 1 for p in self.period):
             raise InvalidConfigError("periods must be positive")
+        if self.values.shape[: len(self.period)] != self.period:
+            raise InvalidConfigError(
+                f"periodic table shape {self.values.shape} does not start with "
+                f"the period {self.period}"
+            )
 
     @property
     def fiber_resolved(self):
@@ -177,9 +171,9 @@ class PeriodicField(Field):
         v = _normalize_shift(space, v)
         rolled = self.values
         for a in range(space.dim):
-            rolled = np.roll(rolled, -v[a] % self.period[a], axis=a)
+            rolled = np.roll(rolled, -v[a], axis=a)
         if self.fiber_resolved and space.fiber > 1:
-            rolled = np.roll(rolled, -(v[-1] % space.fiber), axis=-1)
+            rolled = np.roll(rolled, -v[-1], axis=-1)
         return PeriodicField(rolled, self.period)
 
     def conj(self):
@@ -256,15 +250,8 @@ class TableField(Field):
         return max(vals), True
 
     def shifted(self, space, v):
-        v = _normalize_shift(space, v)
-        moved = {}
-        for k, val in self.entries.items():
-            kk = _pad(space, k)
-            nk = tuple(a - b for a, b in zip(kk, v))
-            if space.fiber > 1:
-                nk = nk[:-1] + ((kk[-1] - v[-1]) % space.fiber,)
-            moved[nk] = val
-        return TableField(moved, self.default)
+        return TableField(dict(zip(_moved_keys(space, self.entries, v), self.entries.values())),
+                          self.default)
 
     def conj(self):
         return TableField({k: np.conj(v) for k, v in self.entries.items()},
@@ -442,15 +429,7 @@ class FiniteSetPredicate(Predicate):
         return _locate_keys(space, {_pad(space, p) for p in self.points}, pts) >= 0
 
     def shifted(self, space, v):
-        v = _normalize_shift(space, v)
-        moved = set()
-        for p in self.points:
-            pp = _pad(space, p)
-            np_ = tuple(a - b for a, b in zip(pp, v))
-            if space.fiber > 1:
-                np_ = np_[:-1] + ((pp[-1] - v[-1]) % space.fiber,)
-            moved.add(np_)
-        return FiniteSetPredicate(moved)
+        return FiniteSetPredicate(_moved_keys(space, self.points, v))
 
     def to_descriptor(self):
         return {"type": "finiteSet", "points": sorted(list(p) for p in self.points)}
@@ -466,7 +445,7 @@ class ExpressionPredicate(Predicate):
     def test(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
         if self.offset is not None:
-            pts = _apply_shift(space, pts, self.offset)
+            pts = space.translate(pts, self.offset)
         vals = self.expression.eval(pts.astype(np.float64))
         return np.real(vals) > 0
 
@@ -645,16 +624,13 @@ class _GenericShifted(Field):
 
     def eval(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
-        return self.base.eval(space, _apply_shift(space, pts, self.offset))
+        return self.base.eval(space, space.translate(pts, self.offset))
 
     def bound(self, space):
         return self.base.bound(space)
 
     def shifted(self, space, v):
-        v = _normalize_shift(space, v)
-        total = tuple(a + b for a, b in zip(self.offset, v))
-        if space.fiber > 1:
-            total = total[:-1] + (total[-1] % space.fiber,)
+        total = tuple(space.translate(self.offset, _normalize_shift(space, v)).tolist())
         if all(c == 0 for c in total):
             return self.base
         return _GenericShifted(self.base, total)

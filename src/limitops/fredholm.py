@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import PointLocator
 from .errors import InvalidConfigError, UnsupportedConstructionError
-from .fields import ConstantField, PeriodicField, _apply_shift
+from .fields import ConstantField, PeriodicField
 from .operator import (
     _abs_diagonal,
     _distinct_sorted,
@@ -113,8 +113,8 @@ def _gram_bands(B, pts):
     space = B.space
     n = pts.shape[0]
     loc = PointLocator(pts)
-    locate = cache(lambda v: loc.locate(_apply_shift(space, pts, np.asarray(v))))
-    cols = [f.eval(space, _apply_shift(space, pts, -np.asarray(k)))
+    locate = cache(lambda v: loc.locate(space.translate(pts, v)))
+    cols = [f.eval(space, space.translate(pts, np.negative(k)))
             for k, f in B.stencil.items()]
     if not all(np.isfinite(c).all() for c in cols):
         return None
@@ -310,7 +310,7 @@ def _bloch_spectrum(op, theta_grid):
     loc, n = PointLocator(cell), cell.shape[0]
     entries = []  # (row, column, coefficient, q) in stencil order
     for k, f in op.stencil.items():
-        tgt = _apply_shift(space, cell, k)
+        tgt = space.translate(cell, k)
         q, tgt[:, :d] = np.divmod(tgt[:, :d], L)
         entries += zip(range(n), loc.locate(tgt), f.eval(space, cell), q)
     per_axis = theta_grid if d == 1 else max(16, int(round(theta_grid ** (1.0 / d))))

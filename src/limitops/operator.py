@@ -12,6 +12,7 @@ lower bound, row/column interpolation upper bound).
 """
 
 import warnings
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,14 +22,13 @@ from ._kernels import PointLocator
 from .space import Window
 
 
-def _offset_length(space, k):
-    d = space.dim
-    vals = [abs(c) for c in k[:d]]
-    base = max(vals) if space.metric == "linf" else sum(vals)
-    if space.fiber > 1:
-        df = abs(k[-1]) % space.fiber
-        base += min(df, space.fiber - df)
-    return base
+# limit scans rebuild operators on every conjugate, sum and difference, so
+# each (space, offset) is normalised once
+@lru_cache(maxsize=4096)
+def _stencil_key(space, k):
+    """An offset as a stencil key: integer entries, padded, the fiber
+    coordinate wrapped into 0..fiber-1."""
+    return tuple(space.translate(_normalize_shift(space, k), 0).tolist())
 
 
 class BandOperator:
@@ -38,9 +38,7 @@ class BandOperator:
         self.space = space
         norm = {}
         for k, f in stencil.items():
-            k = _normalize_shift(space, k)
-            if space.fiber > 1:
-                k = k[:-1] + (k[-1] % space.fiber,)
+            k = _stencil_key(space, k)
             if not isinstance(f, Field):
                 f = ConstantField(f)
             if f.is_zero():
@@ -48,19 +46,18 @@ class BandOperator:
             norm[k] = norm[k].plus(f) if k in norm else f
         self.stencil = {k: norm[k] for k in sorted(norm)}
 
-    @property
+    @cached_property
     def propagation(self):
         if not self.stencil:
             return 0
-        return max(_offset_length(self.space, k) for k in self.stencil)
+        return int(self.space.norm(list(self.stencil)).max())
 
     @property
     def exact(self):
         return all(f.exact for f in self.stencil.values())
 
     def coefficient(self, k):
-        k = _normalize_shift(self.space, k)
-        return self.stencil.get(k, ConstantField(0.0))
+        return self.stencil.get(_stencil_key(self.space, tuple(k)), ConstantField(0.0))
 
     # -- algebra ------------------------------------------------------------
 
@@ -143,10 +140,7 @@ class BandOperator:
             return M
         locate = _locate(cols)
         for k, f in self.stencil.items():
-            shifted = rows_pts + np.asarray(k, dtype=np.int64)[None, :]
-            if self.space.fiber > 1:
-                shifted[:, -1] %= self.space.fiber
-            idx = locate(shifted)
+            idx = locate(self.space.translate(rows_pts, k))
             ok = idx >= 0
             if ok.any():
                 M[np.nonzero(ok)[0], idx[ok]] += f.eval(self.space, rows_pts[ok])
@@ -173,11 +167,9 @@ class BandOperator:
         pts = out_window.points
         out = np.zeros(pts.shape[0], dtype=np.complex128)
         for k, f in self.stencil.items():
-            shifted = pts + np.asarray(k, dtype=np.int64)[None, :]
-            if self.space.fiber > 1:
-                shifted[:, -1] %= self.space.fiber
             src = np.asarray(
-                [fdict.get(tuple(p), 0.0) for p in shifted.tolist()], dtype=np.complex128
+                [fdict.get(tuple(p), 0.0) for p in self.space.translate(pts, k).tolist()],
+                dtype=np.complex128,
             )
             hit = src != 0
             if hit.any():

@@ -9,6 +9,7 @@ as a value (with a witness), not raised.
 """
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd, lcm
 
 import numpy as np
 
@@ -17,8 +18,6 @@ from .fields import (
     AndPredicate,
     ConstantField,
     EmptyPredicate,
-    ExpressionField,
-    ExpressionPredicate,
     FiniteSetPredicate,
     FullPredicate,
     HalfspacePredicate,
@@ -27,7 +26,6 @@ from .fields import (
     PeriodicField,
     ProductField,
     ScaledField,
-    SeededRandomField,
     SublatticePredicate,
     SumField,
     TableField,
@@ -53,7 +51,7 @@ class Ray:
             raise InvalidConfigError("ray direction must be nonzero in the lattice part")
         w = _normalize_shift(space, self.offset) if self.offset else (0,) * space.point_arity
         name = self.label or f"ray{list(v)}+{list(w)}"
-        return _BoundRay(v, w, name)
+        return _BoundRay(space, v, w, name)
 
     def subsequence(self, modulus, residue=0):
         """The arithmetic subsequence n -> residue + n * modulus, itself a
@@ -69,12 +67,16 @@ class Ray:
 
 
 class _BoundRay:
-    def __init__(self, v, w, label):
-        self.v, self.w, self.label = v, w, label
+    def __init__(self, space, v, w, label):
+        self.space, self.v, self.w, self.label = space, v, w, label
         self.finite = None
 
+    def points(self, ns):
+        """The points w + n v of the space, as an int64 array over ns."""
+        return self.space.translate(self.w, np.multiply.outer(ns, self.v))
+
     def point(self, n):
-        return tuple(b + n * c for b, c in zip(self.w, self.v))
+        return tuple(self.points(n).tolist())
 
 
 @dataclass(frozen=True)
@@ -199,31 +201,31 @@ class _Divergent(Exception):
         self.suggested = suggested or []
 
 
+def _orbit_length(moduli, steps):
+    """Length of the orbit of n * step modulo the moduli: the lcm over axes
+    of m / gcd(step, m)."""
+    return lcm(1, *(m // gcd(int(c), m) for m, c in zip(moduli, steps)))
+
+
+def _residue_rays(space, ray, q):
+    """Descriptors of the subsequence rays of the first residues r mod q,
+    suggested by a divergence report."""
+    d = space.dim
+    return [{"kind": "ray", "v": [q * c for c in ray.v[:d]],
+             "w": [b + r * c for b, c in zip(ray.w[:d], ray.v)],
+             "label": f"residue {r} mod {q}"} for r in range(min(q, 4))]
+
+
 def _periodic_limit(space, f, ray):
-    periods = list(f.period)
-    v = ray.v
-    # orbit length of n*v modulo the period lattice (and fiber, if resolved)
-    mods = periods + ([space.fiber] if (f.fiber_resolved and space.fiber > 1) else [])
-    comps = list(v[: space.dim]) + (
-        [v[-1]] if (f.fiber_resolved and space.fiber > 1) else []
-    )
-    q = 1
-    for m, c in zip(mods, comps):
-        step = np.gcd(int(c) % m, m)
-        q = int(np.lcm(q, m // step if step else 1))
+    # orbit of n*v modulo the period lattice (and the fiber, if resolved)
+    fiber = f.fiber_resolved and space.fiber > 1
+    q = _orbit_length(f.period + ((space.fiber,) if fiber else ()),
+                      ray.v[: space.dim] + (ray.v[-1:] if fiber else ()))
     base = f.shifted(space, ray.w)
     for n in range(1, q):
-        shift = tuple(b + n * c for b, c in zip(ray.w, v))
-        other = f.shifted(space, shift)
-        if not np.array_equal(base.values, other.values):
-            residues = [0, n]
-            sub = [{"kind": "ray", "v": [q * c for c in v[: space.dim]],
-                    "w": [b + r * c for b, c in zip(ray.w[: space.dim], v)],
-                    "label": f"residue {r} mod {q}"}
-                   for r in range(min(q, 4))]
-            raise _Divergent(residues[0], residues[1],
-                             f"periodic field cycles with period {q} along the ray",
-                             suggested=sub)
+        if not np.array_equal(base.values, f.shifted(space, ray.point(n)).values):
+            raise _Divergent(0, n, f"periodic field cycles with period {q} along the ray",
+                             suggested=_residue_rays(space, ray, q))
     return base
 
 
@@ -237,17 +239,11 @@ def _halfspace_limit(space, pred, ray):
 
 
 def _sublattice_limit(space, pred, ray):
-    q = 1
-    for m, c in zip(pred.modulus, ray.v[: space.dim]):
-        step = np.gcd(int(c) % m, m)
-        q = int(np.lcm(q, m // step if step else 1))
+    q = _orbit_length(pred.modulus, ray.v[: space.dim])
     if q == 1:
         return pred.shifted(space, ray.w)
-    sub = [{"kind": "ray", "v": [q * c for c in ray.v[: space.dim]],
-            "w": [b + r * c for b, c in zip(ray.w[: space.dim], ray.v)],
-            "label": f"residue {r} mod {q}"} for r in range(min(q, 4))]
     raise _Divergent(0, 1, f"sublattice indicator alternates with period {q}",
-                     suggested=sub)
+                     suggested=_residue_rays(space, ray, q))
 
 
 def _predicate_limit(space, pred, ray):
@@ -278,8 +274,6 @@ def _predicate_limit(space, pred, ray):
         if not parts:
             return FullPredicate()
         return AndPredicate(parts) if len(parts) > 1 else parts[0]
-    if isinstance(pred, ExpressionPredicate):
-        return None
     return None
 
 
@@ -307,7 +301,8 @@ def _analytic_limit(space, f, ray):
         inner = _analytic_limit(space, f.base, ray)
         return None if inner is None else inner.conj()
     if isinstance(f, _GenericShifted):
-        moved = _BoundRay(ray.v, tuple(a + b for a, b in zip(ray.w, f.offset)), ray.label)
+        moved = _BoundRay(space, ray.v, tuple(a + b for a, b in zip(ray.w, f.offset)),
+                          ray.label)
         return _analytic_limit(space, f.base, moved)
     if isinstance(f, SumField):
         parts = [_analytic_limit(space, p, ray) for p in f.parts]
@@ -325,8 +320,6 @@ def _analytic_limit(space, f, ray):
         for p in parts[1:]:
             out = out.times(p)
         return out
-    if isinstance(f, (ExpressionField, SeededRandomField)):
-        return None
     return None
 
 
@@ -521,8 +514,7 @@ def subsequence_targeting(space, field, ray, value, count=8, tol=1e-2,
     n = start
     while n <= budget and len(hits) < count:
         ns = np.arange(n, min(n + chunk, budget + 1))
-        pts = np.asarray([bound.point(int(m)) for m in ns], dtype=np.int64)
-        vals = field.eval(space, pts)
+        vals = field.eval(space, bound.points(ns))
         ok = np.abs(vals - value) <= tol
         for m in ns[ok]:
             if not hits or m > hits[-1]:

@@ -34,6 +34,20 @@ _METRICS = ("linf", "l1")
 _PAIRS_CHUNK = 1 << 20
 
 
+def _int_offset(v, what="offset"):
+    """The entries of an integer vector (point, offset, shift, period,
+    modulus) as ints; a non-integer entry is refused, not truncated, and an
+    integral float such as 1.0 is accepted."""
+    v = tuple(v)
+    try:
+        out = tuple(map(int, v))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != v:
+        raise InvalidConfigError(f"{what} {list(v)} must have integer entries")
+    return out
+
+
 @dataclass(frozen=True)
 class Space:
     """A discrete proper metric space of bounded geometry.
@@ -47,7 +61,7 @@ class Space:
     dim: int = 1
     metric: str = "linf"
     fiber: int = 1
-    adjacency: dict | None = None
+    adjacency: dict | None = field(default=None, hash=False)
     basepoint: tuple | int | None = None
 
     def __post_init__(self):
@@ -76,9 +90,7 @@ class Space:
                         raise InvalidConfigError(f"adjacency not symmetric at {u}-{v}")
             object.__setattr__(self, "adjacency", adj)
             object.__setattr__(self, "_nodes", np.asarray(sorted(nodes), dtype=np.int64))
-            bp = min(nodes) if self.basepoint is None else int(self.basepoint)
-            if bp not in nodes:
-                raise InvalidPointError(f"basepoint {bp} not a node")
+            bp = min(nodes) if self.basepoint is None else self._check_point(self.basepoint)
             object.__setattr__(self, "basepoint", bp)
         else:
             raise InvalidConfigError(f"unknown space kind {self.kind!r}")
@@ -92,12 +104,13 @@ class Space:
         return self.dim + (1 if self.fiber > 1 else 0)
 
     def _check_point(self, x):
+        """The point as ints; a non-integer coordinate is refused."""
         if self.kind == "graph":
-            x = int(x)
+            (x,) = _int_offset((x,), "point")
             if x not in self.adjacency:
                 raise InvalidPointError(f"{x} is not a node of the graph")
             return x
-        x = tuple(int(c) for c in x)
+        x = _int_offset(x, "point")
         if len(x) != self.point_arity:
             raise InvalidPointError(
                 f"point {x} has arity {len(x)}, expected {self.point_arity}"
@@ -131,20 +144,39 @@ class Space:
             return [int(v) for v in np.asarray(arr).reshape(-1)]
         return [tuple(int(c) for c in row) for row in np.asarray(arr).reshape(-1, self.point_arity)]
 
-    # -- metric ------------------------------------------------------------
+    # -- metric and translation (lattices) ------------------------------------
+
+    def norm(self, delta):
+        """Lattice length of offsets, vectorised over the last axis: the sup
+        or taxicab norm of the lattice coordinates plus, on a fiber of size
+        m, the wrap distance min(f mod m, m - f mod m) of the fiber
+        coordinate f. The only place the metric formula lives."""
+        delta = np.asarray(delta, dtype=np.int64)
+        # one elementwise pass per axis: numpy reduces a short last axis slowly
+        combine = np.maximum if self.metric == "linf" else np.add
+        out = np.abs(delta[..., 0])
+        for a in range(1, self.dim):
+            out = combine(out, np.abs(delta[..., a]))
+        if self.fiber > 1:
+            f = delta[..., -1] % self.fiber
+            out = out + np.minimum(f, self.fiber - f)
+        return out
+
+    def translate(self, pts, v):
+        """pts + v as a new int64 array (both broadcast over the last axis),
+        the fiber coordinate wrapped into 0..fiber-1. The only place the
+        fiber wrap lives."""
+        out = np.add(pts, v, dtype=np.int64)
+        if self.fiber > 1:
+            out[..., -1] %= self.fiber
+        return out
 
     def dist(self, x, y):
         """Distance between two points."""
         x, y = self._check_point(x), self._check_point(y)
         if self.kind == "graph":
             return int(self.dist_block([x], [y])[0, 0])
-        d = self.dim
-        diffs = [abs(a - b) for a, b in zip(x[:d], y[:d])]
-        base = max(diffs) if self.metric == "linf" else sum(diffs)
-        if self.fiber > 1:
-            df = abs(x[-1] - y[-1])
-            base += min(df, self.fiber - df)
-        return base
+        return int(self.norm(np.subtract(x, y)))
 
     def dist_block(self, pts_a, pts_b):
         """Pairwise int64 distance matrix between two point arrays (graphs:
@@ -161,13 +193,7 @@ class Space:
                     raise InvalidPointError(
                         f"nodes {x} and {exc.args[0]} are not connected") from None
             return out
-        d = self.dim
-        diff = np.abs(a[:, None, :d] - b[None, :, :d])
-        out = diff.max(axis=2) if self.metric == "linf" else diff.sum(axis=2)
-        if self.fiber > 1:
-            df = np.abs(a[:, None, d] - b[None, :, d])
-            out = out + np.minimum(df, self.fiber - df)
-        return out
+        return self.norm(a[:, None, :] - b[None, :, :])
 
     def _bfs(self, x, radius=np.inf):
         """Graph distance from node x to every node within radius, found
@@ -222,8 +248,7 @@ class Space:
             if per_row > nb:
                 per_row, index = nb, None
             else:
-                offs, offs_d = _lattice_offsets(
-                    self.dim, self.metric, self.fiber, int(np.floor(radius)))
+                offs, offs_d = _lattice_offsets(self, int(np.floor(radius)))
                 index = _kernels.PointLocator(b)
         step = max(1, _PAIRS_CHUNK // per_row)
         parts = []
@@ -242,7 +267,7 @@ class Space:
                                 np.int64, i.size)
             else:
                 i = np.repeat(np.arange(chunk.shape[0]), offs.shape[0])
-                cand = self._translate(chunk, offs).reshape(-1, self.point_arity)
+                cand = self.translate(chunk[:, None, :], offs).reshape(-1, self.point_arity)
                 d = np.tile(offs_d, chunk.shape[0])
             j = index.locate(cand)
             hit = j >= 0
@@ -258,8 +283,8 @@ class Space:
         x = self._check_point(x)
         if self.kind == "graph":
             return self._graph_ball(x, radius)
-        offs, d = _lattice_offsets(self.dim, self.metric, self.fiber, int(np.floor(radius)))
-        pts = self._translate(self.as_array([x]), offs).reshape(-1, self.point_arity)
+        offs, d = _lattice_offsets(self, int(np.floor(radius)))
+        pts = self.translate(x, offs)
         return pts[_bfs_order(pts, d)]
 
     def box_points(self, lo, hi):
@@ -271,14 +296,6 @@ class Space:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)
 
-    def _translate(self, pts, offs):
-        """(n, m, point_arity) array of every point shifted by every offset,
-        the fiber coordinate wrapping."""
-        out = pts[:, None, :] + offs[None, :, :]
-        if self.fiber > 1:
-            out[..., -1] %= self.fiber
-        return out
-
     def _graph_ball(self, x, radius):
         seen = self._bfs(x, radius)
         pts = np.asarray(sorted(seen), dtype=np.int64).reshape(-1, 1)
@@ -289,7 +306,7 @@ class Space:
         """Cardinality of a closed ball (lattice spaces: center independent)."""
         if self.kind == "graph":
             return max(len(self._graph_ball(u, radius)) for u in self.adjacency)
-        return _lattice_ball_size(self.dim, self.metric, self.fiber, int(np.floor(radius)))
+        return _lattice_ball_size(self, int(np.floor(radius)))
 
     # -- serialization -------------------------------------------------------
 
@@ -310,32 +327,30 @@ class Space:
 
 
 @lru_cache(maxsize=128)
-def _lattice_offsets(dim, metric, fiber, radius):
+def _lattice_offsets(space, radius):
     """All offsets of norm <= radius and their norms, as int64 arrays. The
     arrays are shared by every caller: read them, never write."""
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    offs = np.stack([g.reshape(-1) for g in grids], axis=1)
-    norm = np.abs(offs).max(axis=1) if metric == "linf" else np.abs(offs).sum(axis=1)
-    if fiber > 1:
-        f = np.arange(fiber, dtype=np.int64)
-        offs = np.hstack([np.repeat(offs, fiber, axis=0), np.tile(f, norm.size)[:, None]])
-        norm = np.repeat(norm, fiber) + np.tile(np.minimum(f, fiber - f), norm.size)
+    offs = space.box_points([-radius] * space.dim, [radius] * space.dim)
+    norm = space.norm(offs)
     keep = norm <= radius
     return offs[keep], norm[keep]
 
 
 @lru_cache(maxsize=1024)
-def _lattice_ball_size(dim, metric, fiber, radius):
+def _lattice_ball_size(space, radius):
+    dim = space.dim
+
     def base(rad):
         if rad < 0:
             return 0
-        if metric == "linf":
+        if space.metric == "linf":
             return (2 * rad + 1) ** dim
         # points of Z^dim with k nonzero coordinates and l1 norm <= rad
         return sum(2 ** k * comb(dim, k) * comb(rad, k) for k in range(dim + 1))
 
-    return sum(base(radius - min(f, fiber - f)) for f in range(fiber))
+    # one lattice ball per fiber slot, shrunk by the slot's wrap distance
+    slots = space.box_points([0] * dim, [0] * dim)
+    return sum(base(radius - int(w)) for w in space.norm(slots))
 
 
 def _bfs_order(pts, dist):

@@ -507,6 +507,20 @@ def test_limits_success_and_divergence_exit_codes(tmp_path, capsys):
     assert json.loads(out2)["result"]["limits"][0]["status"] == "divergent"
 
 
+def test_periodic_table_longer_than_its_period_is_refused(tmp_path, capsys):
+    # this table once gave an exact limit with coefficient 4 where the truth
+    # is 2, and certificate gaps of 0.0
+    cfg = write_cfg(tmp_path, {
+        "space": Z1,
+        "operator": {"kind": "multiplication", "field": {
+            "type": "periodic", "values": [1, 2, 3, 4], "shape": [4], "period": [2]}},
+        "sequences": [{"v": [2], "w": [1]}],
+    })
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert "does not start with the period" in err
+
+
 def test_fredholm_cli_end_to_end(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "space": Z1,

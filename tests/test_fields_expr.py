@@ -112,6 +112,18 @@ def test_periodic_field_shape_mismatch(z2):
         PeriodicField([1.0, 2.0]).eval(z2, np.asarray([[0, 0]]))
 
 
+def test_periodic_table_must_match_its_period(z1):
+    # a length-4 table with period 2 once evaluated to 1, 2, 1, 2 while its
+    # shift by 1 evaluated to 4, 1, 4, 1, so limits came out wrong and exact
+    with pytest.raises(InvalidConfigError, match="does not start with the period"):
+        PeriodicField([1, 2, 3, 4], period=(2,))
+    with pytest.raises(InvalidConfigError, match="does not start with the period"):
+        PeriodicField([[1, 2], [3, 4]], period=(2, 1))
+    # a trailing fiber axis is allowed
+    f = PeriodicField([[1, 2, 3], [4, 5, 6]], period=(2,))
+    assert f.fiber_resolved
+
+
 def test_table_field(z1):
     f = TableField({(0,): 5.0, (2,): -1j}, default=0.5)
     got = f.eval(z1, pts1(-1, 0, 1, 2))

@@ -8,6 +8,7 @@ from limitops import (
     ExpressionField,
     FullPredicate,
     HalfspacePredicate,
+    InvalidConfigError,
     LimitOperator,
     PeriodicField,
     Ray,
@@ -183,6 +184,12 @@ def test_explicit_sequence_and_subsequence(z1):
                        out2.op.block(w.points, w.points))
 
 
+def test_explicit_sequence_refuses_non_integer_points(z1):
+    # these points once bound as [(0,), (3,)]
+    with pytest.raises(InvalidConfigError, match="must have integer entries"):
+        ExplicitSequence(((0.5,), (3.7,))).bind(z1)
+
+
 def test_subsequence_targeting_slow_oscillation(z1):
     f = ExpressionField("sin(sqrt(abs(n)))")
     sub = subsequence_targeting(z1, f, Ray((1,)), 0.5, count=6, tol=5e-3,
@@ -191,6 +198,20 @@ def test_subsequence_targeting_slow_oscillation(z1):
     assert len(sub.indices) == 6
     pts = np.asarray([[n] for n in sub.indices])
     assert np.abs(f.eval(z1, pts) - 0.5).max() <= 5e-3
+
+
+def test_ray_points_wrap_the_fiber_coordinate():
+    # a ray steps the fiber coordinate modulo the fiber, so a fiber-resolved
+    # field is read at points of the space; the fiber index once ran past the
+    # table (IndexError) and a table field read (2, 4) for (2, 1)
+    z1f3 = Space(kind="lattice", dim=1, fiber=3)
+    assert Ray((1, 2)).bind(z1f3).point(2) == (2, 1)
+    f = PeriodicField([[1, 2, 3], [4, 5, 6]], period=(2,))
+    sub = subsequence_targeting(z1f3, f, Ray((1, 1)), 5.0, count=3)
+    assert sub.indices == (1, 7, 13)
+    sub = subsequence_targeting(z1f3, TableField({(2, 1): 7.0, (8, 1): 7.0}),
+                                Ray((1, 2)), 7.0, count=2, budget=16)
+    assert sub.indices == (2, 8)
 
 
 def test_subsequence_targeting_unreachable_value(z1):

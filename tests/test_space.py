@@ -129,6 +129,26 @@ def test_window_basics(z2):
     assert lo.tolist() == [-2, -2] and hi.tolist() == [2, 2]
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, "1"])
+def test_points_refuse_non_integer_coordinates(z1, bad):
+    # each of these once truncated: a window centre 0.5 became 0 and a graph
+    # node 1.7 became node 1
+    with pytest.raises(InvalidConfigError, match="point .* must have integer entries"):
+        Window(z1, (bad,), 3)
+    g = Space(kind="graph", adjacency={0: [1], 1: [0]})
+    with pytest.raises(InvalidConfigError, match="point .* must have integer entries"):
+        g._check_point(bad)
+    with pytest.raises(InvalidConfigError, match="point .* must have integer entries"):
+        Space(kind="graph", adjacency={0: [1], 1: [0]}, basepoint=bad)
+
+
+def test_points_accept_integral_floats(z1):
+    assert Window(z1, (2.0,), 1).center == (2,)
+    assert Window(z1, (np.float64(-1.0),), 1).center == (-1,)
+    g = Space(kind="graph", adjacency={0: [1], 1: [0]}, basepoint=1.0)
+    assert g.basepoint == 1 and g._check_point(np.int64(0)) == 0
+
+
 def test_window_is_lazy(z2):
     # a huge window carries bounds without materializing its points
     w = Window(z2, (0, 0), 10**6)
