@@ -10,6 +10,7 @@ import argparse
 import copy
 import errno
 import functools
+import inspect
 import json
 import math
 import os
@@ -32,7 +33,13 @@ from .errors import LimitOpsError
 from .fields import _cplx
 from .operator import bdo_diagnostic
 from .shifts import DivergenceReport, limit_operator
-from .space import Window, build_covering, build_partition, geometry_profile
+from .space import (
+    PartitionOfUnity,
+    Window,
+    build_covering,
+    build_partition,
+    geometry_profile,
+)
 from .subspace import SubspaceProjection
 from .fredholm import (
     compactness_test,
@@ -45,41 +52,6 @@ SCHEMA_VERSION = "1"
 # a covering payload lists its net only up to this many points; a larger net
 # is left out and the payload says so under "netOmitted"
 NET_CAP = 10_000
-
-TASKS = (
-    "geometry",
-    "covering",
-    "partition",
-    "bdo-diagnostic",
-    "limits",
-    "compactness",
-    "fredholm",
-    "essential-spectrum",
-    "ess-norm",
-)
-
-TASK_DEFAULTS = {
-    "geometry": {"rMax": 8, "probeRadius": 2},
-    "covering": {"scopeRadius": 20, "r": 2},
-    "partition": {"variation": 0.5, "scopeFactor": 4, "maxPoints": 200000},
-    "bdo-diagnostic": {"tGrid": [0.5, 0.25], "scopeRadius": 64, "p": 2},
-    "limits": {"radii": [5, 10, 20], "tol": 1e-8, "budget": 2 ** 20, "p": 2},
-    "compactness": {"radii": [5, 10, 20], "tol": 1e-9, "budget": 2 ** 20, "p": 2},
-    "fredholm": {
-        "schedule": [50, 100, 200, 400], "tau": 0.05, "p": 2,
-        "radii": [5, 10, 20], "tol": 1e-8, "budget": 2 ** 20,
-    },
-    "essential-spectrum": {
-        "tau": 0.05, "pitch": 0.02, "windowRadius": 400, "zBox": None,
-        "thetaGrid": 2048, "method": "auto", "radii": [5, 10, 20],
-        "tol": 1e-8, "budget": 2 ** 20,
-    },
-    "ess-norm": {
-        "schedule": [25, 50, 100], "radii": [5, 10, 20],
-        "tol": 1e-8, "budget": 2 ** 20,
-    },
-}
-
 
 # -- config schema ----------------------------------------------------------------
 
@@ -114,45 +86,91 @@ def _int_list():
     return {"type": "array", "items": _int(), "minItems": 1}
 
 
-TASK_SCHEMAS = {
-    "geometry": _obj({"rMax": _int(), "probeRadius": _int(0), "probeCenter": _INT_VEC}),
-    "covering": _obj({"scopeRadius": _int(), "r": _int(), "center": _INT_VEC}),
-    "partition": _obj({
-        "variation": _num(0.0), "scopeRadius": _int(), "scopeFactor": _int(),
-        "maxPoints": _int(),
+# -- the task table ----------------------------------------------------------------
+
+_OPTIONAL = object()
+
+
+def _feeds(keyword, schema):
+    """A key the runner forwards to its library call as ``keyword``; its
+    default is the one that keyword has in the call's signature."""
+    return keyword, schema, _OPTIONAL
+
+
+def _own(schema, default=_OPTIONAL):
+    """A key only the runner reads, with its own default (an optional key
+    has none)."""
+    return None, schema, default
+
+
+_LIMIT_KEYS = {"radii": _feeds("radii", _int_list()), "tol": _feeds("tol", _num(0.0)),
+               "budget": _feeds("budget", _int())}
+_P_KEYS = {"p": _feeds("p", _num(1.0))}
+
+# task -> (the library call its forwarded keys feed, {JSON key: row}). The
+# task schemas, the resolved defaults and each runner's keyword arguments are
+# all read off this table.
+TASK_TABLE = {
+    "geometry": (None, {"rMax": _own(_int(), 8), "probeRadius": _own(_int(0), 2),
+                        "probeCenter": _own(_INT_VEC)}),
+    "covering": (None, {"scopeRadius": _own(_int(), 20), "r": _own(_int(), 2),
+                        "center": _own(_INT_VEC)}),
+    "partition": (PartitionOfUnity.export, {
+        "variation": _own(_num(0.0), 0.5), "scopeRadius": _own(_int()),
+        "scopeFactor": _own(_int(), 4), "maxPoints": _feeds("max_points", _int()),
     }),
-    "bdo-diagnostic": _obj({
-        "tGrid": {"type": "array", "items": _num(0.0), "minItems": 2},
-        "scopeRadius": _int(), "p": _num(1.0),
+    "bdo-diagnostic": (bdo_diagnostic, {
+        "tGrid": _own({"type": "array", "items": _num(0.0), "minItems": 2}, (0.5, 0.25)),
+        "scopeRadius": _own(_int(), 64), **_P_KEYS,
     }),
-    "limits": _obj({"radii": _int_list(), "tol": _num(0.0), "budget": _int(),
-                    "p": _num(1.0)}),
-    "compactness": _obj({"radii": _int_list(), "tol": _num(0.0), "budget": _int(),
-                         "p": _num(1.0)}),
-    "fredholm": _obj({
-        "schedule": _int_list(), "tau": _num(0.0), "p": _num(1.0),
-        "radii": _int_list(), "tol": _num(0.0), "budget": _int(),
+    "limits": (limit_operator, {**_LIMIT_KEYS, **_P_KEYS}),
+    "compactness": (compactness_test, {**_LIMIT_KEYS, **_P_KEYS}),
+    "fredholm": (fredholm_test, {"schedule": _feeds("schedule", _int_list()),
+                                 "tau": _feeds("tau", _num(0.0)), **_P_KEYS, **_LIMIT_KEYS}),
+    "essential-spectrum": (essential_spectrum_estimate, {
+        "tau": _feeds("tau", _num(0.0)), "pitch": _feeds("pitch", _num(0.0)),
+        "windowRadius": _feeds("radius", _int()),
+        "zBox": _feeds("z_box", {"oneOf": [{"type": "null"},
+                                           {"type": "array", "items": {"type": "number"},
+                                            "minItems": 4, "maxItems": 4}]}),
+        "thetaGrid": _feeds("theta_grid", _int(8)),
+        "method": _feeds("method", {"enum": ["auto", "symbol", "symbolOracle", "floquet",
+                                             "nuGrid"]}),
+        **_LIMIT_KEYS,
     }),
-    "essential-spectrum": _obj({
-        "tau": _num(0.0), "pitch": _num(0.0), "windowRadius": _int(),
-        "zBox": {"oneOf": [{"type": "null"},
-                           {"type": "array", "items": {"type": "number"},
-                            "minItems": 4, "maxItems": 4}]},
-        "thetaGrid": _int(8),
-        "method": {"enum": ["auto", "symbol", "symbolOracle", "floquet", "nuGrid"]},
-        "radii": _int_list(), "tol": _num(0.0), "budget": _int(),
-    }),
-    "ess-norm": _obj({"schedule": _int_list(), "radii": _int_list(),
-                      "tol": _num(0.0), "budget": _int()}),
+    "ess-norm": (ess_norm_estimate, {"schedule": _feeds("schedule", _int_list()),
+                                     **_LIMIT_KEYS}),
 }
+TASKS = tuple(TASK_TABLE)
+TASK_SCHEMAS = {task: _obj({key: schema for key, (_, schema, _) in rows.items()})
+                for task, (_, rows) in TASK_TABLE.items()}
+
+
+def _defaults(call, rows):
+    """Each key's default: a forwarded key's from the signature of ``call``,
+    an own key's from its row; an optional key has none."""
+    params = inspect.signature(call).parameters if call else {}
+    out = {}
+    for key, (keyword, _, default) in rows.items():
+        if keyword:
+            default = params[keyword].default
+        if default is not _OPTIONAL:
+            out[key] = default
+    return out
+
+
+TASK_DEFAULTS = {task: _defaults(*row) for task, row in TASK_TABLE.items()}
+
+
+def _kwargs(task, prm):
+    """The library keywords of a task's forwarded keys, read from the
+    resolved parameters."""
+    return {keyword: prm[key] for key, (keyword, _, _) in TASK_TABLE[task][1].items()
+            if keyword}
 
 
 def full_schema():
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "config": CONFIG_SCHEMA,
-        "tasks": TASK_SCHEMAS,
-    }
+    return {"schemaVersion": SCHEMA_VERSION, "config": CONFIG_SCHEMA, "tasks": TASK_SCHEMAS}
 
 
 @functools.cache
@@ -353,6 +371,12 @@ def _sequences(cfg):
     return seqs
 
 
+def _limit_inputs(cfg):
+    """The space, the operator and the declared sequences of a limit task."""
+    space = _space(cfg)
+    return space, _operator(cfg, space), _sequences(cfg)
+
+
 def _window(space, center, radius):
     c = tuple(center) if center is not None else space.basepoint
     return Window(space, c, int(radius))
@@ -392,69 +416,49 @@ def _run_partition(cfg, prm, args):
         probe = build_partition(space, _window(space, None, 1), t)
         scope = _window(space, None, prm["scopeFactor"] * probe.support_diam)
         pou = build_partition(space, scope, t)
-    return pou.export(max_points=prm["maxPoints"]), 0
+    return pou.export(**_kwargs("partition", prm)), 0
 
 
 def _run_bdo(cfg, prm, args):
     space = _space(cfg)
     A = _operator(cfg, space)
     scope = _window(space, None, prm["scopeRadius"])
-    return bdo_diagnostic(A, tuple(prm["tGrid"]), scope, p=prm["p"]), 0
+    return bdo_diagnostic(A, prm["tGrid"], scope, **_kwargs("bdo-diagnostic", prm)), 0
+
+
+def _exit_code(limits, divergences):
+    """2 when every declared sequence diverged (some did, none gave a
+    limit), else 0."""
+    return 2 if divergences and not limits else 0
 
 
 def _run_limits(cfg, prm, args):
-    space = _space(cfg)
-    A = _operator(cfg, space)
-    seqs = _sequences(cfg)
+    _, A, seqs = _limit_inputs(cfg)
     entries = []
-    diverged = 0
     for seq in seqs:
-        out = limit_operator(A, seq, radii=tuple(prm["radii"]), tol=prm["tol"],
-                             budget=prm["budget"], p=prm["p"])
-        if isinstance(out, DivergenceReport):
-            diverged += 1
-            entries.append({"status": "divergent", **out.to_descriptor()})
-        else:
-            entries.append({"status": "limit", **out.to_descriptor()})
-    code = 2 if diverged == len(seqs) else 0
-    return {"limits": entries}, code
+        out = limit_operator(A, seq, **_kwargs("limits", prm))
+        status = "divergent" if isinstance(out, DivergenceReport) else "limit"
+        entries.append({"status": status, **out.to_descriptor()})
+    statuses = [e["status"] for e in entries]
+    return {"limits": entries}, _exit_code("limit" in statuses, "divergent" in statuses)
 
 
 def _run_compactness(cfg, prm, args):
-    space = _space(cfg)
-    A = _operator(cfg, space)
-    seqs = _sequences(cfg)
-    rep = compactness_test(A, seqs, radii=tuple(prm["radii"]), tol=prm["tol"],
-                           budget=prm["budget"], p=prm["p"])
-    code = 2 if not rep["sequences"] and rep["divergences"] else 0
-    return rep, code
+    _, A, seqs = _limit_inputs(cfg)
+    rep = compactness_test(A, seqs, **_kwargs("compactness", prm))
+    return rep, _exit_code(rep["sequences"], rep["divergences"])
 
 
 def _run_fredholm(cfg, prm, args):
-    space = _space(cfg)
-    A = _operator(cfg, space)
-    seqs = _sequences(cfg)
-    proj = _projection(cfg, space)
-    rep = fredholm_test(A, proj, seqs, schedule=tuple(prm["schedule"]),
-                        tau=prm["tau"], p=prm["p"], radii=tuple(prm["radii"]),
-                        tol=prm["tol"], budget=prm["budget"])
-    code = 2 if not rep["sequences"] and rep["divergences"] else 0
-    return rep, code
+    space, A, seqs = _limit_inputs(cfg)
+    rep = fredholm_test(A, _projection(cfg, space), seqs, **_kwargs("fredholm", prm))
+    return rep, _exit_code(rep["sequences"], rep["divergences"])
 
 
 def _run_essential_spectrum(cfg, prm, args):
-    space = _space(cfg)
-    A = _operator(cfg, space)
-    seqs = _sequences(cfg)
-    proj = _projection(cfg, space)
-    method = {"symbol": "symbolOracle"}.get(prm["method"], prm["method"])
-    rep = essential_spectrum_estimate(
-        A, proj, seqs, tau=prm["tau"], pitch=prm["pitch"],
-        radius=prm["windowRadius"],
-        z_box=tuple(prm["zBox"]) if prm["zBox"] else None,
-        theta_grid=prm["thetaGrid"], method=method, radii=tuple(prm["radii"]),
-        tol=prm["tol"], budget=prm["budget"], threads=args.threads,
-    )
+    space, A, seqs = _limit_inputs(cfg)
+    rep = essential_spectrum_estimate(A, _projection(cfg, space), seqs, threads=args.threads,
+                                      **_kwargs("essential-spectrum", prm))
     out = {
         "estimates": [e.to_descriptor() for e in rep["estimates"]],
         "unionCloud": np.stack([rep["unionCloud"].real, rep["unionCloud"].imag], axis=1),
@@ -462,20 +466,13 @@ def _run_essential_spectrum(cfg, prm, args):
         "caveat": rep["caveat"],
         "params": rep["params"],
     }
-    code = 2 if not rep["estimates"] and rep["divergences"] else 0
-    return out, code
+    return out, _exit_code(rep["estimates"], rep["divergences"])
 
 
 def _run_ess_norm(cfg, prm, args):
-    space = _space(cfg)
-    A = _operator(cfg, space)
-    seqs = _sequences(cfg)
-    proj = _projection(cfg, space)
-    rep = ess_norm_estimate(A, proj, seqs, schedule=tuple(prm["schedule"]),
-                            radii=tuple(prm["radii"]), tol=prm["tol"],
-                            budget=prm["budget"])
-    code = 2 if not rep["perLimit"] and rep["divergences"] else 0
-    return rep, code
+    space, A, seqs = _limit_inputs(cfg)
+    rep = ess_norm_estimate(A, _projection(cfg, space), seqs, **_kwargs("ess-norm", prm))
+    return rep, _exit_code(rep["perLimit"], rep["divergences"])
 
 
 RUNNERS = {
@@ -615,8 +612,7 @@ def main(argv=None):
         with open(args.config) as fh:
             cfg = json.load(fh)
         _validate(cfg, None)
-        prm = dict(TASK_DEFAULTS[args.task])
-        prm.update(cfg.get("task", {}))
+        prm = {**TASK_DEFAULTS[args.task], **cfg.get("task", {})}
         _validate(cfg.get("task", {}), args.task)
         cfg = copy.deepcopy(cfg)
         _fill_seeds(cfg, args.seed)

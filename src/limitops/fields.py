@@ -34,6 +34,12 @@ def _normalize_shift(space, v):
     return _pad(space, v, "shift")
 
 
+def _wrapped_shift(space, v):
+    """A shift vector, padded, with its fiber coordinate wrapped into
+    0..fiber-1."""
+    return tuple(space.translate(_normalize_shift(space, v), 0).tolist())
+
+
 def _moved_keys(space, keys, v):
     """The padded keys translated by -v, in order: where a field or set
     shifted by v keeps what it had at each key."""
@@ -218,7 +224,7 @@ class ExpressionField(Field):
         return float(np.abs(vals).max()) if vals.size else 0.0, False
 
     def shifted(self, space, v):
-        return _GenericShifted(self, _normalize_shift(space, v))
+        return _GenericShifted(self, _wrapped_shift(space, v))
 
     def conj(self):
         return _GenericConj(self)
@@ -319,7 +325,7 @@ class SeededRandomField(Field):
         return abs(self.scale), True
 
     def shifted(self, space, v):
-        return _GenericShifted(self, _normalize_shift(space, v))
+        return _GenericShifted(self, _wrapped_shift(space, v))
 
     def conj(self):
         return _GenericConj(self)

@@ -24,6 +24,7 @@ from .operator import (
     _distinct_sorted,
     _points,
     _real_lane,
+    _window_upper,
     window_norm,
 )
 from .shifts import DivergenceReport, limit_operator
@@ -510,8 +511,8 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
     if chosen == "floquet":
         theta_grid = min(theta_grid, 512)
         pts = floquet_spectrum(op, theta_grid)
-    elif chosen in ("symbolOracle", "symbol"):
-        chosen, pts = "symbolOracle", symbol_spectrum(op, theta_grid)
+    elif chosen == "symbolOracle":
+        pts = symbol_spectrum(op, theta_grid)
     if chosen in ("symbolOracle", "floquet"):
         return SpectrumEstimate(
             method=chosen, limit_label=label, tau=tau, points=pts,
@@ -562,8 +563,7 @@ def compactness_test(A, sequences, radii=(5, 10, 20), tol=1e-9, budget=2 ** 20,
         omega = lim.op.propagation
         norms = []
         for r in sorted(radii):
-            g = window_norm(lim.op, window(r), window(r + omega), p)
-            norms.append(float(g if p == 2 else g[1]))
+            norms.append(_window_upper(lim.op, window(r), window(r + omega), p))
         worst = max(worst, max(norms))
         per_seq.append({
             "sequence": lim.sequence_label,
@@ -652,10 +652,12 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
     With method "auto", limits whose coefficients are all constant use the
     symbol oracle, limits with constant or periodic coefficients on Z^d (any
     fiber) the Floquet oracle (both are the Bloch oracle), everything else
-    the lower-norm grid sweep; the method argument can force a route.
+    the lower-norm grid sweep; the method argument can force a route
+    ("symbol" is short for "symbolOracle").
     """
     if not sequences:
         raise InvalidConfigError("essential spectrum needs at least one sequence")
+    method = {"symbol": "symbolOracle"}.get(method, method)
     A_hat = hat(A, proj) if proj is not None else A
     limits, divergences = _extract_limits(A_hat, sequences, radii, tol, budget)
     estimates = [

@@ -325,6 +325,13 @@ def window_norm(A, rows, cols, p=2):
     return _pnorm_bounds(M, p)
 
 
+def _window_upper(A, rows, cols, p=2):
+    """``window_norm`` as one float: the norm at p = 2, the certified upper
+    end of the interval otherwise."""
+    g = window_norm(A, rows, cols, p)
+    return float(g if p == 2 else g[1])
+
+
 def _sigma_max(M):
     """Largest singular value of a dense block; exactly 0.0 for an empty or
     all-zero one."""
@@ -442,18 +449,20 @@ def localized_norm(A, predicate, partition, scope, p=2):
     if not keep.any():
         warnings.warn("predicate selects no scope point; localized norm is 0")
         return 0.0
-    rt = partition.support_diam
     rows = scope.pad(A.propagation)
-    dmat = space.dist_block(pts, pts)
+    # each centre's ball as column indices in scope order: the pairs come
+    # sorted by centre, then column
+    i, j, _ = space.pairs_within(pts, pts, partition.support_diam)
+    inside = keep[j]
+    balls = np.split(j[inside], np.searchsorted(i[inside], np.arange(1, pts.shape[0])))
     best = 0.0
     seen = set()
-    for i in range(pts.shape[0]):
-        mask = (dmat[i] <= rt) & keep
-        key = mask.tobytes()
-        if key in seen or not mask.any():
+    for ball in balls:
+        key = ball.tobytes()
+        if key in seen or not ball.size:
             continue
         seen.add(key)
-        M = A.block(rows, pts[mask])
+        M = A.block(rows, pts[ball])
         if np.any(M):
             best = max(best, _sigma_max(M) if p == 2 else _pnorm_bounds(M, p)[0])
     return best

@@ -33,7 +33,8 @@ from .fields import (
     _GenericShifted,
     _normalize_shift,
 )
-from .operator import BandOperator, window_norm
+# window_norm stays bound here for callers that read limitops.shifts.window_norm
+from .operator import BandOperator, _window_upper, window_norm  # noqa: F401
 from .space import Window, basepoint_windows
 
 
@@ -149,7 +150,7 @@ class LimitOperator:
         worst = 0.0
         for radius, n, gap in self.certificate:
             diff = conjugate(A, bound.point(n)) - self.op
-            g = window_norm(diff, window(radius), window(radius + omega), p)
+            g = _window_upper(diff, window(radius), window(radius + omega), p)
             worst = max(worst, abs(g - gap))
         return worst
 
@@ -358,13 +359,13 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
             if all(v is not None for v in limits.values()):
                 analytic = BandOperator(space, limits)
         except _Divergent as d:
-            g = window_norm(conjugate(A, bound.point(d.n1)) - conjugate(A, bound.point(d.n2)),
-                            *pairs[radii[-1]], p)
+            g = _window_upper(conjugate(A, bound.point(d.n1)) - conjugate(A, bound.point(d.n2)),
+                              *pairs[radii[-1]], p)
             return DivergenceReport(
                 sequence_label=bound.label,
                 witness_indices=(d.n1, d.n2),
                 radius=radii[-1],
-                gap=float(g if p == 2 else g[1]),
+                gap=g,
                 message=d.detail,
                 suggested=d.suggested,
             )
@@ -374,11 +375,10 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
         for radius in radii:
             best = np.inf
             for n in _schedule(budget):
-                g = window_norm(conjugate(A, bound.point(n)) - analytic, *pairs[radius], p)
-                g = g if p == 2 else g[1]
+                g = _window_upper(conjugate(A, bound.point(n)) - analytic, *pairs[radius], p)
                 if g < best:
                     best = g
-                    cert_entry = (radius, n, float(g))
+                    cert_entry = (radius, n, g)
                 if g <= max(tol * 1e-3, 1e-14):
                     break
                 if bound.finite is not None and n >= bound.finite:
@@ -400,8 +400,7 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
         if prev is not None:
             gaps = []
             for radius in radii:
-                g = window_norm(cur - prev, *pairs[radius], p)
-                gaps.append(g if p == 2 else g[1])
+                gaps.append(_window_upper(cur - prev, *pairs[radius], p))
             last_gaps = (prev_idx, n, gaps)
             if max(gaps) <= tol:
                 settled_at = n
@@ -435,8 +434,7 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     limit = BandOperator(space, stencil)
     cert = []
     for radius in radii:
-        g = window_norm(final - limit, *pairs[radius], p)
-        cert.append((radius, settled_at, float(g if p == 2 else g[1])))
+        cert.append((radius, settled_at, _window_upper(final - limit, *pairs[radius], p)))
     msg = ("coefficients sampled on the certificate windows; values beyond "
            "radius %d are extrapolated" % (maxrad + omega))
     return LimitOperator(op=limit, sequence_label=bound.label, exact=False,
@@ -487,12 +485,10 @@ def limit_algebra_check(A, B, seq, radii=(5, 10, 20), tol=1e-8, p=2):
     omega_s = max(ls.op.propagation, (la.op + lb.op).propagation)
     omega_p = max(lp.op.propagation, (la.op @ lb.op).propagation)
     for radius in radii:
-        ds = window_norm(ls.op - (la.op + lb.op), window(radius),
-                         window(radius + omega_s), p)
-        dp = window_norm(lp.op - (la.op @ lb.op), window(radius),
-                         window(radius + omega_p), p)
-        sum_defects.append(float(ds if p == 2 else ds[1]))
-        prod_defects.append(float(dp if p == 2 else dp[1]))
+        sum_defects.append(_window_upper(ls.op - (la.op + lb.op), window(radius),
+                                         window(radius + omega_s), p))
+        prod_defects.append(_window_upper(lp.op - (la.op @ lb.op), window(radius),
+                                          window(radius + omega_p), p))
     combined = 2 * tol
     return {
         "sum_defects": sum_defects,

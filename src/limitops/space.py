@@ -121,23 +121,37 @@ class Space:
 
     def as_array(self, pts):
         """Points -> int64 array of shape (n, point_arity); such an array
-        passes through uncopied. Graph points must be nodes."""
+        passes through uncopied. A non-integer coordinate, a fiber coordinate
+        outside 0..fiber-1 and a graph point that is no node are refused with
+        the errors of ``_check_point``."""
         if (isinstance(pts, np.ndarray) and pts.dtype == np.int64 and pts.ndim == 2
                 and pts.shape[1] == self.point_arity):
             a = pts
-        elif self.kind == "graph":
-            a = np.asarray([[int(p)] for p in pts], dtype=np.int64).reshape(-1, 1)
         else:
-            a = np.asarray(list(pts), dtype=np.int64)
-            if a.ndim == 1:
-                a = a.reshape(1, -1)
-            if a.size and a.shape[1] != self.point_arity:
-                raise InvalidPointError(f"point array arity {a.shape[1]} != {self.point_arity}")
+            raw = np.asarray(list(pts))
+            if self.kind == "graph":
+                raw = raw.reshape(-1, 1)
+            elif raw.ndim == 1:
+                raw = raw.reshape(1, -1)
+            if raw.size and raw.shape[1] != self.point_arity:
+                raise InvalidPointError(f"point array arity {raw.shape[1]} != {self.point_arity}")
+            with np.errstate(invalid="ignore"):
+                a = raw.astype(np.int64)
+            if raw.dtype.kind not in "biu":
+                self._refuse_first(raw, (a != raw).any(axis=1))
         if self.kind == "graph":
-            bad = a[~np.isin(a[:, 0], self._nodes), 0]
-            if bad.size:
-                raise InvalidPointError(f"{int(bad[0])} is not a node of the graph")
+            self._refuse_first(a, ~np.isin(a[:, 0], self._nodes))
+        elif self.fiber > 1 and a.size:
+            # one comparison: a negative coordinate reads as a huge unsigned one
+            self._refuse_first(a, a[:, -1].view(np.uint64) >= self.fiber)
         return a
+
+    def _refuse_first(self, pts, bad):
+        """Raise the error of ``_check_point`` for the first row marked bad."""
+        if bad.any():
+            row = pts[np.argmax(bad)].tolist()
+            self._check_point(row[0] if self.kind == "graph" else row)
+            raise InvalidPointError(f"point {row} does not fit in int64")
 
     def from_array(self, arr):
         if self.kind == "graph":

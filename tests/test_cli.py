@@ -420,6 +420,51 @@ def test_operator_required_for_operator_tasks(tmp_path, capsys):
     assert "operator" in err
 
 
+# -- the task table ------------------------------------------------------------
+
+LAPLACIAN_Z1 = {"space": Z1, "operator": {"kind": "laplacian"}, "sequences": [{"v": [1]}]}
+# what a run with no task block resolves to; the forwarded values are the
+# defaults of the library signatures
+RESOLVED_DEFAULTS = {
+    "geometry": {"probeRadius": 2, "rMax": 8},
+    "covering": {"r": 2, "scopeRadius": 20},
+    "partition": {"maxPoints": 200000, "scopeFactor": 4, "variation": 0.5},
+    "bdo-diagnostic": {"p": 2, "scopeRadius": 64, "tGrid": [0.5, 0.25]},
+    "limits": {"budget": 1048576, "p": 2, "radii": [5, 10, 20], "tol": 1e-08},
+    "compactness": {"budget": 1048576, "p": 2, "radii": [5, 10, 20], "tol": 1e-09},
+    "fredholm": {"budget": 1048576, "p": 2, "radii": [5, 10, 20],
+                 "schedule": [50, 100, 200, 400], "tau": 0.05, "tol": 1e-08},
+    "essential-spectrum": {"budget": 1048576, "method": "auto", "pitch": 0.02,
+                           "radii": [5, 10, 20], "tau": 0.05, "thetaGrid": 2048,
+                           "tol": 1e-08, "windowRadius": 400, "zBox": None},
+    "ess-norm": {"budget": 1048576, "radii": [5, 10, 20], "schedule": [25, 50, 100],
+                 "tol": 1e-08},
+}
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_task_defaults_validate_against_the_task_schema(task):
+    # as the JSON a user would write: tuples become arrays
+    jsonschema.validate(json.loads(json.dumps(cli.TASK_DEFAULTS[task])), TASK_SCHEMAS[task])
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_run_without_task_block_resolves_the_defaults(tmp_path, capsys, task):
+    code, out, _ = run([task, "--config", write_cfg(tmp_path, LAPLACIAN_Z1)], capsys)
+    assert code == 0
+    assert json.loads(out)["resolved"]["task"] == RESOLVED_DEFAULTS[task]
+
+
+def test_symbol_method_is_echoed_as_given_and_runs_the_symbol_oracle(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**LAPLACIAN_Z1, "task": {"method": "symbol", "thetaGrid": 64}})
+    code, out, _ = run(["essential-spectrum", "--config", cfg], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["resolved"]["task"]["method"] == "symbol"
+    assert data["result"]["params"]["method"] == "symbolOracle"
+    assert [e["method"] for e in data["result"]["estimates"]] == ["symbolOracle"]
+
+
 # -- payloads ----------------------------------------------------------------
 
 

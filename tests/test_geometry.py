@@ -162,3 +162,14 @@ def test_shifts_evaluate_at_translated_points(space, fiber_step):
     for name, p in _predicates(space).items():
         np.testing.assert_array_equal(p.shifted(space, v).test(space, pts),
                                       p.test(space, moved), err_msg=name)
+
+
+@fiber_spaces
+def test_generic_shifts_wrap_the_fiber_offset(space):
+    # on fiber 3 the first shift once kept the offset [0, -1], and shifting
+    # it by zero gave [0, 2]: one field, two descriptors
+    zero = (0,) * space.point_arity
+    for field in (ExpressionField("n1 + 1"), SeededRandomField(7)):
+        once = field.shifted(space, offset(space, (1, 0), -1))
+        assert once.to_descriptor()["offset"][-1] == space.fiber - 1
+        assert once.shifted(space, zero).to_descriptor() == once.to_descriptor()

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from limitops import (
     ConstantField,
     Space,
     ExpressionField,
+    FiniteSetPredicate,
     FullPredicate,
     HalfspacePredicate,
     IndicatorField,
@@ -32,7 +35,7 @@ from limitops import (
     window_norm,
 )
 
-from conftest import svd_norm, window
+from conftest import GRID, Z1_FIBER3, svd_norm, window
 
 
 def laplacian(space):
@@ -196,15 +199,57 @@ def test_sub_scalar(z1):
     assert np.allclose(np.diag(M), -2.5j)
 
 
-def test_restricted_and_localized_norms(z1):
-    A = random_band(z1, 1, seed=10)
+def _localized_by_definition(A, predicate, rt, scope):
+    """localized_norm from the full distance block: the largest norm of A
+    restricted to B[x, rt], the predicate and the scope, over scope centres x,
+    and the distinct column sets in the order they first occur."""
+    space, pts = A.space, scope.points
+    keep = predicate.test(space, pts)
+    dmat = space.dist_block(pts, pts)
+    balls = []
+    for i in range(pts.shape[0]):
+        ball = pts[(dmat[i] <= rt) & keep]
+        if ball.size and not any(np.array_equal(ball, b) for b in balls):
+            balls.append(ball)
+    rows = scope.pad(A.propagation)
+    return max(limitops.operator._sigma_max(A.block(rows, b)) for b in balls), balls
+
+
+def _localized_cases():
+    """(operator, predicate, scope, partition) on Z, on Z x Z/3 and on a grid
+    graph."""
+    z1 = Space(kind="lattice", dim=1)
     scope = window(z1, 40)
-    part = build_partition(z1, scope.pad(1), 0.5)
-    pred = HalfspacePredicate((1,), 0)
-    full = restricted_norm(A, pred, scope)
-    local = localized_norm(A, pred, part, scope)
-    assert local <= full + 1e-12
-    assert full <= A.norm_bound()[0] + 1e-12
+    yield random_band(z1, 1, seed=10), HalfspacePredicate((1,), 0), scope, \
+        build_partition(z1, scope.pad(1), 0.5)
+    fib = Z1_FIBER3
+    A = BandOperator(fib, {(1, 0): SeededRandomField(4), (0, 1): 0.5,
+                           (-1, 2): SeededRandomField(5, scale=2.0)})
+    scope = window(fib, 12, (0, 1))
+    yield A, HalfspacePredicate((1,), -3), scope, \
+        build_partition(fib, scope.pad(A.propagation), 0.6)
+    # graph spaces carry no shift, so only the empty band operator lives on
+    # one: its norms are 0, and the balls are checked through the blocks formed
+    nodes = FiniteSetPredicate({(n,) for n in range(0, 42, 2)})
+    yield BandOperator(GRID, {}), nodes, window(GRID, 4, 17), \
+        SimpleNamespace(support_diam=2)
+
+
+def test_restricted_and_localized_norms(monkeypatch):
+    block = BandOperator.block
+    for A, pred, scope, part in _localized_cases():
+        full = restricted_norm(A, pred, scope)
+        want, balls = _localized_by_definition(A, pred, part.support_diam, scope)
+        seen = []
+        monkeypatch.setattr(BandOperator, "block",
+                            lambda op, rows, cols: seen.append(cols) or block(op, rows, cols))
+        local = localized_norm(A, pred, part, scope)
+        monkeypatch.setattr(BandOperator, "block", block)
+        assert len(seen) == len(balls) > 1
+        assert all(np.array_equal(got, b) for got, b in zip(seen, balls))
+        assert local == want
+        assert local <= full + 1e-12
+        assert full <= A.norm_bound()[0] + 1e-12
 
 
 def test_restricted_norm_empty_predicate_warns(z1):

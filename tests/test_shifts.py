@@ -120,6 +120,18 @@ def test_certificate_verify_recomputes_gaps(z1):
     assert out.verify(A, Ray((3,))) <= 1e-12
 
 
+@pytest.mark.parametrize("decay", [False, True])
+def test_certificate_verify_at_p3(z1, decay):
+    # window norms at p != 2 are intervals; verify once subtracted the whole
+    # interval from the recorded gap and raised TypeError
+    v = ExpressionField("exp(0-abs(n)/10)") if decay else PeriodicField([1.0, 2.0, 4.0])
+    A = laplacian_stencil(z1) + multiplication(z1, v)
+    out = limit_operator(A, Ray((3,)), p=3)
+    assert isinstance(out, LimitOperator) and out.exact is not decay
+    got = out.verify(A, Ray((3,)), p=3)
+    assert type(got) is float and got <= 1e-12
+
+
 # -- numeric limits -----------------------------------------------------------
 
 

@@ -163,6 +163,41 @@ def test_window_locate(z1):
     assert [tuple(pts[i]) for i in idx] == [(0,), (-4,), (3,)]
 
 
+def _point_array_calls(space, pts):
+    """dist_block, pairs_within and Window.locate, each given ``pts``."""
+    w = Window(space, space.basepoint, 3)
+    return (lambda: space.dist_block(pts, [space.basepoint]),
+            lambda: space.pairs_within([space.basepoint], pts, 2),
+            lambda: w.locate(pts))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, "1"])
+def test_point_arrays_refuse_non_integer_coordinates(z1, bad):
+    # these once truncated: dist_block([(0.5,)], [(0,)]) read [[0]] and
+    # locate([(1.7,)]) found the point 1
+    for call in _point_array_calls(z1, [(0,), (bad,)]):
+        with pytest.raises(InvalidConfigError, match="point .* must have integer entries"):
+            call()
+
+
+@pytest.mark.parametrize("coord", [-1, 3, 5])
+def test_point_arrays_refuse_fiber_coordinates_outside_the_fiber(coord):
+    # these once passed unchanged: as_array([(0, 5)]) was [[0, 5]] on fiber 3
+    f3 = Space(kind="lattice", dim=1, fiber=3)
+    for pts in ([(0, coord)], np.asarray([[0, 1], [0, coord]], dtype=np.int64)):
+        for call in _point_array_calls(f3, pts):
+            with pytest.raises(InvalidPointError,
+                               match=rf"fiber coordinate of \(0, {coord}\) outside \[0, 3\)"):
+                call()
+
+
+def test_point_arrays_of_int64_pass_through_uncopied():
+    f3 = Space(kind="lattice", dim=1, fiber=3)
+    pts = np.asarray([[0, 0], [-2, 2]], dtype=np.int64)
+    assert f3.as_array(pts) is pts
+    assert f3.as_array([(0, 0.0), (-2, 2)]).tolist() == pts.tolist()
+
+
 # -- separated nets and coverings ---------------------------------------------
 
 
