@@ -1,82 +1,49 @@
 """A small arithmetic expression language for coefficient fields.
 
-Expressions are parsed by a recursive-descent parser into an AST and
-evaluated vectorized over numpy coordinate arrays; no Python eval is ever
-involved. Variables n1..n9 refer to lattice coordinates (n is an alias for
-n1), pi and e are constants, i is the imaginary unit, and the function set is
-fixed below.
+A source is parsed once by Python's own ``ast`` parser (``^`` is read as
+``**``); every node is checked against a whitelist and compiled into nested
+callables that evaluate vectorized over numpy coordinate arrays, so no Python
+eval is ever involved. The language: decimal numbers; variables n1..n9, the
+lattice coordinates (n is n1); the constants pi, e and i (the imaginary
+unit); unary + and -, binary + - * / ^ with Python's precedence; and
+one-argument calls of the functions below.
 """
+
+import ast
+import operator
+import re
+import warnings
 
 import numpy as np
 
 from .errors import InvalidConfigError
 
-_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "exp": np.exp,
-    "log": np.log,
-    "sign": np.sign,
-    "floor": np.floor,
-    "ceil": np.ceil,
-}
+_FUNCS = {name: getattr(np, name) for name in
+          ("sin", "cos", "tan", "sqrt", "abs", "exp", "log", "sign", "floor", "ceil")}
 
 _CONSTS = {"pi": np.pi, "e": np.e, "i": 1j}
 
+_BAD_CHAR = re.compile(r"[^\w\s.+\-*/^(),]")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")  # 010 reads as 10
+_NUMBER = re.compile(r"[0-9.]+([eE][+-]?[0-9]+)?")  # not 1_0, 0x1 or 1j
+_VARIABLE = re.compile(r"n\d*")
+# a number starts with a digit or a dot; float() reads any decimal digit
+# there, the parser only ASCII ones
+_NUMERAL = re.compile(r"(?<!\w)[\d.][\w.]*")
 
-class _Tokens:
-    def __init__(self, src):
-        self.src = src
-        self.toks = []
-        i, n = 0, len(src)
-        while i < n:
-            c = src[i]
-            if c.isspace():
-                i += 1
-            elif c.isdigit() or c == ".":
-                j = i
-                while j < n and (src[j].isdigit() or src[j] == "."):
-                    j += 1
-                # exponent part like 1e-3
-                if j < n and src[j] in "eE" and j + 1 < n and (
-                    src[j + 1].isdigit() or src[j + 1] in "+-"
-                ):
-                    j += 2
-                    while j < n and src[j].isdigit():
-                        j += 1
-                self.toks.append(("num", src[i:j]))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                self.toks.append(("name", src[i:j]))
-                i = j
-            elif src.startswith("**", i):
-                self.toks.append(("op", "^"))
-                i += 2
-            elif c in "+-*/^(),":
-                self.toks.append(("op", c))
-                i += 1
-            else:
-                raise InvalidConfigError(f"bad character {c!r} in expression {src!r}")
-        self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else ("end", "")
+def _divide(a, b):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return a / b
 
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
 
-    def expect(self, val):
-        kind, v = self.next()
-        if v != val:
-            raise InvalidConfigError(f"expected {val!r}, got {v!r} in {self.src!r}")
+def _power(a, b):
+    with np.errstate(invalid="ignore"):
+        return a ** b
+
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: _divide, ast.Pow: _power}
 
 
 class Expression:
@@ -84,12 +51,28 @@ class Expression:
 
     def __init__(self, source):
         self.source = source
-        toks = _Tokens(source)
-        self._ast = _parse_sum(toks)
-        if toks.peek()[0] != "end":
-            raise InvalidConfigError(f"trailing input in expression {source!r}")
-        self.variables = sorted(_collect_vars(self._ast))
-        self.is_complex = _uses_imag(self._ast)
+        bad = _BAD_CHAR.search(source)
+        if bad:
+            raise InvalidConfigError(f"bad character {bad.group()!r} in expression {source!r}")
+        src = " ".join(source.split()).replace("^", "**")
+        if not src.isascii():
+            src = _NUMERAL.sub(lambda m: "".join(str(int(c)) if c.isdecimal() else c
+                                                 for c in m[0]), src)
+        src = _LEADING_ZEROS.sub("", src)
+        raw = src.encode()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "1or 2" warns of a bad literal
+                tree = ast.parse(src, mode="eval")
+            self._fn = _compile(tree.body, raw)
+        except SyntaxError as exc:
+            raise InvalidConfigError(f"bad expression {source!r}: {exc.msg}") from None
+        except (RecursionError, MemoryError):
+            raise InvalidConfigError(f"expression {source!r} is nested too deeply") from None
+        names = [_text(node, raw) for node in ast.walk(tree) if type(node) is ast.Name]
+        self.variables = sorted({"n1" if v == "n" else v for v in names if _VARIABLE.fullmatch(v)})
+        self.is_complex = "i" in names
+        self._arity = self.max_variable()
 
     def max_variable(self):
         return max((int(v[1:]) for v in self.variables), default=0)
@@ -98,7 +81,15 @@ class Expression:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 1:
             coords = coords.reshape(-1, 1)
-        out = _eval(self._ast, coords)
+        if self._arity > coords.shape[1]:
+            raise InvalidConfigError(
+                f"expression {self.source!r} uses n{self._arity} but the space has "
+                f"{coords.shape[1]} coordinates"
+            )
+        try:
+            out = self._fn(coords)
+        except RecursionError:
+            raise InvalidConfigError(f"expression {self.source!r} is nested too deeply") from None
         if np.isscalar(out) or np.ndim(out) == 0:
             dt = np.complex128 if self.is_complex else np.float64
             out = np.full(coords.shape[0], out, dtype=dt)
@@ -108,127 +99,42 @@ class Expression:
         return f"Expression({self.source!r})"
 
 
-def _parse_sum(t):
-    node = _parse_term(t)
-    while t.peek() == ("op", "+") or t.peek() == ("op", "-"):
-        op = t.next()[1]
-        node = (op, node, _parse_term(t))
-    return node
+def _text(node, raw):
+    """A node's source as written in the one-line UTF-8 source ``raw`` (the
+    parser's offsets count bytes). Names are read from it, not from the
+    parser's ``id``, which folds, e.g., fullwidth letters to ASCII."""
+    return raw[node.col_offset:node.end_col_offset].decode()
 
 
-def _parse_term(t):
-    node = _parse_unary(t)
-    while t.peek() == ("op", "*") or t.peek() == ("op", "/"):
-        op = t.next()[1]
-        node = (op, node, _parse_unary(t))
-    return node
+def _compile(node, raw):
+    """The callable coords -> value of one whitelisted node."""
+    text, kind = _text(node, raw), type(node)
+    if kind is ast.Constant and type(node.value) in (int, float) and _NUMBER.fullmatch(text):
+        value = float(text)
+        return lambda x: value
+    if kind is ast.Name and text in _CONSTS:
+        value = _CONSTS[text]
+        return lambda x: value
+    if kind is ast.Name and _VARIABLE.fullmatch(text):
+        k = int(text[1:] or 1)
+        if not 1 <= k <= 9:
+            raise InvalidConfigError(f"variable {text!r} out of range n1..n9")
+        return lambda x: x[:, k - 1]
+    if kind is ast.UnaryOp and type(node.op) in (ast.UAdd, ast.USub):
+        f = _compile(node.operand, raw)
+        return f if type(node.op) is ast.UAdd else lambda x: -f(x)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        op, f, g = _BINARY[type(node.op)], _compile(node.left, raw), _compile(node.right, raw)
+        return lambda x: op(f(x), g(x))
+    func = getattr(node, "func", None)
+    if (kind is ast.Call and type(func) is ast.Name and _text(func, raw) in _FUNCS
+            and func.col_offset == node.col_offset  # not (sin)(1)
+            and len(node.args) == 1 and not node.keywords
+            and "," not in text):  # not sin(1,)
+        fn, f = _FUNCS[func.id], _compile(node.args[0], raw)
 
-
-def _parse_unary(t):
-    if t.peek() == ("op", "-"):
-        t.next()
-        return ("neg", _parse_unary(t))
-    if t.peek() == ("op", "+"):
-        t.next()
-        return _parse_unary(t)
-    return _parse_power(t)
-
-
-def _parse_power(t):
-    base = _parse_atom(t)
-    if t.peek() == ("op", "^"):
-        t.next()
-        return ("^", base, _parse_unary(t))
-    return base
-
-
-def _parse_atom(t):
-    kind, v = t.next()
-    if kind == "num":
-        try:
-            return ("num", float(v))
-        except ValueError:
-            raise InvalidConfigError(f"bad number {v!r} in {t.src!r}") from None
-    if kind == "name":
-        if t.peek() == ("op", "("):
-            if v not in _FUNCS:
-                raise InvalidConfigError(f"unknown function {v!r} in {t.src!r}")
-            t.next()
-            arg = _parse_sum(t)
-            t.expect(")")
-            return ("call", v, arg)
-        if v in _CONSTS:
-            return ("const", v)
-        if v == "n":
-            return ("var", "n1")
-        if v.startswith("n") and v[1:].isdigit() and len(v) >= 2:
-            k = int(v[1:])
-            if not 1 <= k <= 9:
-                raise InvalidConfigError(f"variable {v!r} out of range n1..n9")
-            return ("var", v)
-        raise InvalidConfigError(f"unknown name {v!r} in expression {t.src!r}")
-    if (kind, v) == ("op", "("):
-        node = _parse_sum(t)
-        t.expect(")")
-        return node
-    raise InvalidConfigError(f"unexpected token {v!r} in expression {t.src!r}")
-
-
-def _collect_vars(node):
-    tag = node[0]
-    if tag == "var":
-        return {node[1]}
-    if tag in ("num", "const"):
-        return set()
-    if tag in ("neg",):
-        return _collect_vars(node[1])
-    if tag == "call":
-        return _collect_vars(node[2])
-    return _collect_vars(node[1]) | _collect_vars(node[2])
-
-
-def _uses_imag(node):
-    tag = node[0]
-    if tag == "const":
-        return node[1] == "i"
-    if tag in ("num", "var"):
-        return False
-    if tag == "neg":
-        return _uses_imag(node[1])
-    if tag == "call":
-        return _uses_imag(node[2])
-    return _uses_imag(node[1]) or _uses_imag(node[2])
-
-
-def _eval(node, coords):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "const":
-        return _CONSTS[node[1]]
-    if tag == "var":
-        k = int(node[1][1:])
-        if k > coords.shape[1]:
-            raise InvalidConfigError(
-                f"expression uses {node[1]} but the space has {coords.shape[1]} coordinates"
-            )
-        return coords[:, k - 1]
-    if tag == "neg":
-        return -_eval(node[1], coords)
-    if tag == "call":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return _FUNCS[node[1]](_eval(node[2], coords))
-    a, b = _eval(node[1], coords), _eval(node[2], coords)
-    if tag == "+":
-        return a + b
-    if tag == "-":
-        return a - b
-    if tag == "*":
-        return a * b
-    if tag == "/":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return a / b
-    if tag == "^":
-        with np.errstate(invalid="ignore"):
-            return a ** b
-    raise InvalidConfigError(f"bad AST node {tag!r}")
+        def call(x):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return fn(f(x))
+        return call
+    raise InvalidConfigError(f"{text!r} is not allowed in an expression")

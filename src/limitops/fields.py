@@ -201,11 +201,6 @@ class ExpressionField(Field):
 
     def eval(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
-        if self.expression.max_variable() > space.point_arity:
-            raise InvalidConfigError(
-                f"expression {self.expression.source!r} uses more coordinates "
-                f"than the space has"
-            )
         return np.asarray(self.expression.eval(pts.astype(np.float64)),
                           dtype=np.complex128)
 
@@ -442,27 +437,27 @@ class FiniteSetPredicate(Predicate):
 
 
 class ExpressionPredicate(Predicate):
-    """expr(x) > 0."""
+    """expr(x) > 0. ``source`` is a source, an Expression or the (shifted)
+    ExpressionField to test; a shift is the field's own, so a
+    ``_GenericShifted`` owns the offset and wraps its fiber coordinate."""
 
     def __init__(self, source, offset=None):
-        self.expression = source if isinstance(source, Expression) else Expression(source)
-        self.offset = _int_offset(offset) if offset else None
+        field = source if isinstance(source, Field) else ExpressionField(source)
+        self.field = _GenericShifted(field, offset) if offset else field
+
+    @property
+    def offset(self):
+        return getattr(self.field, "offset", None)
 
     def test(self, space, pts):
-        pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
-        if self.offset is not None:
-            pts = space.translate(pts, self.offset)
-        vals = self.expression.eval(pts.astype(np.float64))
-        return np.real(vals) > 0
+        return np.real(self.field.eval(space, pts)) > 0
 
     def shifted(self, space, v):
-        v = _normalize_shift(space, v)
-        base = self.offset or (0,) * space.point_arity
-        total = tuple(a + b for a, b in zip(base, v))
-        return ExpressionPredicate(self.expression, total)
+        return ExpressionPredicate(self.field.shifted(space, v))
 
     def to_descriptor(self):
-        d = {"type": "expressionPredicate", "source": self.expression.source}
+        unshifted = getattr(self.field, "base", self.field)
+        d = {"type": "expressionPredicate", "source": unshifted.expression.source}
         if self.offset:
             d["offset"] = list(self.offset)
         return d

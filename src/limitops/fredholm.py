@@ -233,13 +233,6 @@ class InvertibilityEstimate:
         }
 
 
-def _as_windows(space, schedule):
-    out = []
-    for w in schedule:
-        out.append(w if isinstance(w, Window) else Window(space, space.basepoint, w))
-    return out
-
-
 def invertibility_estimate(B, schedule, tau=0.05, p=2):
     """Window lower norms of B and its adjoint along an increasing window
     schedule.
@@ -249,8 +242,7 @@ def invertibility_estimate(B, schedule, tau=0.05, p=2):
     stabilized values (< 1% relative change over the last step) is evidence
     of invertibility, never a certificate.
     """
-    space = B.space
-    windows = _as_windows(space, schedule)
+    windows = list(map(basepoint_windows(B.space), schedule))
     radii = [w.radius for w in windows]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidConfigError("window schedule must be strictly increasing")

@@ -380,7 +380,7 @@ def commutator_stack_norm(A, partition, scope, p=2):
     return _pnorm_bounds(np.vstack(stack), p)
 
 
-def bdo_diagnostic(A, t_grid, scope, p=2, partition_builder=None):
+def bdo_diagnostic(A, t_grid, scope, p=2):
     """Commutator decay curve over a decreasing t grid plus a classification.
 
     Band-dominated behavior predicts values <= C * t^(1/p) with one constant
@@ -395,12 +395,10 @@ def bdo_diagnostic(A, t_grid, scope, p=2, partition_builder=None):
     t_grid = list(t_grid)
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise InvalidConfigError("t grid must be strictly decreasing")
-    build = partition_builder or (
-        lambda t: build_partition(A.space, scope.pad(A.propagation), t)
-    )
+    padded = scope.pad(A.propagation)
     values = []
     for t in t_grid:
-        part = build(t)
+        part = build_partition(A.space, padded, t)
         v = commutator_stack_norm(A, part, scope, p)
         values.append(v if p == 2 else v[1])
     ratios = [v / t ** (1.0 / p) for v, t in zip(values, t_grid) if v > 1e-12]

@@ -135,6 +135,9 @@ class Space:
                 raw = raw.reshape(1, -1)
             if raw.size and raw.shape[1] != self.point_arity:
                 raise InvalidPointError(f"point array arity {raw.shape[1]} != {self.point_arity}")
+            if raw.dtype.kind not in "biuf":  # strings, None, ...: refused row by row
+                for row in raw.tolist():
+                    self._check_point(row[0] if self.kind == "graph" else row)
             with np.errstate(invalid="ignore"):
                 a = raw.astype(np.int64)
             if raw.dtype.kind not in "biu":

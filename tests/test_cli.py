@@ -405,6 +405,22 @@ def test_descriptors_the_parsers_cannot_take_are_rejected(tmp_path, capsys, oper
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", [
+    "-" * 1000 + "1", "(" * 250 + "1" + ")" * 250, "abs(" * 250 + "1" + ")" * 250,
+    "+".join(["1"] * 1000), "^".join(["2"] * 5000), "n1\u00b2",
+], ids=["unary", "parentheses", "calls", "sum", "power", "superscript"])
+def test_bad_expression_sources_are_one_error_line(tmp_path, capsys, source):
+    # the nested ones once ended in a RecursionError traceback, n1² in int()'s
+    # ValueError
+    field = {"type": "expression", "source": source}
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": {"kind": "multiplication", "field": field},
+                               "sequences": [{"v": [1]}]})
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("nested" in err) == (source != "n1\u00b2")
+
+
 def test_unreadable_config_is_an_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +69,132 @@ def test_expression_functions():
 def test_expression_rejects_malformed_sources(bad):
     with pytest.raises(InvalidConfigError):
         Expression(bad).eval(np.zeros((1, 1)))
+
+
+# Python's parser reads these differently or refuses them; the expression
+# language keeps its own reading. None marks a refused source.
+@pytest.mark.parametrize("source, value", [
+    ("010", 10.0),  # a leading zero, which Python refuses
+    ("3.010", 3.01),
+    ("1e05", 1e5),
+    ("00.5 + .5", 1.0),
+    ("n01 * n001", 9.0),  # zero-padded variable names
+    ("\tn +\n 1", 4.0),  # tabs and newlines between tokens
+    ("   n", 3.0),  # leading spaces
+    ("sin (0) + abs((-2))", 2.0),
+    ("n\u0661 + \u0663.\u0665", 6.5),  # float() and int() read any decimal digit
+    ("1_0", None), ("0x1", None), ("1j", None), ("True", None), ("...", None),
+    ("sin(1, 2)", None), ("sin(x=1)", None), ("sin(1,)", None), ("sin(*n)", None),
+    ("(sin)(1)", None), ("n1 < 2", None), ("(1, 2)", None), ("n.real", None), ("n[0]", None),
+    # fullwidth sin and n and a script e, which the parser folds to ASCII
+    ("\uff53\uff49\uff4e(1)", None), ("\uff4e1", None), ("\u212f", None),
+    ("2n", None), ("n1\u00b2", None), ("1 # comment", None), ("(yield)", None),
+    ("1or 2", None),
+])
+def test_expression_number_forms_whitespace_and_refusals(source, value):
+    x = np.asarray([[3.0]])
+    if value is None:
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(InvalidConfigError):
+            warnings.simplefilter("always")
+            Expression(source)
+        assert not caught  # Python's parser warns of "1or 2"
+    else:
+        assert Expression(source).eval(x).tolist() == [value]
+
+
+def test_expression_warnings_follow_each_operators_errstate():
+    # calls and / ignore invalid and divide, ^ ignores invalid only, and
+    # overflow always warns
+    x = np.asarray([[-1.0], [0.0], [4.0]])
+    for source, warns in [("log(n - n)", False), ("sqrt(n)", False), ("n / (n - n)", False),
+                          ("n^0.5", False), ("(n - n)^(0 - 1)", True), ("exp(1000 * n)", True)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Expression(source).eval(x)
+        assert bool(caught) == warns, source
+
+
+def test_expression_variables_are_spelled_as_written():
+    e = Expression("n01 + n + n1 * n3")
+    assert e.variables == ["n01", "n1", "n3"]
+    assert e.max_variable() == 3 and not e.is_complex
+    assert Expression("exp(i * pi)").is_complex
+
+
+_DEEP = {
+    "unary": "-" * 1000 + "1",
+    "parentheses": "(" * 250 + "1" + ")" * 250,
+    "calls": "abs(" * 250 + "1" + ")" * 250,
+    "sum": "+".join(["1"] * 1000),
+    "power": "^".join(["2"] * 5000),
+}
+
+
+@pytest.mark.parametrize("source", _DEEP.values(), ids=_DEEP.keys())
+def test_deeply_nested_expressions_are_refused(source):
+    # each once raised RecursionError (or MemoryError inside Python's parser)
+    with pytest.raises(InvalidConfigError, match="nested"):
+        Expression(source)
+
+
+def test_expression_nested_too_deeply_for_the_caller_is_refused():
+    # built near the top of the stack, evaluated deep inside it
+    depth = sys.getrecursionlimit() // 2
+    e = Expression("-" * depth + "n")
+
+    def deep(k):
+        return deep(k - 1) if k else e.eval(np.zeros((1, 1)))
+
+    with pytest.raises(InvalidConfigError, match="nested too deeply"):
+        deep(depth)
+
+
+# a drawn tree is (source, direct numpy evaluation, whether it uses i)
+_LEAVES = st.one_of(
+    st.sampled_from(["0", "7", "010", "2.5", ".25", "3.", "1e-3", "1.5E+2", "2e1"])
+    .map(lambda t: (t, lambda x, v=float(t): v, False)),
+    st.sampled_from(["n", "n1", "n2", "n3"])
+    .map(lambda t: (t, lambda x, k=int(t[1:] or 1): x[:, k - 1], False)),
+    st.sampled_from([("pi", np.pi), ("e", np.e), ("i", 1j)])
+    .map(lambda t: (t[0], lambda x, v=t[1]: v, t[0] == "i")),
+)
+_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+           "/": lambda a, b: a / b, "^": lambda a, b: a ** b, "**": lambda a, b: a ** b}
+_FUNCTIONS = ["sin", "cos", "tan", "sqrt", "abs", "exp", "log", "sign", "floor", "ceil"]
+_SPACE = st.sampled_from(["", " ", "\t", "\n "])
+
+
+def _extend(trees):
+    unary = st.tuples(st.sampled_from("+-"), _SPACE, trees).map(
+        lambda t: (f"({t[0]}{t[1]}{t[2][0]})",
+                   t[2][1] if t[0] == "+" else lambda x, f=t[2][1]: -f(x), t[2][2]))
+    binary = st.tuples(trees, _SPACE, st.sampled_from(sorted(_BINARY)), _SPACE, trees).map(
+        lambda t: (f"({t[0][0]}{t[1]}{t[2]}{t[3]}{t[4][0]})",
+                   lambda x, f=t[0][1], op=_BINARY[t[2]], g=t[4][1]: op(f(x), g(x)),
+                   t[0][2] or t[4][2]))
+    call = st.tuples(st.sampled_from(_FUNCTIONS), trees).map(
+        lambda t: (f"{t[0]}({t[1][0]})",
+                   lambda x, fn=getattr(np, t[0]), f=t[1][1]: fn(f(x)), t[1][2]))
+    return st.one_of(unary, binary, call)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _extend, max_leaves=12))
+def test_expression_matches_numpy_on_the_drawn_tree(drawn):
+    source, direct, uses_i = drawn
+    x = np.asarray([[0.0, 1.0, 2.0], [3.0, -4.0, 5.0], [-1.0, 0.5, 7.0]])
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            want = direct(x)
+            if np.ndim(want) == 0:  # a constant tree, as a column
+                want = np.full(3, want, dtype=np.complex128 if uses_i else np.float64)
+        except (ArithmeticError, TypeError) as exc:  # e.g. 1/0 on Python floats
+            with pytest.raises(type(exc)):
+                Expression(source).eval(x)
+            return
+        got = Expression(source).eval(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), source
 
 
 def test_expression_field_checks_arity(z1):
@@ -263,6 +392,23 @@ def test_expression_predicate(z1):
     assert p.test(z1, pts1(-3, -1, 0, 2, 5)).tolist() == [True, False, False, False, True]
     q = p.shifted(z1, (3,))
     assert q.test(z1, pts1(0)).tolist() == [True]  # tests the shifted point 3
+
+
+def test_expression_predicate_shifts_wrap_the_fiber_offset():
+    # shifts by (0, -1) and (0, 2) once serialised with offsets [0, -1] and
+    # [0, 2]; the shifted field now owns the offset and wraps it
+    f3 = Space(kind="lattice", dim=1, fiber=3)
+    p = ExpressionPredicate("n2 - 0.5")
+    down, up = p.shifted(f3, (0, -1)), p.shifted(f3, (0, 2))
+    assert down.to_descriptor() == up.to_descriptor() == {
+        "type": "expressionPredicate", "source": "n2 - 0.5", "offset": [0, 2]}
+    assert down.offset == (0, 2) and p.offset is None
+    pts = np.asarray([(x, c) for x in range(-2, 3) for c in range(3)], dtype=np.int64)
+    assert down.test(f3, pts).tolist() == up.test(f3, pts).tolist() == \
+        ((pts[:, 1] + 2) % 3 > 0.5).tolist()
+    assert down.shifted(f3, (0, 1)).to_descriptor() == p.to_descriptor()
+    again = predicate_from_descriptor(down.to_descriptor())
+    assert again.test(f3, pts).tolist() == down.test(f3, pts).tolist()
 
 
 @pytest.mark.parametrize("offset", [(0.9,), (-0.5,), (np.nan,), (np.inf,), ("1",)])

@@ -164,17 +164,19 @@ def test_window_locate(z1):
 
 
 def _point_array_calls(space, pts):
-    """dist_block, pairs_within and Window.locate, each given ``pts``."""
+    """as_array, dist_block, pairs_within and Window.locate, each given ``pts``."""
     w = Window(space, space.basepoint, 3)
-    return (lambda: space.dist_block(pts, [space.basepoint]),
+    return (lambda: space.as_array(pts),
+            lambda: space.dist_block(pts, [space.basepoint]),
             lambda: space.pairs_within([space.basepoint], pts, 2),
             lambda: w.locate(pts))
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, "1"])
+@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, "1", "x", None])
 def test_point_arrays_refuse_non_integer_coordinates(z1, bad):
     # these once truncated: dist_block([(0.5,)], [(0,)]) read [[0]] and
-    # locate([(1.7,)]) found the point 1
+    # locate([(1.7,)]) found the point 1; "x" and None once raised numpy's
+    # ValueError and TypeError
     for call in _point_array_calls(z1, [(0,), (bad,)]):
         with pytest.raises(InvalidConfigError, match="point .* must have integer entries"):
             call()
