@@ -21,7 +21,9 @@ from .errors import InvalidConfigError
 _FUNCS = {name: getattr(np, name) for name in
           ("sin", "cos", "tan", "sqrt", "abs", "exp", "log", "sign", "floor", "ceil")}
 
-_CONSTS = {"pi": np.pi, "e": np.e, "i": 1j}
+# constants are numpy scalars, so constant subexpressions follow the same
+# floating-point rules as coordinate ones (1/0 is inf, not an exception)
+_CONSTS = {"pi": np.float64(np.pi), "e": np.float64(np.e), "i": np.complex128(1j)}
 
 _BAD_CHAR = re.compile(r"[^\w\s.+\-*/^(),]")
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")  # 010 reads as 10
@@ -110,7 +112,7 @@ def _compile(node, raw):
     """The callable coords -> value of one whitelisted node."""
     text, kind = _text(node, raw), type(node)
     if kind is ast.Constant and type(node.value) in (int, float) and _NUMBER.fullmatch(text):
-        value = float(text)
+        value = np.float64(text)
         return lambda x: value
     if kind is ast.Name and text in _CONSTS:
         value = _CONSTS[text]

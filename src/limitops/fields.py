@@ -7,6 +7,8 @@ expression) carry enough shape information for the limit machinery to take
 translation limits symbolically where possible; combinators recurse.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from ._kernels import PointLocator
@@ -34,9 +36,12 @@ def _normalize_shift(space, v):
     return _pad(space, v, "shift")
 
 
+# limit scans rebuild operators on every conjugate, sum and difference, so
+# each (space, offset) is normalised once
+@lru_cache(maxsize=4096)
 def _wrapped_shift(space, v):
-    """A shift vector, padded, with its fiber coordinate wrapped into
-    0..fiber-1."""
+    """A shift vector or stencil offset (a tuple), padded, with its fiber
+    coordinate wrapped into 0..fiber-1."""
     return tuple(space.translate(_normalize_shift(space, v), 0).tolist())
 
 
@@ -61,7 +66,9 @@ def _locate_keys(space, keys, pts):
 
 
 class Field:
-    """Base class; subclasses implement eval/bound/shifted/conj."""
+    """Base class; subclasses implement eval/bound/to_descriptor, and
+    shifted/conj where they have a closed form (the fallbacks wrap the
+    field)."""
 
     exact = True  # values are structurally known, not sampled estimates
 
@@ -73,10 +80,10 @@ class Field:
         raise NotImplementedError
 
     def shifted(self, space, v):
-        raise NotImplementedError
+        return _GenericShifted(self, _wrapped_shift(space, tuple(v)))
 
     def conj(self):
-        raise NotImplementedError
+        return _GenericConj(self)
 
     def scaled(self, c):
         c = complex(c)
@@ -218,12 +225,6 @@ class ExpressionField(Field):
         vals = vals[np.isfinite(vals)]
         return float(np.abs(vals).max()) if vals.size else 0.0, False
 
-    def shifted(self, space, v):
-        return _GenericShifted(self, _wrapped_shift(space, v))
-
-    def conj(self):
-        return _GenericConj(self)
-
     def to_descriptor(self):
         return {"type": "expression", "source": self.expression.source}
 
@@ -318,12 +319,6 @@ class SeededRandomField(Field):
 
     def bound(self, space):
         return abs(self.scale), True
-
-    def shifted(self, space, v):
-        return _GenericShifted(self, _wrapped_shift(space, v))
-
-    def conj(self):
-        return _GenericConj(self)
 
     def to_descriptor(self):
         return {"type": "seededRandom", "seed": self.seed, "mode": self.mode,
@@ -517,40 +512,12 @@ class IndicatorField(Field):
 # -- combinators -------------------------------------------------------------
 
 
-class SumField(Field):
-    def __init__(self, parts):
-        self.parts = []
-        for p in parts:
-            if isinstance(p, SumField):
-                self.parts.extend(p.parts)
-            else:
-                self.parts.append(p)
+class _FoldField(Field):
+    """Pointwise left fold of the parts by one ufunc; shifts and conjugates
+    go to the parts."""
 
-    @property
-    def exact(self):
-        return all(p.exact for p in self.parts)
+    tag = op = total = None  # descriptor tag, ufunc, total of the part bounds
 
-    def eval(self, space, pts):
-        out = self.parts[0].eval(space, pts).copy()
-        for p in self.parts[1:]:
-            out += p.eval(space, pts)
-        return out
-
-    def bound(self, space):
-        vals, certs = zip(*(p.bound(space) for p in self.parts))
-        return float(sum(vals)), all(certs)
-
-    def shifted(self, space, v):
-        return SumField([p.shifted(space, v) for p in self.parts])
-
-    def conj(self):
-        return SumField([p.conj() for p in self.parts])
-
-    def to_descriptor(self):
-        return {"type": "sum", "parts": [p.to_descriptor() for p in self.parts]}
-
-
-class ProductField(Field):
     def __init__(self, parts):
         self.parts = list(parts)
 
@@ -561,31 +528,54 @@ class ProductField(Field):
     def eval(self, space, pts):
         out = self.parts[0].eval(space, pts).copy()
         for p in self.parts[1:]:
-            out *= p.eval(space, pts)
+            self.op(out, p.eval(space, pts), out=out)
         return out
 
     def bound(self, space):
         vals, certs = zip(*(p.bound(space) for p in self.parts))
-        return float(np.prod(vals)), all(certs)
+        return float(self.total(vals)), all(certs)
 
     def shifted(self, space, v):
-        return ProductField([p.shifted(space, v) for p in self.parts])
+        return type(self)([p.shifted(space, v) for p in self.parts])
 
     def conj(self):
-        return ProductField([p.conj() for p in self.parts])
+        return type(self)([p.conj() for p in self.parts])
 
     def to_descriptor(self):
-        return {"type": "product", "parts": [p.to_descriptor() for p in self.parts]}
+        return {"type": self.tag, "parts": [p.to_descriptor() for p in self.parts]}
 
 
-class ScaledField(Field):
-    def __init__(self, base, factor):
+class SumField(_FoldField):
+    tag, op, total = "sum", np.add, sum
+
+    def __init__(self, parts):
+        super().__init__(q for p in parts
+                         for q in (p.parts if isinstance(p, SumField) else [p]))
+
+
+class ProductField(_FoldField):
+    tag, op, total = "product", np.multiply, staticmethod(np.prod)
+
+
+class _Wrapper(Field):
+    """A field made from one base field; it is exact when the base is and,
+    unless it says otherwise, has the base's bound."""
+
+    def __init__(self, base):
         self.base = base
-        self.factor = complex(factor)
 
     @property
     def exact(self):
         return self.base.exact
+
+    def bound(self, space):
+        return self.base.bound(space)
+
+
+class ScaledField(_Wrapper):
+    def __init__(self, base, factor):
+        super().__init__(base)
+        self.factor = complex(factor)
 
     def eval(self, space, pts):
         return self.factor * self.base.eval(space, pts)
@@ -608,7 +598,7 @@ class ScaledField(Field):
                 "base": self.base.to_descriptor()}
 
 
-class _GenericShifted(Field):
+class _GenericShifted(_Wrapper):
     """Fallback shift wrapper for fields without a closed-form translate."""
 
     def __init__(self, base, offset):
@@ -616,19 +606,12 @@ class _GenericShifted(Field):
         if isinstance(base, _GenericShifted):
             offset = tuple(a + b for a, b in zip(base.offset, offset))
             base = base.base
-        self.base = base
+        super().__init__(base)
         self.offset = offset
-
-    @property
-    def exact(self):
-        return self.base.exact
 
     def eval(self, space, pts):
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, space.point_arity)
         return self.base.eval(space, space.translate(pts, self.offset))
-
-    def bound(self, space):
-        return self.base.bound(space)
 
     def shifted(self, space, v):
         total = tuple(space.translate(self.offset, _normalize_shift(space, v)).tolist())
@@ -644,19 +627,9 @@ class _GenericShifted(Field):
                 "base": self.base.to_descriptor()}
 
 
-class _GenericConj(Field):
-    def __init__(self, base):
-        self.base = base
-
-    @property
-    def exact(self):
-        return self.base.exact
-
+class _GenericConj(_Wrapper):
     def eval(self, space, pts):
         return np.conj(self.base.eval(space, pts))
-
-    def bound(self, space):
-        return self.base.bound(space)
 
     def shifted(self, space, v):
         return _GenericConj(self.base.shifted(space, v))

@@ -12,23 +12,14 @@ lower bound, row/column interpolation upper bound).
 """
 
 import warnings
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidConfigError, ScopeError, TruncationError
-from .fields import ConstantField, Field, _normalize_shift
+from .fields import ConstantField, Field, _normalize_shift, _wrapped_shift
 from ._kernels import PointLocator
 from .space import Window
-
-
-# limit scans rebuild operators on every conjugate, sum and difference, so
-# each (space, offset) is normalised once
-@lru_cache(maxsize=4096)
-def _stencil_key(space, k):
-    """An offset as a stencil key: integer entries, padded, the fiber
-    coordinate wrapped into 0..fiber-1."""
-    return tuple(space.translate(_normalize_shift(space, k), 0).tolist())
 
 
 class BandOperator:
@@ -38,7 +29,7 @@ class BandOperator:
         self.space = space
         norm = {}
         for k, f in stencil.items():
-            k = _stencil_key(space, k)
+            k = _wrapped_shift(space, k)
             if not isinstance(f, Field):
                 f = ConstantField(f)
             if f.is_zero():
@@ -57,7 +48,7 @@ class BandOperator:
         return all(f.exact for f in self.stencil.values())
 
     def coefficient(self, k):
-        return self.stencil.get(_stencil_key(self.space, tuple(k)), ConstantField(0.0))
+        return self.stencil.get(_wrapped_shift(self.space, tuple(k)), ConstantField(0.0))
 
     # -- algebra ------------------------------------------------------------
 

@@ -9,6 +9,7 @@ as a value (with a witness), not raised.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from math import gcd, lcm
 
 import numpy as np
@@ -18,6 +19,7 @@ from .fields import (
     AndPredicate,
     ConstantField,
     EmptyPredicate,
+    Field,
     FiniteSetPredicate,
     FullPredicate,
     HalfspacePredicate,
@@ -305,22 +307,11 @@ def _analytic_limit(space, f, ray):
         moved = _BoundRay(space, ray.v, tuple(a + b for a, b in zip(ray.w, f.offset)),
                           ray.label)
         return _analytic_limit(space, f.base, moved)
-    if isinstance(f, SumField):
+    if isinstance(f, (SumField, ProductField)):
         parts = [_analytic_limit(space, p, ray) for p in f.parts]
         if any(p is None for p in parts):
             return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.plus(p)
-        return out
-    if isinstance(f, ProductField):
-        parts = [_analytic_limit(space, p, ray) for p in f.parts]
-        if any(p is None for p in parts):
-            return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.times(p)
-        return out
+        return reduce(Field.plus if isinstance(f, SumField) else Field.times, parts)
     return None
 
 
@@ -340,6 +331,10 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     the settling index on). Otherwise conjugates are compared along a doubling
     index schedule until the gaps fall below tol on every requested radius.
     """
+    if budget < 1:
+        raise InvalidConfigError(f"limit budget {budget} must be at least 1")
+    if not radii:
+        raise InvalidConfigError("limit_operator needs at least one radius")
     space = A.space
     if space.kind == "graph":
         raise UnsupportedConstructionError(
@@ -371,21 +366,22 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
             )
 
     if analytic is not None:
-        cert = []
-        for radius in radii:
-            best = np.inf
-            for n in _schedule(budget):
-                g = _window_upper(conjugate(A, bound.point(n)) - analytic, *pairs[radius], p)
-                if g < best:
-                    best = g
-                    cert_entry = (radius, n, g)
+        # one doubling scan: each conjugate's difference serves every radius
+        # not yet settled, and each radius keeps its first smallest gap
+        best = [(radius, None, np.inf) for radius in radii]
+        unsettled = list(range(len(radii)))
+        for n in _schedule(budget):
+            diff = conjugate(A, bound.point(n)) - analytic
+            for i in list(unsettled):
+                g = _window_upper(diff, *pairs[radii[i]], p)
+                if g < best[i][2]:
+                    best[i] = (radii[i], n, g)
                 if g <= max(tol * 1e-3, 1e-14):
-                    break
-                if bound.finite is not None and n >= bound.finite:
-                    break
-            cert.append(cert_entry)
+                    unsettled.remove(i)
+            if not unsettled:
+                break
         return LimitOperator(op=analytic, sequence_label=bound.label, exact=True,
-                             certificate=cert)
+                             certificate=best)
 
     # numeric path
     maxrad = radii[-1]

@@ -36,8 +36,9 @@ _PAIRS_CHUNK = 1 << 20
 
 def _int_offset(v, what="offset"):
     """The entries of an integer vector (point, offset, shift, period,
-    modulus) as ints; a non-integer entry is refused, not truncated, and an
-    integral float such as 1.0 is accepted."""
+    modulus) as ints; a non-integer entry is refused, not truncated, an
+    integral float such as 1.0 is accepted, and an entry outside int64 is
+    refused."""
     v = tuple(v)
     try:
         out = tuple(map(int, v))
@@ -45,6 +46,8 @@ def _int_offset(v, what="offset"):
         out = None
     if out != v:
         raise InvalidConfigError(f"{what} {list(v)} must have integer entries")
+    if not all(-2 ** 63 <= c < 2 ** 63 for c in out):
+        raise InvalidConfigError(f"{what} {list(v)} does not fit in int64")
     return out
 
 

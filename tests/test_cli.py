@@ -421,6 +421,35 @@ def test_bad_expression_sources_are_one_error_line(tmp_path, capsys, source):
     assert ("nested" in err) == (source != "n1\u00b2")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("source", ["1/0", "n + 1/0", "10^400", "(0-8)^(1/3)"])
+def test_non_finite_constant_expressions_are_an_error(tmp_path, capsys, source):
+    # the first three once ended in a ZeroDivisionError or OverflowError
+    # traceback, and the last exited 0 on the real part of a complex power
+    field = {"type": "expression", "source": source}
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": {"kind": "multiplication", "field": field},
+                               "sequences": [{"v": [1]}]})
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("config", [
+    {"operator": {"kind": "multiplication", "field": {
+        "type": "table", "entries": [{"point": [2 ** 70], "value": 3.0}]}},
+     "sequences": [{"v": [1]}]},
+    {"operator": {"kind": "identity"},
+     "sequences": [{"kind": "explicit", "points": [[1], [2 ** 70]]}]},
+], ids=["table-key", "explicit-point"])
+def test_integers_outside_int64_are_one_error_line(tmp_path, capsys, config):
+    # both once ended in an OverflowError traceback
+    cfg = write_cfg(tmp_path, {"space": Z1, **config})
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not fit in int64" in err
+
+
 def test_unreadable_config_is_an_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -25,7 +25,7 @@ from limitops import (
     predicate_from_descriptor,
 )
 from limitops.expr import Expression
-from limitops.fields import _GenericShifted
+from limitops.fields import Field, _GenericConj, _GenericShifted
 
 
 def pts1(*xs):
@@ -152,10 +152,10 @@ def test_expression_nested_too_deeply_for_the_caller_is_refused():
 # a drawn tree is (source, direct numpy evaluation, whether it uses i)
 _LEAVES = st.one_of(
     st.sampled_from(["0", "7", "010", "2.5", ".25", "3.", "1e-3", "1.5E+2", "2e1"])
-    .map(lambda t: (t, lambda x, v=float(t): v, False)),
+    .map(lambda t: (t, lambda x, v=np.float64(t): v, False)),
     st.sampled_from(["n", "n1", "n2", "n3"])
     .map(lambda t: (t, lambda x, k=int(t[1:] or 1): x[:, k - 1], False)),
-    st.sampled_from([("pi", np.pi), ("e", np.e), ("i", 1j)])
+    st.sampled_from([("pi", np.float64(np.pi)), ("e", np.float64(np.e)), ("i", np.complex128(1j))])
     .map(lambda t: (t[0], lambda x, v=t[1]: v, t[0] == "i")),
 )
 _BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
@@ -189,12 +189,26 @@ def test_expression_matches_numpy_on_the_drawn_tree(drawn):
             want = direct(x)
             if np.ndim(want) == 0:  # a constant tree, as a column
                 want = np.full(3, want, dtype=np.complex128 if uses_i else np.float64)
-        except (ArithmeticError, TypeError) as exc:  # e.g. 1/0 on Python floats
+        except TypeError as exc:  # e.g. floor of a complex value
             with pytest.raises(type(exc)):
                 Expression(source).eval(x)
             return
         got = Expression(source).eval(x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), source
+
+
+def test_constant_subexpressions_evaluate_like_coordinates():
+    # 1/0 and n + 1/0 once raised ZeroDivisionError, 10^400 OverflowError,
+    # and (0-8)^(1/3) dropped the imaginary part of a Python complex power
+    x = np.asarray([[0.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for source, value in [("1/0", np.inf), ("n + 1/0", np.inf), ("10^400", np.inf),
+                              ("(0-8)^(1/3)", np.nan)]:
+            got = Expression(source).eval(x)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, [value, value])
+    assert Expression("1/3 + 2*pi").eval(x).tolist() == [1 / 3 + 2 * np.pi] * 2
 
 
 def test_expression_field_checks_arity(z1):
@@ -315,6 +329,30 @@ def test_expression_field_shift_and_conj(z1):
     g = f.shifted(z1, (4,))
     assert np.allclose(g.eval(z1, xs), f.eval(z1, xs + 4))
     assert np.allclose(f.conj().eval(z1, xs), np.conj(f.eval(z1, xs)))
+
+
+class _Ramp(Field):
+    """A field with no closed-form shift or conjugate: i * n."""
+
+    def eval(self, space, pts):
+        return 1j * np.asarray(pts, dtype=np.float64)[:, 0]
+
+    def bound(self, space):
+        return np.inf, False
+
+    def to_descriptor(self):
+        return {"type": "ramp"}
+
+
+def test_fields_without_closed_forms_shift_and_conjugate_generically(z1):
+    f, xs = _Ramp(), pts1(-2, 0, 3)
+    g = f.shifted(z1, (4,))
+    assert type(g) is _GenericShifted and g.offset == (4,) and g.base is f
+    assert g.eval(z1, xs).tolist() == f.eval(z1, xs + 4).tolist()
+    h = f.conj()
+    assert type(h) is _GenericConj and h.conj() is f
+    assert h.eval(z1, xs).tolist() == np.conj(f.eval(z1, xs)).tolist()
+    assert g.bound(z1) == h.bound(z1) == (np.inf, False)
 
 
 def test_seeded_random_field_determinism(z1):

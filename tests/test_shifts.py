@@ -8,6 +8,7 @@ from limitops import (
     ExpressionField,
     FullPredicate,
     HalfspacePredicate,
+    IndicatorField,
     InvalidConfigError,
     LimitOperator,
     PeriodicField,
@@ -17,16 +18,19 @@ from limitops import (
     Subsequence,
     TableField,
     conjugate,
+    identity,
     laplacian_stencil,
     limit_algebra_check,
     limit_operator,
     limit_set,
     multiplication,
     sequence_from_descriptor,
+    shift_operator,
     subsequence_targeting,
     window_norm,
 )
 
+from limitops import shifts
 from conftest import window
 
 
@@ -172,6 +176,31 @@ def test_limit_scan_enumerates_each_window_once(z2, monkeypatch, field, exact):
     out = limit_operator(A, Ray((1, 0)), radii=(2, 3, 4), tol=1e-6)
     assert out.exact == exact and len(out.certificate) == 3
     assert calls and len(calls) == len(set(calls)), calls
+
+
+def test_exact_certificate_is_one_doubling_scan(z1, monkeypatch):
+    # each radius once ran its own scan: 1, 2 | 1, 2, 4 | 1, 2, 4, 8 was nine
+    # conjugates where the shared scan takes one per index
+    A = multiplication(z1, IndicatorField(HalfspacePredicate((1,), 0)))
+    calls = []
+    monkeypatch.setattr(shifts, "conjugate", lambda A, x: calls.append(x) or conjugate(A, x))
+    out = limit_operator(A, Ray((1,)), radii=(2, 4, 8))
+    assert out.exact and calls == [(1,), (2,), (4,), (8,)]
+    assert out.certificate == [(2, 2, 0.0), (4, 4, 0.0), (8, 8, 0.0)]
+
+
+@pytest.mark.parametrize("A, kwargs", [
+    # an UnboundLocalError, an exact limit with an empty certificate, and an
+    # IndexError
+    ("shift", {"budget": 0}),
+    ("shift", {"radii": ()}),
+    ("decay", {"radii": ()}),
+], ids=["budget-0-exact", "no-radii-exact", "no-radii-numeric"])
+def test_limit_operator_refuses_an_empty_scan(z1, A, kwargs):
+    A = (identity(z1) + 0.3 * shift_operator(z1, (1,)) if A == "shift"
+         else multiplication(z1, ExpressionField("exp(0-abs(n))")))
+    with pytest.raises(InvalidConfigError):
+        limit_operator(A, Ray((1,)), **kwargs)
 
 
 def test_random_coefficients_diverge(z1):

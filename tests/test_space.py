@@ -142,6 +142,15 @@ def test_points_refuse_non_integer_coordinates(z1, bad):
         Space(kind="graph", adjacency={0: [1], 1: [0]}, basepoint=bad)
 
 
+def test_points_outside_int64_are_refused(z1):
+    # as_array once raised OverflowError and Window.points numpy's
+    # UFuncTypeError
+    with pytest.raises(InvalidConfigError, match=r"point \[\d+\] does not fit in int64"):
+        z1.as_array([(1,), (2 ** 70,)])
+    with pytest.raises(InvalidConfigError, match="does not fit in int64"):
+        Window(z1, (2 ** 70,), 1).points
+
+
 def test_points_accept_integral_floats(z1):
     assert Window(z1, (2.0,), 1).center == (2,)
     assert Window(z1, (np.float64(-1.0),), 1).center == (-1,)
