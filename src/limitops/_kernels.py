@@ -165,16 +165,33 @@ def cho_solve_banded(cb_and_lower, b):
     return x
 
 
+# n^2 kd at and above which min_eig_banded values a band with kd >= 2 by
+# bisection: there ?sbevx/?hbevx's O(n^2 kd) band reduction costs more than
+# the ~50 O(n kd^2) Cholesky steps. Measured crossovers (2 vCPUs, one BLAS
+# thread): real kd = 2 near n = 256-290, real kd = 4 and 6 near n = 180-192,
+# complex kd = 2 near n = 256-290, complex kd = 4 and 6 near n = 150-165.
+BISECTION_WORK = 2 ** 17
+
+
 def min_eig_banded(ab):
-    """Smallest eigenvalue of a real symmetric or complex Hermitian matrix in
-    lower band storage: the LAPACK call of ``scipy.linalg.eigvals_banded(ab,
-    lower=True, select="i", select_range=(0, 0))``, dsbevx for a real ``ab``
-    and zhbevx otherwise, with the same arguments, so the same bits, without
-    the wrapper's overhead. May overwrite ``ab``. Raises like scipy:
-    ValueError on non-finite input or an illegal argument, LinAlgError when
-    LAPACK reports a failure."""
+    """Smallest eigenvalue of a real symmetric or complex Hermitian positive
+    semi-definite matrix in lower band storage (kd = ab.shape[0] - 1).
+
+    A band with kd >= 2 and n^2 kd >= BISECTION_WORK is valued by bisection
+    on Cholesky inertia (``_bisect_min_eig``): an upper bound on the
+    smallest eigenvalue within max(1e-10 value, 8 eps g) of it, g the
+    Gershgorin bound. Every other band takes the LAPACK call of
+    ``scipy.linalg.eigvals_banded(ab, lower=True, select="i",
+    select_range=(0, 0))``, dsbevx for a real ``ab`` and zhbevx otherwise,
+    with the same arguments, so the same bits, without the wrapper's
+    overhead. May overwrite ``ab``. Raises like scipy: ValueError on
+    non-finite input or an illegal argument, LinAlgError when LAPACK
+    reports a failure."""
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    if kd >= 2 and n * n * kd >= BISECTION_WORK:
+        return _bisect_min_eig(ab)
     bevx = _lapack().dsbevx if np.isrealobj(ab) else _lapack().zhbevx
     w, _, _, _, info = bevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2, lower=1,
                             abstol=_abstol(), mmax=1, overwrite_ab=1)
@@ -185,11 +202,49 @@ def min_eig_banded(ab):
     return float(w[0])
 
 
+def _bisect_min_eig(ab):
+    """Smallest eigenvalue of a positive semi-definite band (lower storage,
+    finite, left untouched) by bisection on [0, g], g the largest absolute
+    row sum. A Cholesky factorisation of G - mu I (LAPACK dpbtrf or zpbtrf,
+    in one reused work array) succeeds exactly when the smallest eigenvalue
+    exceeds mu (Sylvester's law of inertia): success sets lo = mu, failure
+    hi = mu, until hi - lo <= max(1e-10 hi, 8 eps g). The upper end hi is
+    returned: it bounds the smallest eigenvalue from above, up to the
+    rounding of one factorisation."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    mag = np.abs(ab)
+    rows = mag[0].copy()
+    for k in range(1, min(kd, n - 1) + 1):
+        # G[j + k, j] sits in rows j + k and j (the unused corner is skipped)
+        rows[k:] += mag[k, : n - k]
+        rows[: n - k] += mag[k, : n - k]
+    g = float(rows.max(initial=0.0))
+    floor = 8 * np.finfo(np.float64).eps * g
+    pbtrf = _lapack().dpbtrf if np.isrealobj(ab) else _lapack().zpbtrf
+    # Fortran order once, so each step's refill is one contiguous copy
+    src = np.asfortranarray(ab)
+    work = np.empty_like(src, order="F")
+    lo, hi = 0.0, g
+    while hi - lo > max(1e-10 * hi, floor):
+        mu = 0.5 * (lo + hi)
+        np.copyto(work, src)
+        np.subtract(src[0], mu, out=work[0])
+        _, info = pbtrf(work, lower=1, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of {pbtrf.__name__}")
+        if info == 0:
+            lo = mu
+        else:
+            hi = mu
+    return hi
+
+
 def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
     """Smallest singular value of (T - z E) for each z, as the square root of
     the smallest eigenvalue of the banded Gram matrix
     G(z) = (T - z E)^H (T - z E) = T^H T - conj(z) S - z S^H + |z|^2 I
-    (``min_eig_banded``, clamped at 0).
+    (``min_eig_banded``: LAPACK's value on a short band, the upper end of a
+    bisection bracket on a long one; clamped at 0).
 
     gram_bands holds the lower banded storage (band i, column j) of T^H T;
     slice_lower[i, j] = S[j+i, j] and slice_upper[i, j] = S[j, j+i] are the
@@ -202,20 +257,22 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
     and the sweep runs per column x = Re z (``_column_sweep``): one
     eigenvalue lambda_x of G(x) per column values each of its points as
     sqrt(max(lambda_x + y^2, 0)). If the Gram bands and S are real as well,
-    as for Delta + V with real V, G(x) is factored in float64 (LAPACK
-    dpbtrf, dsbevx), otherwise in complex128 (zpbtrf, zhbevx). Any other
-    slice is swept point by point in complex128.
+    as for Delta + V with real V, G(x) is factored and valued in float64
+    (LAPACK dpbtrf, and dsbevx or bisection), otherwise in complex128
+    (zpbtrf, and zhbevx or bisection). Any other slice is swept point by
+    point in complex128.
 
     With tau given, one banded Cholesky factorisation of G - tau^2 I
     decides first. It succeeds exactly when the smallest eigenvalue of G
     exceeds tau^2 (Sylvester's law of inertia), and then the entry is inf:
     sigma_min > tau is certified up to the rounding of that factorisation,
-    and no value is computed. Only the other points are valued. On the
-    column path the gate runs once per column, on G(x); a point with
-    y^2 > tau^2 reads inf with no factorisation (sigma_min >= |Im z|, as
-    G(x) is positive semi-definite), and a point of a column whose gate
-    fails reads inf where lambda_x + y^2 > tau^2. A -1.0 entry flags
-    non-finite input (z, or an entry of the bands).
+    and no value is computed. Only the other points are valued, with the
+    bits they have without tau: no valuation, bisection included, depends
+    on tau. On the column path the gate runs once per column, on G(x); a
+    point with y^2 > tau^2 reads inf with no factorisation
+    (sigma_min >= |Im z|, as G(x) is positive semi-definite), and a point
+    of a column whose gate fails reads inf where lambda_x + y^2 > tau^2.
+    A -1.0 entry flags non-finite input (z, or an entry of the bands).
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     gb, sl, su = (np.ascontiguousarray(a, dtype=np.complex128)

@@ -160,8 +160,10 @@ def lower_norm_window(B, support, p=2, rows=None):
     everything the support can reach. On a lattice, multiplication operators
     (propagation 0) give min |c(u)| over the support, exactly; other
     operators give the square root of the smallest eigenvalue of the tall
-    block's Gram matrix, banded by ``_gram_bands`` as in the sweep. That
-    differs from the singular value by about eps * norm^2 / value. The dense
+    block's Gram matrix, banded by ``_gram_bands`` and valued by the sweep's
+    ``_kernels.min_eig_banded``. That differs from the singular value by
+    about eps * norm^2 / value, plus on a long band of kd >= 2 the bisection
+    bracket's relative width 1e-10 (the value stays an upper bound). The dense
     SVD takes over where the eigenvalue is below GRAM_FLOOR * norm_bound^2,
     where a point repeats, or where a coefficient is not finite (so the SVD's
     error surfaces). Explicit rows always take the dense SVD; when they are
@@ -414,8 +416,11 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
 
     tau=None values every point. With tau given, a point whose value is
     certified above tau reads inf, and the points at or below tau carry the
-    same values as without tau. Non-finite coefficients or grid points raise
-    InvalidConfigError.
+    same bits as without tau (a long band's bisection bracket, [0, g], never
+    depends on tau). A short band's values are LAPACK ?sbevx/?hbevx's; a long
+    one's (``_kernels.min_eig_banded``) are upper ends of bisection brackets,
+    so they stay upper bounds on the window lower norm. Non-finite
+    coefficients or grid points raise InvalidConfigError.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128).reshape(-1)
 

@@ -301,9 +301,9 @@ def window_norm(A, rows, cols, p=2):
     (propagation 0) on a lattice the block is diagonal and this is max |c(u)|
     over the points rows and cols share, without forming the block; it
     equals the SVD value bitwise for real coefficients and to rounding for
-    complex ones. Other operators, repeated points and non-finite
-    coefficients (so that the SVD's error surfaces) take a dense SVD, in
-    float64 when the block has no imaginary part.
+    complex ones. Other operators and repeated points take a dense SVD, in
+    float64 when the block has no imaginary part; a non-finite coefficient
+    in the block raises InvalidConfigError naming it, before the SVD.
     Other p in (1, inf): certified interval (lower, upper).
     """
     if p == 2 and A.propagation == 0 and A.space.kind == "lattice":
@@ -312,8 +312,21 @@ def window_norm(A, rows, cols, p=2):
             return g
     M = A.block(rows, cols)
     if p == 2:
+        _refuse_non_finite(M, rows, cols)
         return _sigma_max(M)
     return _pnorm_bounds(M, p)
+
+
+def _refuse_non_finite(M, rows, cols):
+    """Raise InvalidConfigError naming the first non-finite entry a(u, v)
+    of a dense block, on which LAPACK's SVD would not converge."""
+    bad = ~np.isfinite(M)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), M.shape)
+        a = M[i, j].real if M[i, j].imag == 0 else M[i, j]
+        raise InvalidConfigError(
+            f"non-finite coefficient a(u, v) = {a} at u = {_points(rows)[i].tolist()}, "
+            f"v = {_points(cols)[j].tolist()}: a window norm needs finite coefficients")
 
 
 def _window_upper(A, rows, cols, p=2):
@@ -424,6 +437,7 @@ def restricted_norm(A, predicate, scope, p=2):
     rows = scope.pad(A.propagation)
     M = A.block(rows, cols)
     if p == 2:
+        _refuse_non_finite(M, rows, cols)
         return _sigma_max(M)
     return _pnorm_bounds(M, p)
 

@@ -124,9 +124,10 @@ class Space:
 
     def as_array(self, pts):
         """Points -> int64 array of shape (n, point_arity); such an array
-        passes through uncopied. A non-integer coordinate, a fiber coordinate
-        outside 0..fiber-1 and a graph point that is no node are refused with
-        the errors of ``_check_point``."""
+        passes through uncopied. A non-integer coordinate, one outside int64
+        (of any dtype, uint64 included), a fiber coordinate outside
+        0..fiber-1 and a graph point that is no node are refused with the
+        errors of ``_check_point``."""
         if (isinstance(pts, np.ndarray) and pts.dtype == np.int64 and pts.ndim == 2
                 and pts.shape[1] == self.point_arity):
             a = pts
@@ -143,7 +144,7 @@ class Space:
                     self._check_point(row[0] if self.kind == "graph" else row)
             with np.errstate(invalid="ignore"):
                 a = raw.astype(np.int64)
-            if raw.dtype.kind not in "biu":
+            if raw.dtype.kind not in "bi":  # floats and uint64 can leave int64
                 self._refuse_first(raw, (a != raw).any(axis=1))
         if self.kind == "graph":
             self._refuse_first(a, ~np.isin(a[:, 0], self._nodes))

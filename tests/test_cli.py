@@ -434,6 +434,21 @@ def test_non_finite_constant_expressions_are_an_error(tmp_path, capsys, source):
     assert "Traceback" not in err and err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("source", ["1/0", "(0-8)^(1/3)"])
+@pytest.mark.parametrize("with_laplacian", [False, True], ids=["alone", "plus-laplacian"])
+def test_non_finite_coefficients_are_named_before_the_svd(tmp_path, capsys, source,
+                                                          with_laplacian):
+    # each once exited 1 with "error: SVD did not converge"
+    mult = {"kind": "multiplication", "field": {"type": "expression", "source": source}}
+    op = {"kind": "sum", "terms": [{"kind": "laplacian"}, mult]} if with_laplacian else mult
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": op, "sequences": [{"v": [1]}]})
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: non-finite coefficient a(u, v) = ")
+    assert "SVD did not converge" not in err
+
+
 @pytest.mark.parametrize("config", [
     {"operator": {"kind": "multiplication", "field": {
         "type": "table", "entries": [{"point": [2 ** 70], "value": 3.0}]}},

@@ -246,6 +246,10 @@ def test_min_eig_banded_matches_scipy_bitwise():
     # eigvals_banded(select="i")
     cases = _sweep_cases()
     assert any(np.isrealobj(gb) for gb, *_ in cases)
+    # a long tridiagonal band (kd = 1) never bisects, however long
+    tri = np.zeros((2, 801))
+    tri[0], tri[1, :-1] = np.linspace(0.5, 2.0, 801) ** 2, 0.3
+    cases.append((tri, np.zeros_like(tri), np.zeros_like(tri), 1, np.array([0.0, 0.7])))
     for gb, sl, su, bw, zs in cases:
         for z in zs:
             base = _shifted_gram(gb, sl, su, z)
@@ -464,3 +468,131 @@ def test_column_fold_bits_ignore_chunks_and_threads(name, T):
         # 13-point columns straddle the 7-point chunks
         assert all(np.array_equal(run, runs[0]) for run in runs[1:])
         assert np.array_equal(runs[0], K.sigma_min_sweep(gb, sl, su, COLUMN_Z, tau))
+
+
+# -- bisection on long bands ----------------------------------------------------
+
+
+def _long_cases():
+    """(name, T) of order 401 and bandwidth 1, so G(z) has kd = 2 and
+    n^2 kd = 321,602 >= BISECTION_WORK: min_eig_banded bisects. Two
+    Hermitian slices (real symmetric, complex) take the column path; a
+    general complex T takes the per-point path."""
+    return [("real", real_symmetric(401, 1, seed=7)),
+            ("complex", banded_random(401, 1, seed=7, hermitian=True)),
+            ("general", banded_random(401, 1, seed=7))]
+
+
+def _long_bands(name, T):
+    gb, sl, su, bw = pack_sweep_inputs(T, 1)
+    if name == "real":
+        gb, sl, su = gb.real, sl.real, su.real
+    assert T.shape[0] ** 2 * bw >= K.BISECTION_WORK
+    return gb, sl, su, bw
+
+
+def _gershgorin(base):
+    """The largest absolute row sum of a band in lower storage."""
+    n = base.shape[1]
+    rows = np.abs(base[0]).astype(float)
+    for k in range(1, base.shape[0]):
+        rows[k:] += np.abs(base[k, : n - k])
+        rows[: n - k] += np.abs(base[k, : n - k])
+    return rows.max()
+
+
+def _bisected(monkeypatch):
+    """Count min_eig_banded's calls that bisect."""
+    calls = []
+    bisect = K._bisect_min_eig
+
+    def wrapped(ab):
+        calls.append(ab.dtype.type)
+        return bisect(ab)
+
+    monkeypatch.setattr(K, "_bisect_min_eig", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("name, T", _long_cases())
+def test_bisection_brackets_the_lapack_value(name, T, monkeypatch):
+    # the value is the upper end of a bracket of width max(1e-10 value,
+    # 8 eps g) around the smallest eigenvalue, both ends up to the rounding
+    # of one factorisation, and the band is left untouched
+    gb, sl, su, bw = _long_bands(name, T)
+    calls = _bisected(monkeypatch)
+    eps = np.finfo(np.float64).eps
+    for z in MIXED_Z:
+        base = _shifted_gram(gb, sl, su, z)
+        ref = scipy.linalg.eigvals_banded(base, lower=True, select="i",
+                                          select_range=(0, 0))[0]
+        slack = 8 * eps * _gershgorin(base)
+        kept = base.copy()
+        got = K.min_eig_banded(base)
+        assert np.array_equal(base, kept)
+        assert ref - slack <= got <= ref + max(1e-10 * ref, slack) + slack
+    assert calls == [np.float64 if name == "real" else np.complex128] * MIXED_Z.size
+
+
+@pytest.mark.parametrize("name, T", _long_cases())
+def test_bisection_gate_keeps_cloud_values(name, T):
+    # the bracket never depends on tau, so the gate leaves every value at or
+    # below tau bit for bit
+    gb, sl, su, bw = _long_bands(name, T)
+    zs = (np.linspace(-3.0, 3.0, 13)[:, None]
+          + 1j * np.linspace(-1.0, 1.0, 5)[None, :]).reshape(-1)
+    full = K.sigma_min_sweep(gb, sl, su, zs)
+    s = np.sort(full)
+    k = s.size // 4 + np.argmax(np.diff(s[s.size // 4:]) > 1e-6)
+    tau = 0.5 * (s[k] + s[k + 1])
+    gated = K.sigma_min_sweep(gb, sl, su, zs, tau)
+    low = full <= tau
+    assert 0 < low.sum() < zs.size
+    assert np.array_equal(gated[low], full[low])
+    assert np.array_equal(np.isinf(gated), ~low)
+
+
+@pytest.mark.parametrize("name, T", _long_cases()[:2])
+def test_bisection_column_fold_matches_per_point_path(name, T):
+    # on the real axis a real symmetric slice bisects the same matrix on
+    # both paths; off it, G(x) + y^2 I and G(x) are bisected apart, so the
+    # squares agree to the stop width, not to rounding
+    gb, sl, su, bw = _long_bands(name, T)
+    folded = K.sigma_min_sweep(gb, sl, su, COLUMN_Z)
+    per_point = _per_point(gb, sl, su, COLUMN_Z)
+    eps = np.finfo(np.float64).eps
+    width = np.array([8 * eps * _gershgorin(_shifted_gram(gb, sl, su, z)) for z in COLUMN_Z])
+    width = np.maximum(1e-10 * per_point ** 2, width) + width
+    assert np.all(np.abs(folded ** 2 - per_point ** 2) <= width)
+    if name == "real":
+        axis = COLUMN_Z.imag == 0
+        assert np.array_equal(folded[axis], per_point[axis])
+
+
+@pytest.mark.parametrize("name, T", _long_cases())
+def test_bisection_bits_ignore_chunks_and_threads(name, T):
+    gb, sl, su, bw = _long_bands(name, T)
+    bands = (gb, sl, su, bw, T.shape[0])
+    zs = COLUMN_Z if name != "general" else COLUMN_Z[::4]
+    for tau in (None, 0.8):
+        runs = [_sweep_threaded(bands, zs, threads, tau, chunk)
+                for chunk in (1, 7, 512) for threads in (1, 2)]
+        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+
+@pytest.mark.parametrize("where", ["diagonal", "band", "unused corner"])
+def test_bisection_refuses_non_finite_bands(where, monkeypatch):
+    # checked once per matrix, before the first factorisation; the sweep
+    # flags such a band with -1.0 on every lane
+    calls = _bisected(monkeypatch)
+    for name, T in _long_cases():
+        gb, sl, su, bw = _long_bands(name, T)
+        base = _shifted_gram(gb, sl, su, 0.5 + 0.25j)
+        row, col = {"diagonal": (0, 200), "band": (2, 10), "unused corner": (2, -1)}[where]
+        base[row, col] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            K.min_eig_banded(base)
+        gb[row, col] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.all(K.sigma_min_sweep(gb, sl, su, MIXED_Z) == -1.0)
+    assert calls == []

@@ -355,6 +355,19 @@ def test_all_zero_blocks_give_exactly_zero_without_an_svd(z2, monkeypatch):
     assert seen == []
 
 
+def test_dense_norms_name_a_non_finite_entry_before_the_svd(z1, monkeypatch):
+    # each once reached LAPACK and failed with "SVD did not converge"
+    B = BandOperator(z1, {(0,): 2.0, (1,): TableField({(2,): np.inf}, default=0.5)})
+    w = window(z1, 4)
+    seen = _record_dtypes(monkeypatch, "svd")
+    for call in (lambda: window_norm(B, w, w.pad(1)),
+                 lambda: restricted_norm(B, FullPredicate(), w)):
+        with pytest.raises(InvalidConfigError,
+                           match=r"^non-finite coefficient a\(u, v\) = inf at u = \[2\], v = \[3\]: "):
+            call()
+    assert seen == []
+
+
 def test_window_points_are_read_only(z2):
     w = window(z2, 2)
     with pytest.raises(ValueError):

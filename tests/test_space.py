@@ -151,6 +151,21 @@ def test_points_outside_int64_are_refused(z1):
         Window(z1, (2 ** 70,), 1).points
 
 
+def test_uint64_point_arrays_are_refused_outside_int64(z1):
+    # as_array once wrapped 2^63 to -2^63 unchecked, and dist_block of that
+    # point to the origin read -2^63
+    big = np.asarray([[1], [2 ** 63]], dtype=np.uint64)
+    for call in _point_array_calls(z1, big):
+        with pytest.raises(InvalidConfigError,
+                           match=r"point \[9223372036854775808\] does not fit in int64"):
+            call()
+    # in range, a uint64 array is converted and an int64 one passes uncopied
+    ok = np.asarray([[1], [2 ** 63 - 1]], dtype=np.uint64)
+    got = z1.as_array(ok)
+    assert got.dtype == np.int64 and got.tolist() == [[1], [2 ** 63 - 1]]
+    assert z1.as_array(got) is got
+
+
 def test_points_accept_integral_floats(z1):
     assert Window(z1, (2.0,), 1).center == (2,)
     assert Window(z1, (np.float64(-1.0),), 1).center == (-1,)
