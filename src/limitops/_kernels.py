@@ -8,14 +8,21 @@ the space's neighbour enumeration (``Space.pairs_within``), so lattices and
 graphs run the same scan, and each point meets only the points of one ball
 around it: O(n |B(R)|) under bounded geometry, not O(n^2).
 
-LAPACK is loaded on first use (``_lapack``). Importing ``scipy.linalg`` costs
-more than the rest of the package's import together, and the tasks that never
-factor a band matrix (geometry, covering, partition, bdo-diagnostic) then
-never load scipy.
+LAPACK is scipy's compiled ``_flapack`` module alone, loaded from its file on
+first use (``_lapack``), so ``scipy/linalg/__init__.py`` never runs: on 2 vCPUs
+that package import takes a quarter of a second and over 20 MB (most of it in
+``numpy.f2py``, through ``scipy._lib.array_api_compat``), the module a few
+milliseconds and under 3 MB. The tasks that never factor a band matrix
+(geometry, covering, partition, bdo-diagnostic) load no scipy at all.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -117,12 +124,38 @@ def cell_scan(points, cell_of, ncells, thresh, pairs):
     return adj, diam
 
 
-@functools.cache
-def _lapack():
-    """``scipy.linalg.lapack``, imported on the first call."""
-    from scipy.linalg import lapack
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
 
-    return lapack
+
+def _lapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``: the
+    routines ``scipy.linalg.lapack`` re-exports, without importing the
+    ``scipy.linalg`` package. Loaded once, under a lock (two sweep threads
+    may ask together), from its file in the ``linalg`` directory next to
+    ``scipy.__file__``, and registered in ``sys.modules`` under that name: a
+    later ``import scipy.linalg`` reuses it, and one that scipy already
+    loaded is used here. A missing file raises ImportError naming the path."""
+    mod = sys.modules.get(_FLAPACK)
+    if mod is None:
+        with _flapack_lock:
+            mod = sys.modules.get(_FLAPACK) or _load_flapack()
+    return mod
+
+
+def _load_flapack():
+    import scipy  # its own __init__ only: platform set-up, no scipy.linalg
+
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no compiled LAPACK module at {paths[0]}", path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    mod = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+    loader.exec_module(mod)
+    sys.modules[_FLAPACK] = mod
+    return mod
 
 
 @functools.cache

@@ -24,6 +24,7 @@ from .operator import (
     _distinct_sorted,
     _points,
     _real_lane,
+    _refuse_non_finite,
     _window_upper,
     window_norm,
 )
@@ -52,6 +53,8 @@ _BLOCH_STACK = 1 << 21
 
 
 def _tall_block(B, support_pts, rows_pts=None):
+    """The row points (by default all that the support can reach) and the
+    block of B on them and the support."""
     space = B.space
     if rows_pts is None:
         # all rows that columns in the support can reach
@@ -61,7 +64,7 @@ def _tall_block(B, support_pts, rows_pts=None):
                                         support_pts.max(axis=0)[: space.dim] + reach)
         else:
             raise InvalidConfigError("graph lower norms need explicit row points")
-    return B.block(rows_pts, support_pts)
+    return rows_pts, B.block(rows_pts, support_pts)
 
 
 def _lower_norm_p(M, p, starts=4, iters=200):
@@ -164,12 +167,13 @@ def lower_norm_window(B, support, p=2, rows=None):
     ``_kernels.min_eig_banded``. That differs from the singular value by
     about eps * norm^2 / value, plus on a long band of kd >= 2 the bisection
     bracket's relative width 1e-10 (the value stays an upper bound). The dense
-    SVD takes over where the eigenvalue is below GRAM_FLOOR * norm_bound^2,
-    where a point repeats, or where a coefficient is not finite (so the SVD's
-    error surfaces). Explicit rows always take the dense SVD; when they are
-    fewer than the support points a kernel vector exists and the value is 0,
-    for every p. Other exponents: a certified upper bound from minimization
-    restarts. Nonincreasing under support enlargement.
+    SVD takes over where the eigenvalue is below GRAM_FLOOR * norm_bound^2 or
+    where a point repeats. Explicit rows always take the dense SVD; when they
+    are fewer than the support points a kernel vector exists and the value is
+    0, for every p. Other exponents: a certified upper bound from minimization
+    restarts. At every p a non-finite coefficient in the tall block raises
+    InvalidConfigError naming it (``operator._refuse_non_finite``).
+    Nonincreasing under support enlargement.
     """
     support_pts = _points(support)
     if support_pts.shape[0] == 0:
@@ -179,8 +183,8 @@ def lower_norm_window(B, support, p=2, rows=None):
         nu = _lower_norm_structured(B, support_pts)
         if nu is not None:
             return nu
-    rows_pts = rows.points if isinstance(rows, Window) else rows
-    M = _tall_block(B, support_pts, rows_pts)
+    rows_pts, M = _tall_block(B, support_pts, rows.points if isinstance(rows, Window) else rows)
+    _refuse_non_finite(M, rows_pts, support_pts)
     if M.shape[0] < M.shape[1]:
         return 0.0
     if p == 2:

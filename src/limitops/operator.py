@@ -302,24 +302,26 @@ def window_norm(A, rows, cols, p=2):
     over the points rows and cols share, without forming the block; it
     equals the SVD value bitwise for real coefficients and to rounding for
     complex ones. Other operators and repeated points take a dense SVD, in
-    float64 when the block has no imaginary part; a non-finite coefficient
-    in the block raises InvalidConfigError naming it, before the SVD.
+    float64 when the block has no imaginary part.
     Other p in (1, inf): certified interval (lower, upper).
+    At every p a non-finite coefficient in the block raises
+    InvalidConfigError naming it, before any norm is taken.
     """
     if p == 2 and A.propagation == 0 and A.space.kind == "lattice":
         g = _diagonal_norm(A, rows, cols)
         if g is not None:
             return g
     M = A.block(rows, cols)
+    _refuse_non_finite(M, rows, cols)
     if p == 2:
-        _refuse_non_finite(M, rows, cols)
         return _sigma_max(M)
     return _pnorm_bounds(M, p)
 
 
 def _refuse_non_finite(M, rows, cols):
     """Raise InvalidConfigError naming the first non-finite entry a(u, v)
-    of a dense block, on which LAPACK's SVD would not converge."""
+    of a dense block, on which LAPACK's SVD would not converge and the
+    p-norm bounds and minimisers would return inf or nan."""
     bad = ~np.isfinite(M)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), M.shape)
@@ -436,8 +438,8 @@ def restricted_norm(A, predicate, scope, p=2):
     cols = pts[keep]
     rows = scope.pad(A.propagation)
     M = A.block(rows, cols)
+    _refuse_non_finite(M, rows, cols)
     if p == 2:
-        _refuse_non_finite(M, rows, cols)
         return _sigma_max(M)
     return _pnorm_bounds(M, p)
 

@@ -36,7 +36,7 @@ from .fields import (
     _normalize_shift,
 )
 # window_norm stays bound here for callers that read limitops.shifts.window_norm
-from .operator import BandOperator, _window_upper, window_norm  # noqa: F401
+from .operator import BandOperator, _refuse_non_finite, _window_upper, window_norm  # noqa: F401
 from .space import Window, basepoint_windows
 
 
@@ -330,6 +330,8 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     still records measured window-norm gaps (which are then exactly zero from
     the settling index on). Otherwise conjugates are compared along a doubling
     index schedule until the gaps fall below tol on every requested radius.
+    A non-finite coefficient of A on the smallest gap windows raises
+    InvalidConfigError naming it.
     """
     if budget < 1:
         raise InvalidConfigError(f"limit budget {budget} must be at least 1")
@@ -346,6 +348,12 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     # the gap windows of each radius, built once for the whole scan
     window = basepoint_windows(space)
     pairs = {r: (window(r), window(r + omega)) for r in radii}
+    # A's own block names a non-finite coefficient as written, before a gap
+    # turns it into nan (inf - inf); the block holds c_k(u) for every row u
+    # and offset k, so it is formed only when one of them is not finite
+    rows, cols = pairs[radii[0]]
+    if not all(np.isfinite(f.eval(space, rows.points)).all() for f in A.stencil.values()):
+        _refuse_non_finite(A.block(rows, cols), rows, cols)
 
     analytic = None
     if isinstance(bound, _BoundRay):

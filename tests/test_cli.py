@@ -434,19 +434,37 @@ def test_non_finite_constant_expressions_are_an_error(tmp_path, capsys, source):
     assert "Traceback" not in err and err.splitlines()[-1].startswith("error: ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("source", ["1/0", "(0-8)^(1/3)"])
 @pytest.mark.parametrize("with_laplacian", [False, True], ids=["alone", "plus-laplacian"])
 def test_non_finite_coefficients_are_named_before_the_svd(tmp_path, capsys, source,
                                                           with_laplacian):
-    # each once exited 1 with "error: SVD did not converge"
+    # each once exited 1 with "error: SVD did not converge"; then 1/0 was
+    # named as the gap's inf - inf = nan, after two RuntimeWarnings
     mult = {"kind": "multiplication", "field": {"type": "expression", "source": source}}
     op = {"kind": "sum", "terms": [{"kind": "laplacian"}, mult]} if with_laplacian else mult
     cfg = write_cfg(tmp_path, {"space": Z1, "operator": op, "sequences": [{"v": [1]}]})
     code, out, err = run(["limits", "--config", cfg], capsys)
     assert (code, out) == (1, "")
-    assert err.splitlines()[-1].startswith("error: non-finite coefficient a(u, v) = ")
-    assert "SVD did not converge" not in err
+    value = "inf" if source == "1/0" else "nan"
+    assert err == (f"error: non-finite coefficient a(u, v) = {value} at u = [0], v = [0]: "
+                   "a window norm needs finite coefficients\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_p_norms_name_a_non_finite_coefficient(tmp_path, capsys):
+    # at p = 1.5 fredholm once exited 0 on an inf table entry
+    op = {"kind": "sum", "terms": [
+        {"kind": "identity"},
+        {"kind": "scaled", "operator": {"kind": "shift", "v": [1]}, "factor": 0.3},
+        {"kind": "multiplication", "field": {
+            "type": "table", "entries": [{"point": [2], "value": float("inf")}]}}]}
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": op, "sequences": [{"v": [1]}],
+                               "task": {"p": 1.5, "schedule": [4, 8]}})
+    code, out, err = run(["fredholm", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: non-finite coefficient a(u, v) = inf at u = [2], v = [2]: "
+                   "a window norm needs finite coefficients\n")
 
 
 @pytest.mark.parametrize("config", [
@@ -751,10 +769,21 @@ _LEAN_JOBS = [
 ]
 
 
+_FREDHOLM_CFG = {
+    "space": Z1,
+    "operator": {"kind": "sum", "terms": [
+        {"kind": "identity"},
+        {"kind": "scaled", "operator": {"kind": "shift", "v": [1]}, "factor": 0.3}]},
+    "sequences": [{"v": [1]}, {"v": [-1]}],
+    "task": {"schedule": [4, 8]},
+}
+
+
 def test_lapack_loads_on_first_use(tmp_path, capsys):
-    """Jobs that factor no band matrix never load scipy.linalg; the first
-    nuGrid job loads it and gives the in-process payload."""
-    jobs = [*_LEAN_JOBS, ("essential-spectrum", NU_GRID_CFG)]
+    """Jobs that factor no band matrix load no LAPACK; the first nuGrid job
+    loads the compiled module alone and gives the in-process payload, and
+    neither it nor a fredholm job imports the scipy.linalg package."""
+    jobs = [*_LEAN_JOBS, ("essential-spectrum", NU_GRID_CFG), ("fredholm", _FREDHOLM_CFG)]
     calls = [(task, write_cfg(tmp_path, cfg, f"{i}.json"), str(tmp_path / f"{i}.out"))
              for i, (task, cfg) in enumerate(jobs)]
     steps = run_fresh(
@@ -763,15 +792,64 @@ def test_lapack_loads_on_first_use(tmp_path, capsys):
         "steps = []\n"
         "for task, cfg, out in json.loads(sys.argv[1]):\n"
         "    code = main([task, '--config', cfg, '--out', out])\n"
-        "    steps.append([task, code, 'scipy.linalg' in sys.modules])\n"
+        "    steps.append([task, code, 'scipy.linalg._flapack' in sys.modules,\n"
+        "                  'scipy.linalg' in sys.modules])\n"
         "print(json.dumps(steps))\n",
         json.dumps(calls))
-    lean = [[task, 0, False] for task, _ in _LEAN_JOBS]
-    assert steps == lean + [["essential-spectrum", 0, True]]
-    task, cfg, out = calls[-1]
-    code, text, _ = run([task, "--config", cfg], capsys)
+    lean = [[task, 0, False, False] for task, _ in _LEAN_JOBS]
+    assert steps == lean + [["essential-spectrum", 0, True, False], ["fredholm", 0, True, False]]
+    for task, cfg, out in calls[-2:]:
+        code, text, _ = run([task, "--config", cfg], capsys)
+        assert code == 0
+        assert payload_without_timings(Path(out).read_text()) == payload_without_timings(text)
+
+
+def test_scipy_linalg_reuses_the_loaded_lapack_module():
+    """Concurrent first calls load one module, and a later import of
+    scipy.linalg re-exports its routines rather than loading a second copy."""
+    same = run_fresh(
+        "import json, sys, threading\n"
+        "from limitops import _kernels\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "start, got = threading.Barrier(4, timeout=60), []\n"
+        "def first():\n"
+        "    start.wait()\n"
+        "    got.append(_kernels._lapack())\n"
+        "threads = [threading.Thread(target=first) for _ in range(4)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "import scipy.linalg\n"
+        "mod = sys.modules['scipy.linalg._flapack']\n"
+        "print(json.dumps([len(got) == 4 and all(m is mod for m in got),\n"
+        "                  _kernels._lapack() is mod,\n"
+        "                  scipy.linalg.lapack.dpbtrf is mod.dpbtrf,\n"
+        "                  scipy.linalg.lapack.zhbevx is mod.zhbevx]))\n")
+    assert same == [True, True, True, True]
+    # here scipy.linalg may have been imported first: its module is reused
+    import scipy.linalg
+    from limitops import _kernels
+    assert _kernels._lapack() is sys.modules["scipy.linalg._flapack"]
+    assert _kernels._lapack().dsbevx is scipy.linalg.lapack.dsbevx
+
+
+def test_first_lapack_use_on_two_sweep_threads_gives_the_one_thread_payload(tmp_path, capsys):
+    """A fresh process whose first LAPACK call comes from a two-thread sweep
+    (1,281 grid points, three chunks) writes the one-thread payload."""
+    cfg = write_cfg(tmp_path, SPECTRUM_CFG)
+    out = str(tmp_path / "two.out")
+    loaded = run_fresh(
+        "import json, sys\n"
+        "from limitops.cli import main\n"
+        "before = 'scipy.linalg._flapack' in sys.modules\n"
+        "code = main(['essential-spectrum', '--config', sys.argv[1], '--threads', '2',\n"
+        "             '--out', sys.argv[2]])\n"
+        "print(json.dumps([before, code, 'scipy.linalg._flapack' in sys.modules]))\n",
+        cfg, out)
+    assert loaded == [False, 0, True]
+    code, one, _ = run(["essential-spectrum", "--config", cfg, "--threads", "1"], capsys)
     assert code == 0
-    assert payload_without_timings(Path(out).read_text()) == payload_without_timings(text)
+    assert payload_without_timings(Path(out).read_text()) == payload_without_timings(one)
 
 
 # -- seeds and determinism ------------------------------------------------------
