@@ -12,8 +12,9 @@ LAPACK is scipy's compiled ``_flapack`` module alone, loaded from its file on
 first use (``_lapack``), so ``scipy/linalg/__init__.py`` never runs: on 2 vCPUs
 that package import takes a quarter of a second and over 20 MB (most of it in
 ``numpy.f2py``, through ``scipy._lib.array_api_compat``), the module a few
-milliseconds and under 3 MB. The tasks that never factor a band matrix
-(geometry, covering, partition, bdo-diagnostic) load no scipy at all.
+milliseconds and under 3 MB. The tasks that never touch a band matrix
+(geometry, covering, partition) load no scipy at all; bdo-diagnostic loads
+the module for the one band eigenvalue call of each commutator Gram.
 """
 
 import functools
@@ -171,8 +172,7 @@ def cholesky_banded(ab, lower):
     so pass a copy you own. Raises like scipy: ValueError on non-finite input
     or an illegal argument, LinAlgError when a leading minor is not positive
     definite."""
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _require_finite(ab)
     pbtrf = _lapack().dpbtrf if np.isrealobj(ab) else _lapack().zpbtrf
     c, info = pbtrf(ab, lower=lower, overwrite_ab=1)
     if info > 0:
@@ -213,26 +213,40 @@ def min_eig_banded(ab):
     A band with kd >= 2 and n^2 kd >= BISECTION_WORK is valued by bisection
     on Cholesky inertia (``_bisect_min_eig``): an upper bound on the
     smallest eigenvalue within max(1e-10 value, 8 eps g) of it, g the
-    Gershgorin bound. Every other band takes the LAPACK call of
-    ``scipy.linalg.eigvals_banded(ab, lower=True, select="i",
-    select_range=(0, 0))``, dsbevx for a real ``ab`` and zhbevx otherwise,
-    with the same arguments, so the same bits, without the wrapper's
-    overhead. May overwrite ``ab``. Raises like scipy: ValueError on
-    non-finite input or an illegal argument, LinAlgError when LAPACK
-    reports a failure."""
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
+    Gershgorin bound. Every other band takes ``eig_banded(ab, 1)``. May
+    overwrite ``ab``. Raises like scipy: ValueError on non-finite input or
+    an illegal argument, LinAlgError when LAPACK reports a failure."""
     kd, n = ab.shape[0] - 1, ab.shape[1]
     if kd >= 2 and n * n * kd >= BISECTION_WORK:
+        _require_finite(ab)
         return _bisect_min_eig(ab)
+    return eig_banded(ab, 1)
+
+
+def eig_banded(ab, index):
+    """The index-th smallest eigenvalue (1-based) of a real symmetric or
+    complex Hermitian matrix in lower band storage, by the one LAPACK call of
+    ``scipy.linalg.eigvals_banded(ab, lower=True, select="i",
+    select_range=(index - 1, index - 1))``, dsbevx for a real ``ab`` and
+    zhbevx otherwise, with the same arguments, so the same bits, without the
+    wrapper's overhead. May overwrite ``ab``. Raises like scipy: ValueError
+    on non-finite input or an illegal argument, LinAlgError when LAPACK
+    reports a failure."""
+    _require_finite(ab)
     bevx = _lapack().dsbevx if np.isrealobj(ab) else _lapack().zhbevx
-    w, _, _, _, info = bevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2, lower=1,
+    w, _, _, _, info = bevx(ab, 0.0, 1.0, index, index, compute_v=0, range=2, lower=1,
                             abstol=_abstol(), mmax=1, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{bevx.__name__} failed with info {info}")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of {bevx.__name__}")
     return float(w[0])
+
+
+def _require_finite(ab):
+    """Raise ValueError, as scipy does, when an entry of ``ab`` is not finite."""
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _bisect_min_eig(ab):

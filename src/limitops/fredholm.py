@@ -11,7 +11,6 @@ the declared sequence family need not exhaust the boundary.
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import cache
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .fields import ConstantField, PeriodicField
 from .operator import (
     _abs_diagonal,
     _distinct_sorted,
+    _gram_bands,
     _points,
     _real_lane,
     _refuse_non_finite,
@@ -92,50 +92,6 @@ def _lower_norm_p(M, p, starts=4, iters=200):
                        options={"maxiter": iters, "ftol": 1e-12})
         best = min(best, float(res.fun))
     return best
-
-
-def _bands(n, entries):
-    """Sum (rows, cols, vals) entries with rows >= cols, in list order, into
-    lower band storage of width max(rows - cols) + 1."""
-    width = max((int((r - c).max(initial=0)) for r, c, _ in entries), default=0)
-    ab = np.zeros((width + 1, n), dtype=np.complex128)
-    if entries:
-        rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
-        np.add.at(ab, (rows - cols, cols), vals)
-    return ab
-
-
-def _gram_bands(B, pts):
-    """(B^H B)[S, S] in lower band storage at its exact bandwidth, and the
-    lower and upper bands of the slice B[S, S], for sorted distinct lattice
-    points S; None if a coefficient is not finite (checked before any
-    product) or the Gram bands overflow.
-
-    Column j of the tall block B[:, S] holds c_k(s_j - k) in row s_j - k, so
-    the Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
-    u = s_j - k = s_l - k'. O(n |stencil|^2) for n points."""
-    space = B.space
-    n = pts.shape[0]
-    loc = PointLocator(pts)
-    locate = cache(lambda v: loc.locate(space.translate(pts, v)))
-    cols = [f.eval(space, space.translate(pts, np.negative(k)))
-            for k, f in B.stencil.items()]
-    if not all(np.isfinite(c).all() for c in cols):
-        return None
-    idx = np.arange(n)
-    gram, sl, su = [], [], []
-    for k, ck in zip(B.stencil, cols):
-        for k2, ck2 in zip(B.stencil, cols):
-            l = locate(tuple(np.subtract(k2, k)))
-            j = np.nonzero((l >= 0) & (l <= idx))[0]
-            gram.append((j, l[j], np.conj(ck[j]) * ck2[l[j]]))
-        j = locate(tuple(np.negative(k)))  # the slice's row s_l - k in column l
-        lo = np.nonzero(j >= idx)[0]
-        up = np.nonzero((j >= 0) & (j <= idx))[0]
-        sl.append((j[lo], lo, ck[lo]))
-        su.append((up, j[up], ck[up]))
-    gram = _bands(n, gram)
-    return (gram, _bands(n, sl), _bands(n, su)) if np.isfinite(gram).all() else None
 
 
 def _lower_norm_structured(B, pts):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, ScopeError, TruncationError
 from .fields import ConstantField, Field, _normalize_shift, _wrapped_shift
-from ._kernels import PointLocator
+from ._kernels import PointLocator, eig_banded
 from .space import Window
 
 
@@ -346,16 +346,118 @@ def _sigma_max(M):
     return float(np.linalg.svd(_real_lane(M), compute_uv=False)[0])
 
 
-def commutator_stack_norm(A, partition, scope, p=2):
-    """Norm of the stacked commutators f -> ([A, M_phi_j] f)_j over tents of
-    the partition, for f supported in the scope, with phi_j = rho_j^(1/p).
+def _offsets(B):
+    """The stencil offsets of B, in stencil order, as an int64 array of shape
+    (|stencil|, point_arity)."""
+    return np.array(list(B.stencil), dtype=np.int64).reshape(-1, B.space.point_arity)
 
-    p = 2 returns the exact stacked-block singular value via the Gram matrix;
-    other exponents return a certified interval.
+
+def _bands(n, entries):
+    """Sum (rows, cols, vals) entries with rows >= cols, in list order, into
+    lower band storage of width max(rows - cols) + 1."""
+    width = max((int((r - c).max(initial=0)) for r, c, _ in entries), default=0)
+    ab = np.zeros((width + 1, n), dtype=np.complex128)
+    if entries:
+        rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
+        np.add.at(ab, (rows - cols, cols), vals)
+    return ab
+
+
+def _gram_groups(B, pts, loc):
+    """The located offset differences of the Gram (B^H B)[S, S] on sorted
+    distinct lattice points S (``loc`` their PointLocator), and its
+    bandwidth kd.
+
+    The pairs (k, k') of stencil offsets are grouped by their difference
+    d = k' - k (fiber coordinate wrapped); each group that meets S is
+    (a, b, j, l): the stencil indices of its pairs in pair order (k outer,
+    k' inner), the columns j, and the located l <= j with s_l = s_j + d.
+    Every Gram entry of the lower triangle comes from exactly one group."""
+    space, n = B.space, pts.shape[0]
+    keys = _offsets(B)
+    K = keys.shape[0]
+    diffs = space.translate((keys[None, :, :] - keys[:, None, :]).reshape(-1, keys.shape[1]), 0)
+    # the pairs sorted by difference (a stable sort: pair order within one)
+    order = np.lexsort(diffs.T[::-1])
+    sorted_diffs = diffs[order]
+    starts = np.flatnonzero(np.r_[K > 0, (sorted_diffs[1:] != sorted_diffs[:-1]).any(axis=1)])
+    # s_j + d for every difference d, located at once
+    moved = space.translate(pts[None, :, :], sorted_diffs[starts][:, None, :])
+    located = loc.locate(moved.reshape(-1, pts.shape[1])).reshape(starts.size, n)
+    groups, kd = [], 0
+    for l, pairs in zip(located, np.split(order, starts)[1:]):
+        j = np.flatnonzero((l >= 0) & (l <= np.arange(n)))
+        if j.size:
+            groups.append((pairs // K, pairs % K, j, l[j]))
+            kd = max(kd, int((j - l[j]).max()))
+    return groups, kd
+
+
+def _gram_bands(B, pts, weights=None, grouped=None):
+    """(B^H B)[S, S] in lower band storage at its exact bandwidth, and the
+    lower and upper bands of the slice B[S, S], for sorted distinct lattice
+    points S; None if a coefficient is not finite (checked before any
+    product) or the Gram bands overflow.
+
+    Column j of the tall block B[:, S] holds c_k(s_j - k) in row s_j - k, so
+    the Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
+    u = s_j - k = s_l - k'. One pass per distinct offset difference k' - k
+    (``grouped``, what ``_gram_groups`` returns, is computed when not
+    given): each entry sums its pairs' products in pair order. With real
+    ``weights`` of shape (tents, |stencil|, n), column j of offset k is
+    scaled by weights[t, k, j] and the Gram is summed over the tents t as
+    well: the Gram of the tall blocks stacked over t. O(n |stencil|^2),
+    times the tents if weighted."""
+    space = B.space
+    n = pts.shape[0]
+    keys = _offsets(B)
+    # row s_j - k of column j, for every offset k
+    back = space.translate(pts[None, :, :], np.negative(keys)[:, None, :])
+    cols = np.array([f.eval(space, u) for f, u in zip(B.stencil.values(), back)],
+                    dtype=np.complex128).reshape(keys.shape[0], n)
+    if not np.isfinite(cols).all():
+        return None
+    loc = PointLocator(pts)
+    groups, kd = _gram_groups(B, pts, loc) if grouped is None else grouped
+    gram = np.zeros((kd + 1, n), dtype=np.complex128)
+    for a, b, j, l in groups:
+        prods = np.conj(cols[a[:, None], j]) * cols[b[:, None], l]
+        if weights is not None:
+            prods *= np.einsum("tpj,tpj->pj", weights[:, a[:, None], j], weights[:, b[:, None], l])
+        # accumulate is sequential, so the pairs add in order, from 0
+        gram[j - l, l] += np.add.accumulate(prods, axis=0)[-1]
+    # the slice's row s_l - k in column l, for every offset k
+    rows = loc.locate(back.reshape(-1, pts.shape[1])).reshape(keys.shape[0], n)
+    sl, su = [], []
+    idx = np.arange(n)
+    for j, ck in zip(rows, cols):
+        lo = np.nonzero(j >= idx)[0]
+        up = np.nonzero((j >= 0) & (j <= idx))[0]
+        sl.append((j[lo], lo, ck[lo]))
+        su.append((up, j[up], ck[up]))
+    return (gram, _bands(n, sl), _bands(n, su)) if np.isfinite(gram).all() else None
+
+
+def commutator_stack_norm(A, partition, scope, p=2):
+    """Norm of the stacked commutators f -> ([A, M_phi_t] f)_t over tents t
+    of the partition, for f supported in the scope, with phi_t = rho_t^(1/p).
+
+    p = 2 returns the stacked block's largest singular value, the square
+    root of the top eigenvalue of its Gram matrix G = sum_t C_t^H C_t, where
+    C_t is the block of A on the scope padded by the propagation (rows) and
+    the scope (columns), scaled entrywise by phi_t(column) - phi_t(row). G
+    has the bandwidth of A^H A. Where that band holds at most half the
+    matrix (kd + 1 <= n/2 on the sorted scope), G is assembled in lower band
+    storage by ``_gram_bands``, weighted per tent, and valued by one LAPACK
+    band call for its top eigenvalue (``_kernels.eig_banded``, in float64
+    when the band has no imaginary part); a wider band is formed densely,
+    one product per tent, and valued by ``eigvalsh``. The two routes agree
+    to rounding. An all-zero Gram gives exactly 0.0. Other exponents return
+    a certified interval of the stacked dense block. At every p a non-finite
+    coefficient in the block raises InvalidConfigError naming it.
     """
     space = A.space
-    omega = A.propagation
-    rows = scope.pad(omega)
+    rows = scope.pad(A.propagation)
     lo_s, hi_s = partition.scope.bounds()
     lo_r, hi_r = rows.bounds()
     if (lo_s > lo_r).any() or (hi_s < hi_r).any():
@@ -363,27 +465,65 @@ def commutator_stack_norm(A, partition, scope, p=2):
             "partition scope does not cover the evaluation scope padded by the "
             "propagation; rebuild the partition with a larger scope"
         )
-    block = A.block(rows, scope)
     rpts, cpts = rows.points, scope.points
     lo = np.minimum(lo_r, cpts[:, : space.dim].min(axis=0))
     hi = np.maximum(hi_r, cpts[:, : space.dim].max(axis=0))
     tents = partition.tents_meeting(lo, hi)
     if p == 2:
+        top = _band_gram_top(A, partition, tents, rows, scope)
+        if top is not None:
+            return float(np.sqrt(max(top, 0.0)))
+    block = A.block(rows, scope)
+    _refuse_non_finite(block, rows, scope)
+    # phi_t once per tent, on the rows; the scope's values are gathered
+    pick = rows.locate(cpts)
+    if p == 2:
         block = _real_lane(block)
         G = np.zeros((cpts.shape[0], cpts.shape[0]), dtype=block.dtype)
-        for j in tents:
-            pc = partition.root_values(j, cpts, 2)
-            pr = partition.root_values(j, rpts, 2)
-            C = block * (pc[None, :] - pr[:, None])
+        for t in tents:
+            phi = partition.root_values(t, rpts, 2)
+            C = block * (phi[pick][None, :] - phi[:, None])
             G += C.conj().T @ C
         lam = float(np.linalg.eigvalsh(G)[-1]) if np.any(G) else 0.0
         return float(np.sqrt(max(lam, 0.0)))
     stack = []
-    for j in tents:
-        pc = partition.root_values(j, cpts, p)
-        pr = partition.root_values(j, rpts, p)
-        stack.append(block * (pc[None, :] - pr[:, None]))
+    for t in tents:
+        phi = partition.root_values(t, rpts, p)
+        stack.append(block * (phi[pick][None, :] - phi[:, None]))
     return _pnorm_bounds(np.vstack(stack), p)
+
+
+def _band_gram_top(A, partition, tents, rows, scope):
+    """Top eigenvalue of the p = 2 commutator Gram of
+    ``commutator_stack_norm`` from its lower bands; None where the dense
+    route decides: a band of more than half the matrix, or a coefficient (or
+    Gram entry) that is not finite."""
+    space = A.space
+    pts = _distinct_sorted(scope.points)
+    n, keys = pts.shape[0], _offsets(A)
+    # the columns that share the centre's row bound kd from below, so a
+    # stencil that spans half the scope goes dense before any difference
+    # is located
+    loc = PointLocator(pts)
+    hit = loc.locate(space.translate(keys, scope.center))
+    hit = hit[hit >= 0]
+    if hit.size and hit.max() - hit.min() + 1 > n / 2:
+        return None
+    grouped = _gram_groups(A, pts, loc)
+    if grouped[1] + 1 > n / 2:
+        return None
+    # phi_t once per tent, on the rows, gathered at s_j and at the rows
+    # s_j - k: weights[t, k, j] = phi_t(s_j) - phi_t(s_j - k)
+    phi = np.array([partition.root_values(t, rows.points, 2) for t in tents])
+    phi = phi.reshape(-1, rows.npoints)
+    back = space.translate(pts[None, :, :], np.negative(keys)[:, None, :])
+    back = rows.locate(back.reshape(-1, pts.shape[1])).reshape(keys.shape[0], n)
+    weights = phi[:, rows.locate(pts)][:, None, :] - phi[:, back]
+    bands = _gram_bands(A, pts, weights, grouped)
+    if bands is None:
+        return None
+    G = _real_lane(bands[0])
+    return eig_banded(G, n) if np.any(G) else 0.0
 
 
 def bdo_diagnostic(A, t_grid, scope, p=2):

@@ -151,8 +151,8 @@ class LimitOperator:
         window = basepoint_windows(A.space)
         worst = 0.0
         for radius, n, gap in self.certificate:
-            diff = conjugate(A, bound.point(n)) - self.op
-            g = _window_upper(diff, window(radius), window(radius + omega), p)
+            x = bound.point(n)
+            g = _gap(A, conjugate(A, x) - self.op, window(radius), window(radius + omega), p, x)
             worst = max(worst, abs(g - gap))
         return worst
 
@@ -322,6 +322,21 @@ def _schedule(budget):
         n *= 2
 
 
+def _gap(A, diff, rows, cols, p, *shifts):
+    """``_window_upper`` of a difference of conjugates of A. A non-finite
+    coefficient is named at the user's points: u and v moved by the shift of
+    the conjugate that holds it, the first of ``shifts`` whose block has one."""
+    try:
+        return _window_upper(diff, rows, cols, p)
+    except InvalidConfigError:
+        space = A.space
+        for x in shifts:
+            x = _normalize_shift(space, x)
+            r, c = space.translate(rows.points, x), space.translate(cols.points, x)
+            _refuse_non_finite(A.block(r, c), r, c)
+        raise
+
+
 def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     """Limit of the conjugates of A along the sequence, or a divergence
     report.
@@ -330,8 +345,9 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     still records measured window-norm gaps (which are then exactly zero from
     the settling index on). Otherwise conjugates are compared along a doubling
     index schedule until the gaps fall below tol on every requested radius.
-    A non-finite coefficient of A on the smallest gap windows raises
-    InvalidConfigError naming it.
+    A non-finite coefficient of A raises InvalidConfigError naming it at
+    the user's point: on the smallest gap windows before the scan, and in a
+    later gap with u and v moved out of the conjugate's frame.
     """
     if budget < 1:
         raise InvalidConfigError(f"limit budget {budget} must be at least 1")
@@ -362,8 +378,8 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
             if all(v is not None for v in limits.values()):
                 analytic = BandOperator(space, limits)
         except _Divergent as d:
-            g = _window_upper(conjugate(A, bound.point(d.n1)) - conjugate(A, bound.point(d.n2)),
-                              *pairs[radii[-1]], p)
+            x1, x2 = bound.point(d.n1), bound.point(d.n2)
+            g = _gap(A, conjugate(A, x1) - conjugate(A, x2), *pairs[radii[-1]], p, x1, x2)
             return DivergenceReport(
                 sequence_label=bound.label,
                 witness_indices=(d.n1, d.n2),
@@ -379,9 +395,10 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
         best = [(radius, None, np.inf) for radius in radii]
         unsettled = list(range(len(radii)))
         for n in _schedule(budget):
-            diff = conjugate(A, bound.point(n)) - analytic
+            x = bound.point(n)
+            diff = conjugate(A, x) - analytic
             for i in list(unsettled):
-                g = _window_upper(diff, *pairs[radii[i]], p)
+                g = _gap(A, diff, *pairs[radii[i]], p, x)
                 if g < best[i][2]:
                     best[i] = (radii[i], n, g)
                 if g <= max(tol * 1e-3, 1e-14):
@@ -404,7 +421,8 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
         if prev is not None:
             gaps = []
             for radius in radii:
-                gaps.append(_window_upper(cur - prev, *pairs[radius], p))
+                gaps.append(_gap(A, cur - prev, *pairs[radius], p,
+                                 bound.point(n), bound.point(prev_idx)))
             last_gaps = (prev_idx, n, gaps)
             if max(gaps) <= tol:
                 settled_at = n
@@ -438,7 +456,8 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     limit = BandOperator(space, stencil)
     cert = []
     for radius in radii:
-        cert.append((radius, settled_at, _window_upper(final - limit, *pairs[radius], p)))
+        cert.append((radius, settled_at,
+                     _gap(A, final - limit, *pairs[radius], p, bound.point(settled_at))))
     msg = ("coefficients sampled on the certificate windows; values beyond "
            "radius %d are extrapolated" % (maxrad + omega))
     return LimitOperator(op=limit, sequence_label=bound.label, exact=False,

@@ -452,6 +452,33 @@ def test_non_finite_coefficients_are_named_before_the_svd(tmp_path, capsys, sour
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_coefficient_past_the_first_window_is_named_at_its_point(tmp_path, capsys):
+    # the gap conjugate(A, 128) - conjugate(A, 64) holds it at u = 2 in its
+    # own frame, which the message once named
+    mult = {"kind": "multiplication", "field": {"type": "expression", "source": "1/(n-130)"}}
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": mult, "sequences": [{"v": [1]}]})
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: non-finite coefficient a(u, v) = inf at u = [130], v = [130]: "
+                   "a window norm needs finite coefficients\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.5, 2])
+def test_bdo_diagnostic_names_a_non_finite_coefficient(tmp_path, capsys, p):
+    # at p = 2 it once exited 1 with "error: Eigenvalues did not converge"
+    # after a RuntimeWarning
+    op = {"kind": "sum", "terms": [{"kind": "shift", "v": [1]}, {
+        "kind": "multiplication", "field": {"type": "expression", "source": "1/n"}}]}
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": op,
+                               "task": {"tGrid": [0.5, 0.25], "scopeRadius": 10, "p": p}})
+    code, out, err = run(["bdo-diagnostic", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: non-finite coefficient a(u, v) = inf at u = [0], v = [0]: "
+                   "a window norm needs finite coefficients\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_p_norms_name_a_non_finite_coefficient(tmp_path, capsys):
     # at p = 1.5 fredholm once exited 0 on an inf table entry
     op = {"kind": "sum", "terms": [
@@ -764,9 +791,9 @@ _LEAN_JOBS = [
     ("geometry", {"space": Z2, "task": {"rMax": 3}}),
     ("covering", {"space": Z2, "task": {"scopeRadius": 6, "r": 2}}),
     ("partition", {"space": Z1, "task": {"variation": 0.5, "scopeRadius": 20}}),
-    ("bdo-diagnostic", {"space": Z1, "operator": RANDOM_OP,
-                        "task": {"tGrid": [0.5, 0.25], "scopeRadius": 20}}),
 ]
+
+_BDO_CFG = {"space": Z1, "operator": RANDOM_OP, "task": {"tGrid": [0.5, 0.25], "scopeRadius": 20}}
 
 
 _FREDHOLM_CFG = {
@@ -780,10 +807,12 @@ _FREDHOLM_CFG = {
 
 
 def test_lapack_loads_on_first_use(tmp_path, capsys):
-    """Jobs that factor no band matrix load no LAPACK; the first nuGrid job
-    loads the compiled module alone and gives the in-process payload, and
-    neither it nor a fredholm job imports the scipy.linalg package."""
-    jobs = [*_LEAN_JOBS, ("essential-spectrum", NU_GRID_CFG), ("fredholm", _FREDHOLM_CFG)]
+    """Jobs that touch no band matrix load no LAPACK; the first band job (a
+    bdo-diagnostic, whose commutator Gram is a band) loads the compiled
+    module alone, nuGrid and fredholm jobs give the in-process payload, and
+    none of them imports the scipy.linalg package."""
+    jobs = [*_LEAN_JOBS, ("bdo-diagnostic", _BDO_CFG), ("essential-spectrum", NU_GRID_CFG),
+            ("fredholm", _FREDHOLM_CFG)]
     calls = [(task, write_cfg(tmp_path, cfg, f"{i}.json"), str(tmp_path / f"{i}.out"))
              for i, (task, cfg) in enumerate(jobs)]
     steps = run_fresh(
@@ -797,7 +826,8 @@ def test_lapack_loads_on_first_use(tmp_path, capsys):
         "print(json.dumps(steps))\n",
         json.dumps(calls))
     lean = [[task, 0, False, False] for task, _ in _LEAN_JOBS]
-    assert steps == lean + [["essential-spectrum", 0, True, False], ["fredholm", 0, True, False]]
+    assert steps == lean + [[task, 0, True, False]
+                            for task in ("bdo-diagnostic", "essential-spectrum", "fredholm")]
     for task, cfg, out in calls[-2:]:
         code, text, _ = run([task, "--config", cfg], capsys)
         assert code == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import limitops._kernels
 import limitops.fredholm
 import limitops.operator
 from limitops import (
@@ -305,17 +306,41 @@ def test_window_norm_hands_real_blocks_to_lapack_in_float64(z2, monkeypatch, c, 
     assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("mode, dtype", [("real", np.float64), ("phase", np.complex128)])
-def test_commutator_of_a_real_operator_runs_in_float64(z2, monkeypatch, mode, dtype):
-    A = laplacian(z2) + multiplication(z2, SeededRandomField(31, mode=mode))
+def _record_band_calls(monkeypatch):
+    """(routine, dtype) of every LAPACK ?sbevx/?hbevx call from now on."""
+    seen, lapack = [], limitops._kernels._lapack()
+
+    class Recording:
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+            if not name.endswith("bevx"):
+                return routine
+
+            def call(ab, *args, **kwargs):
+                seen.append((name, np.asarray(ab).dtype))
+                return routine(ab, *args, **kwargs)
+
+            call.__name__ = name
+            return call
+
+    recording = Recording()
+    monkeypatch.setattr(limitops._kernels, "_lapack", lambda: recording)
+    return seen
+
+
+@pytest.mark.parametrize("mode, routine, dtype",
+                         [("real", "dsbevx", np.float64), ("phase", "zhbevx", np.complex128)])
+def test_commutator_of_a_real_operator_runs_in_float64(z2, monkeypatch, mode, routine, dtype):
+    # a potential commutes with every multiplier, so the hop carries the phase
+    A = laplacian(z2) + BandOperator(z2, {(1, 0): SeededRandomField(31, mode=mode)})
     scope = window(z2, 3)
     part = build_partition(z2, scope.pad(1), 0.5)
     with monkeypatch.context() as m:
         _complex_lane(m)
         ref = commutator_stack_norm(A, part, scope)
-    seen = _record_dtypes(monkeypatch, "eigvalsh")
+    seen = _record_band_calls(monkeypatch)
     got = commutator_stack_norm(A, part, scope)
-    assert seen == [dtype]
+    assert seen == [(routine, dtype)]
     assert got > 0.1
     assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
@@ -376,9 +401,11 @@ def test_norms_refuse_a_non_finite_entry_at_every_p(z1, p):
     # read nan
     B = BandOperator(z1, {(0,): TableField({(2,): np.inf}, default=2.0), (1,): 1.0})
     w = window(z1, 4)
+    part = build_partition(z1, w.pad(1), 0.5)
     for call in (lambda: window_norm(B, w, w.pad(1), p=p),
                  lambda: restricted_norm(B, FullPredicate(), w, p=p),
-                 lambda: lower_norm_window(B, w, p=p)):
+                 lambda: lower_norm_window(B, w, p=p),
+                 lambda: commutator_stack_norm(B, part, w, p=p)):
         with pytest.raises(InvalidConfigError,
                            match=r"^non-finite coefficient a\(u, v\) = inf at u = \[2\], v = \[2\]: "):
             call()
@@ -410,6 +437,73 @@ def test_commutator_scales_with_band_coefficients(z1):
     b = commutator_stack_norm(B, part, scope)
     assert np.isclose(b, 3 * a, rtol=1e-10)
     assert a > 0
+
+
+def _dense_commutator_norm(A, part, scope):
+    """sqrt of the top eigenvalue of sum_t C_t^H C_t over every tent, each
+    C_t the block on the padded scope and the scope scaled by
+    phi_t(column) - phi_t(row)."""
+    rows = scope.pad(A.propagation)
+    M = A.block(rows, scope)
+    G = np.zeros((scope.npoints, scope.npoints), dtype=np.complex128)
+    for t in range(part.ntents):
+        C = M * (part.root_values(t, scope.points, 2)[None, :]
+                 - part.root_values(t, rows.points, 2)[:, None])
+        G += C.conj().T @ C
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
+
+
+def _hermitian_fiber2():
+    f2 = Space(kind="lattice", dim=1, fiber=2)
+    B = BandOperator(f2, {(1, 0): SeededRandomField(3), (0, 1): 0.5,
+                          (0, 0): SeededRandomField(4, mode="real")})
+    return B + B.adjoint()
+
+
+COMMUTATOR_CASES = {
+    "z1-complex-band": (lambda z1, z2, l1: random_band(z1, 2, 7), 30),
+    "z2-laplacian-potential": (
+        lambda z1, z2, l1: laplacian(z2) + multiplication(z2, SeededRandomField(5, mode="real")), 6),
+    "z1-fiber2-hermitian": (lambda z1, z2, l1: _hermitian_fiber2(), 12),
+    "z2-l1-scope": (
+        lambda z1, z2, l1: laplacian(l1) + BandOperator(l1, {(1, 1): SeededRandomField(9, mode="phase")}),
+        7),
+}
+
+
+@pytest.mark.parametrize("case", list(COMMUTATOR_CASES))
+@pytest.mark.parametrize("t", [0.5, 0.25])
+def test_commutator_band_route_matches_the_dense_gram(z1, z2, z2_l1, case, t):
+    build, radius = COMMUTATOR_CASES[case]
+    A = build(z1, z2, z2_l1)
+    scope = window(A.space, radius)
+    part = build_partition(A.space, scope.pad(A.propagation), t)
+    ref = _dense_commutator_norm(A, part, scope)
+    assert ref > 0.05
+    assert commutator_stack_norm(A, part, scope) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("case", [*COMMUTATOR_CASES, "wide-stencil"])
+def test_commutator_route_follows_the_gram_bandwidth(z1, z2, z2_l1, monkeypatch, case):
+    """A Gram band holding more than half the matrix (a 401-offset stencil
+    on 129 points) goes to the dense eigvalsh; the narrow ones to one LAPACK
+    band call, real or complex as the band is."""
+    if case == "wide-stencil":
+        A, radius = BandOperator(z1, {(k,): 1.0 / (1.0 + k * k) for k in range(-200, 201)}), 64
+    else:
+        build, radius = COMMUTATOR_CASES[case]
+        A = build(z1, z2, z2_l1)
+    scope = window(A.space, radius)
+    part = build_partition(A.space, scope.pad(A.propagation), 0.5)
+    dense = _record_dtypes(monkeypatch, "eigvalsh")
+    band = _record_band_calls(monkeypatch)
+    commutator_stack_norm(A, part, scope)
+    routines = {"z1-complex-band": "zhbevx", "z2-laplacian-potential": "dsbevx",
+                "z1-fiber2-hermitian": "zhbevx", "z2-l1-scope": "zhbevx"}
+    if case == "wide-stencil":
+        assert (len(dense), band) == (1, [])
+    else:
+        assert (dense, [name for name, _ in band]) == ([], [routines[case]])
 
 
 def test_bdo_diagnostic_band_operator_consistent(z1):
