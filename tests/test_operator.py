@@ -328,9 +328,9 @@ def _record_band_calls(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("mode, routine, dtype",
-                         [("real", "dsbevx", np.float64), ("phase", "zhbevx", np.complex128)])
-def test_commutator_of_a_real_operator_runs_in_float64(z2, monkeypatch, mode, routine, dtype):
+@pytest.mark.parametrize("mode, dtype", [("real", np.float64), ("phase", np.complex128)])
+def test_commutator_of_a_real_operator_runs_in_float64(z2, monkeypatch, mode, dtype):
+    routine = "dsbevx" if dtype is np.float64 else "zhbevx"
     # a potential commutes with every multiplier, so the hop carries the phase
     A = laplacian(z2) + BandOperator(z2, {(1, 0): SeededRandomField(31, mode=mode)})
     scope = window(z2, 3)
