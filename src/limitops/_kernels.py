@@ -319,11 +319,15 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
     point with y^2 > tau^2 reads inf with no factorisation
     (sigma_min >= |Im z|, as G(x) is positive semi-definite), and a point
     of a column whose gate fails reads inf where lambda_x + y^2 > tau^2.
-    A -1.0 entry flags non-finite input (z, or an entry of the bands).
+
+    Non-finite input (a point of zs, or an entry of the bands) raises
+    ValueError before any factorisation, as the LAPACK helpers do.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     gb, sl, su = (np.ascontiguousarray(a, dtype=np.complex128)
                   for a in (gram_bands, slice_lower, slice_upper))
+    for a in (zs, gb, sl, su):
+        _require_finite(a)
     su_c = np.conj(su)
     tau2 = None if tau is None else float(tau) ** 2
     if np.array_equal(sl, su_c):
@@ -334,20 +338,17 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
     for iz, z in enumerate(zs):
         base = gb - np.conj(z) * sl - z * su_c
         base[0] += (z * np.conj(z)).real
-        try:
-            if tau2 is not None and _gate(base, tau2):
-                out[iz] = np.inf
-            else:
-                out[iz] = np.sqrt(max(min_eig_banded(base), 0.0))
-        except ValueError:
-            out[iz] = -1.0
+        if tau2 is not None and _gate(base, tau2):
+            out[iz] = np.inf
+        else:
+            out[iz] = np.sqrt(max(min_eig_banded(base), 0.0))
     return out
 
 
 def _gate(base, tau2):
     """Whether G - tau2 I has a banded Cholesky factor, i.e. the smallest
     eigenvalue of G (lower band storage in ``base``, left untouched)
-    exceeds tau2. Raises ValueError on non-finite input."""
+    exceeds tau2."""
     work = base.copy(order="F")
     work[0] -= tau2
     try:
@@ -361,28 +362,18 @@ def _column_sweep(gb, sl, zs, tau2):
     """``sigma_min_sweep`` for a Hermitian slice S, where
     G(x + iy) = G(x) + y^2 I with G(x) = T^H T - 2 x S + x^2 I: at most one
     gate and one eigenvalue per distinct Re z. tau2 is tau^2 or None."""
-    out = np.full(zs.size, -1.0)
+    out = np.full(zs.size, np.inf)
     y2 = zs.imag ** 2
-    live = np.isfinite(zs)
-    # a non-finite band entry must reach LAPACK at every point, to be flagged
-    if tau2 is not None and np.isfinite(gb).all() and np.isfinite(sl).all():
-        far = live & (y2 > tau2)
-        out[far] = np.inf
-        live &= ~far
-    idx = np.flatnonzero(live)
+    idx = np.arange(zs.size) if tau2 is None else np.flatnonzero(y2 <= tau2)
     # + 0.0 maps -0.0 to 0.0, so a column never depends on which one a chunk holds
     xs, col = np.unique(zs.real[idx] + 0.0, return_inverse=True)
     for x, members in zip(xs, cell_members(col, xs.size)):
         pts = idx[members]
         base = gb - 2 * x * sl
         base[0] += x * x
-        try:
-            if tau2 is not None and _gate(base, tau2):
-                out[pts] = np.inf
-                continue
-            lam = min_eig_banded(base) + y2[pts]
-        except ValueError:
-            continue  # G(x) is not finite: the points keep their -1.0 flag
+        if tau2 is not None and _gate(base, tau2):
+            continue  # its points keep inf
+        lam = min_eig_banded(base) + y2[pts]
         out[pts] = np.sqrt(np.maximum(lam, 0.0))
         if tau2 is not None:
             out[pts[lam > tau2]] = np.inf

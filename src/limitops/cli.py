@@ -348,6 +348,11 @@ def _fill_seeds(node, seed):
             _fill_seeds(v, seed)
 
 
+def _refuse_constant(name):
+    """``json.load``'s hook for the non-standard NaN, Infinity and -Infinity."""
+    raise LimitOpsError(f"the config holds {name}; every number in it must be finite")
+
+
 def _space(cfg):
     return space_from_descriptor(cfg["space"])
 
@@ -610,7 +615,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_refuse_constant)
         _validate(cfg, None)
         prm = {**TASK_DEFAULTS[args.task], **cfg.get("task", {})}
         _validate(cfg.get("task", {}), args.task)

@@ -20,11 +20,11 @@ from .errors import InvalidConfigError, UnsupportedConstructionError
 from .fields import ConstantField, PeriodicField
 from .operator import (
     _abs_diagonal,
+    _coefficient_values,
     _distinct_sorted,
     _gram_bands,
     _points,
     _real_lane,
-    _refuse_non_finite,
     _window_upper,
     window_norm,
 )
@@ -40,8 +40,6 @@ FAMILY_CAVEAT = (
 
 DEFAULT_T_GRID = (0.5, 0.3, 0.15)
 DEFAULT_SWEEP_CHUNK = 512
-_NON_FINITE_BANDS = ("non-finite input to the banded sweep: the window's Gram or slice "
-                     "bands (a coefficient is not finite)")
 # below this multiple of norm_bound()^2 the Gram eigenvalue has lost too many
 # digits to squaring, and the dense SVD decides
 GRAM_FLOOR = 1e-8
@@ -101,8 +99,7 @@ def _lower_norm_structured(B, pts):
     if pts is None:
         return None  # the dense block repeats a column
     if B.propagation == 0:
-        c = _abs_diagonal(B, pts)
-        return float(c.min()) if np.isfinite(c).all() else None
+        return float(_abs_diagonal(B, pts).min())
     bands = _gram_bands(B, pts)
     if bands is None:
         return None
@@ -127,9 +124,9 @@ def lower_norm_window(B, support, p=2, rows=None):
     where a point repeats. Explicit rows always take the dense SVD; when they
     are fewer than the support points a kernel vector exists and the value is
     0, for every p. Other exponents: a certified upper bound from minimization
-    restarts. At every p a non-finite coefficient in the tall block raises
-    InvalidConfigError naming it (``operator._refuse_non_finite``).
-    Nonincreasing under support enlargement.
+    restarts. A non-finite coefficient raises InvalidConfigError
+    (``operator._coefficient_values``). Nonincreasing under support
+    enlargement.
     """
     support_pts = _points(support)
     if support_pts.shape[0] == 0:
@@ -139,8 +136,7 @@ def lower_norm_window(B, support, p=2, rows=None):
         nu = _lower_norm_structured(B, support_pts)
         if nu is not None:
             return nu
-    rows_pts, M = _tall_block(B, support_pts, rows.points if isinstance(rows, Window) else rows)
-    _refuse_non_finite(M, rows_pts, support_pts)
+    _, M = _tall_block(B, support_pts, rows.points if isinstance(rows, Window) else rows)
     if M.shape[0] < M.shape[1]:
         return 0.0
     if p == 2:
@@ -267,7 +263,7 @@ def _bloch_spectrum(op, theta_grid):
     for k, f in op.stencil.items():
         tgt = space.translate(cell, k)
         q, tgt[:, :d] = np.divmod(tgt[:, :d], L)
-        entries += zip(range(n), loc.locate(tgt), f.eval(space, cell), q)
+        entries += zip(range(n), loc.locate(tgt), _coefficient_values(space, k, f, cell), q)
     per_axis = theta_grid if d == 1 else max(16, int(round(theta_grid ** (1.0 / d))))
     axis = np.linspace(0.0, 2 * np.pi, per_axis, endpoint=False)
     thetas = np.stack(np.meshgrid(*[axis] * d, indexing="ij")).reshape(d, -1)
@@ -314,7 +310,8 @@ def _banded_data(B, radius):
     """``_gram_bands`` of B on the window -radius..radius about 0 of the
     one-dimensional lattice (optional fiber m), each band array zero-padded
     to bw + 1 rows, bw = 2 (w m + m - 1) for reach w: (gram, slice_lower,
-    slice_upper, bw, n). No dense block is formed."""
+    slice_upper, bw, n). No dense block is formed. Gram bands that overflow
+    raise InvalidConfigError."""
     space = B.space
     if space.kind != "lattice" or space.dim != 1:
         raise UnsupportedConstructionError(
@@ -326,7 +323,8 @@ def _banded_data(B, radius):
     pts = space.box_points([-radius], [radius])
     bands = _gram_bands(B, pts)
     if bands is None:
-        raise InvalidConfigError(_NON_FINITE_BANDS)
+        raise InvalidConfigError("the window's Gram bands overflow: a coefficient is too "
+                                 "large to square in float64")
     bw = 2 * (wl * m + m - 1)
     gb, sl, su = (np.pad(b, ((0, bw + 1 - b.shape[0]), (0, 0))) for b in bands)
     return gb, sl, su, bw, pts.shape[0]
@@ -337,7 +335,7 @@ def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
     ``threads`` threads. Each value depends on its own point and the bands
     alone (a column of a Hermitian slice cut by a chunk boundary is valued
     once on each side, with the same bits), so results are identical for
-    any chunk size and --threads value. Non-finite input raises."""
+    any chunk size and --threads value."""
     gb, sl, su, _, _ = bands
     pieces = [zs[i : i + chunk] for i in range(0, zs.size, chunk)]
 
@@ -349,14 +347,7 @@ def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             outs = list(ex.map(sweep, pieces))
-    out = np.concatenate(outs) if outs else np.empty(0)
-    if (out < 0.0).any():
-        bad = zs[~np.isfinite(zs)]
-        if not bad.size:
-            raise InvalidConfigError(_NON_FINITE_BANDS)
-        raise InvalidConfigError(
-            f"non-finite input to the banded sweep: grid point {complex(bad[0])}")
-    return out
+    return np.concatenate(outs) if outs else np.empty(0)
 
 
 def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
@@ -379,10 +370,15 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     same bits as without tau (a long band's bisection bracket, [0, g], never
     depends on tau). A short band's values are LAPACK ?sbevx/?hbevx's; a long
     one's (``_kernels.min_eig_banded``) are upper ends of bisection brackets,
-    so they stay upper bounds on the window lower norm. Non-finite
-    coefficients or grid points raise InvalidConfigError.
+    so they stay upper bounds on the window lower norm. A non-finite grid
+    point raises InvalidConfigError before any band is formed, a non-finite
+    coefficient while the bands are (``operator._coefficient_values``).
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128).reshape(-1)
+    bad = zs[~np.isfinite(zs)]
+    if bad.size:
+        raise InvalidConfigError(
+            f"non-finite input to the banded sweep: grid point {complex(bad[0])}")
 
     def run(bands, vals):
         if not any(b.imag.any() for b in bands[:3]):

@@ -124,7 +124,8 @@ class BandOperator:
 
     def block(self, rows, cols):
         """Dense matrix of the kernel on rows x cols point sets (windows or
-        point arrays)."""
+        point arrays). The values it places are evaluated by
+        ``_coefficient_values``, so a non-finite one raises."""
         rows_pts, cols_pts = _points(rows), _points(cols)
         M = np.zeros((rows_pts.shape[0], cols_pts.shape[0]), dtype=np.complex128)
         if not rows_pts.size or not cols_pts.size:
@@ -134,7 +135,8 @@ class BandOperator:
             idx = locate(self.space.translate(rows_pts, k))
             ok = idx >= 0
             if ok.any():
-                M[np.nonzero(ok)[0], idx[ok]] += f.eval(self.space, rows_pts[ok])
+                vals = _coefficient_values(self.space, k, f, rows_pts[ok])
+                M[np.nonzero(ok)[0], idx[ok]] += vals
         return M
 
     def apply(self, vec, out_window):
@@ -180,6 +182,25 @@ class BandOperator:
         return f"BandOperator(offsets={list(self.stencil)}, omega={self.propagation})"
 
 
+def _coefficient_values(space, k, f, rows):
+    """The coefficient field f of offset k on the rows (a point array): the
+    kernel entries a(u, u + k) for u in rows. The one place a non-finite
+    coefficient is refused: the first one raises InvalidConfigError naming
+    it as a(u, v) with v = u + k. Band-dominated operators have bounded
+    coefficients, and on an inf or nan LAPACK only reports that it did not
+    converge while the p-norm bounds read inf."""
+    vals = f.eval(space, rows)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        a = vals[i].real if vals[i].imag == 0 else vals[i]
+        raise InvalidConfigError(
+            f"non-finite coefficient a(u, v) = {a} at u = {rows[i].tolist()}, "
+            f"v = {space.translate(rows[i], k).tolist()}: band operators need finite "
+            f"coefficients")
+    return vals
+
+
 def _points(pts):
     return pts.points if isinstance(pts, Window) else np.asarray(pts)
 
@@ -198,10 +219,11 @@ def _real_lane(M):
 
 def _abs_diagonal(A, pts):
     """|a(u, u)| at the given points."""
-    f = A.stencil.get((0,) * A.space.point_arity)
+    k = (0,) * A.space.point_arity
+    f = A.stencil.get(k)
     if f is None:
         return np.zeros(pts.shape[0])
-    return np.abs(f.eval(A.space, pts))
+    return np.abs(_coefficient_values(A.space, k, f, pts))
 
 
 # -- constructors -------------------------------------------------------------
@@ -279,8 +301,8 @@ def _distinct_sorted(pts):
 
 def _diagonal_norm(A, rows, cols):
     """max |c(u)| over the points rows and cols share, for a multiplication
-    operator; None where the dense SVD must decide (a repeated point, or a
-    non-finite value). Window points are distinct by construction."""
+    operator; None where the dense SVD must decide (a repeated point).
+    Window points are distinct by construction."""
     rows_pts, cols_pts = _points(rows), _points(cols)
     if not (rows_pts.size and cols_pts.size):
         return 0.0
@@ -289,8 +311,6 @@ def _diagonal_norm(A, rows, cols):
             return None
     shared = rows_pts[_locate(cols)(rows_pts) >= 0]
     c = _abs_diagonal(A, shared)
-    if not np.isfinite(c).all():
-        return None
     return float(c.max()) if c.size else 0.0
 
 
@@ -304,31 +324,17 @@ def window_norm(A, rows, cols, p=2):
     complex ones. Other operators and repeated points take a dense SVD, in
     float64 when the block has no imaginary part.
     Other p in (1, inf): certified interval (lower, upper).
-    At every p a non-finite coefficient in the block raises
-    InvalidConfigError naming it, before any norm is taken.
+    A non-finite coefficient in the block raises InvalidConfigError
+    (``_coefficient_values``).
     """
     if p == 2 and A.propagation == 0 and A.space.kind == "lattice":
         g = _diagonal_norm(A, rows, cols)
         if g is not None:
             return g
     M = A.block(rows, cols)
-    _refuse_non_finite(M, rows, cols)
     if p == 2:
         return _sigma_max(M)
     return _pnorm_bounds(M, p)
-
-
-def _refuse_non_finite(M, rows, cols):
-    """Raise InvalidConfigError naming the first non-finite entry a(u, v)
-    of a dense block, on which LAPACK's SVD would not converge and the
-    p-norm bounds and minimisers would return inf or nan."""
-    bad = ~np.isfinite(M)
-    if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), M.shape)
-        a = M[i, j].real if M[i, j].imag == 0 else M[i, j]
-        raise InvalidConfigError(
-            f"non-finite coefficient a(u, v) = {a} at u = {_points(rows)[i].tolist()}, "
-            f"v = {_points(cols)[j].tolist()}: a window norm needs finite coefficients")
 
 
 def _window_upper(A, rows, cols, p=2):
@@ -396,8 +402,8 @@ def _gram_groups(B, pts, loc):
 def _gram_bands(B, pts, weights=None, grouped=None):
     """(B^H B)[S, S] in lower band storage at its exact bandwidth, and the
     lower and upper bands of the slice B[S, S], for sorted distinct lattice
-    points S; None if a coefficient is not finite (checked before any
-    product) or the Gram bands overflow.
+    points S; None if the Gram bands overflow. The coefficients are
+    evaluated by ``_coefficient_values``, before any product.
 
     Column j of the tall block B[:, S] holds c_k(s_j - k) in row s_j - k, so
     the Gram entry (j, l) sums conj(c_k(u)) c_k'(u) over the rows
@@ -413,10 +419,9 @@ def _gram_bands(B, pts, weights=None, grouped=None):
     keys = _offsets(B)
     # row s_j - k of column j, for every offset k
     back = space.translate(pts[None, :, :], np.negative(keys)[:, None, :])
-    cols = np.array([f.eval(space, u) for f, u in zip(B.stencil.values(), back)],
+    cols = np.array([_coefficient_values(space, k, f, u)
+                     for (k, f), u in zip(B.stencil.items(), back)],
                     dtype=np.complex128).reshape(keys.shape[0], n)
-    if not np.isfinite(cols).all():
-        return None
     loc = PointLocator(pts)
     groups, kd = _gram_groups(B, pts, loc) if grouped is None else grouped
     gram = np.zeros((kd + 1, n), dtype=np.complex128)
@@ -453,8 +458,8 @@ def commutator_stack_norm(A, partition, scope, p=2):
     when the band has no imaginary part); a wider band is formed densely,
     one product per tent, and valued by ``eigvalsh``. The two routes agree
     to rounding. An all-zero Gram gives exactly 0.0. Other exponents return
-    a certified interval of the stacked dense block. At every p a non-finite
-    coefficient in the block raises InvalidConfigError naming it.
+    a certified interval of the stacked dense block. A non-finite
+    coefficient raises InvalidConfigError (``_coefficient_values``).
     """
     space = A.space
     rows = scope.pad(A.propagation)
@@ -474,7 +479,6 @@ def commutator_stack_norm(A, partition, scope, p=2):
         if top is not None:
             return float(np.sqrt(max(top, 0.0)))
     block = A.block(rows, scope)
-    _refuse_non_finite(block, rows, scope)
     # phi_t once per tent, on the rows; the scope's values are gathered
     pick = rows.locate(cpts)
     if p == 2:
@@ -496,8 +500,8 @@ def commutator_stack_norm(A, partition, scope, p=2):
 def _band_gram_top(A, partition, tents, rows, scope):
     """Top eigenvalue of the p = 2 commutator Gram of
     ``commutator_stack_norm`` from its lower bands; None where the dense
-    route decides: a band of more than half the matrix, or a coefficient (or
-    Gram entry) that is not finite."""
+    route decides: a band of more than half the matrix, or a Gram that
+    overflows."""
     space = A.space
     pts = _distinct_sorted(scope.points)
     n, keys = pts.shape[0], _offsets(A)
@@ -578,7 +582,6 @@ def restricted_norm(A, predicate, scope, p=2):
     cols = pts[keep]
     rows = scope.pad(A.propagation)
     M = A.block(rows, cols)
-    _refuse_non_finite(M, rows, cols)
     if p == 2:
         return _sigma_max(M)
     return _pnorm_bounds(M, p)

@@ -36,7 +36,7 @@ from .fields import (
     _normalize_shift,
 )
 # window_norm stays bound here for callers that read limitops.shifts.window_norm
-from .operator import BandOperator, _refuse_non_finite, _window_upper, window_norm  # noqa: F401
+from .operator import BandOperator, _coefficient_values, _window_upper, window_norm  # noqa: F401
 from .space import Window, basepoint_windows
 
 
@@ -324,16 +324,16 @@ def _schedule(budget):
 
 def _gap(A, diff, rows, cols, p, *shifts):
     """``_window_upper`` of a difference of conjugates of A. A non-finite
-    coefficient is named at the user's points: u and v moved by the shift of
-    the conjugate that holds it, the first of ``shifts`` whose block has one."""
+    coefficient is named at the user's points: A's own block on the gap
+    windows moved by each of ``shifts`` in turn raises at the first that
+    holds it."""
     try:
         return _window_upper(diff, rows, cols, p)
     except InvalidConfigError:
         space = A.space
         for x in shifts:
             x = _normalize_shift(space, x)
-            r, c = space.translate(rows.points, x), space.translate(cols.points, x)
-            _refuse_non_finite(A.block(r, c), r, c)
+            A.block(space.translate(rows.points, x), space.translate(cols.points, x))
         raise
 
 
@@ -364,12 +364,11 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     # the gap windows of each radius, built once for the whole scan
     window = basepoint_windows(space)
     pairs = {r: (window(r), window(r + omega)) for r in radii}
-    # A's own block names a non-finite coefficient as written, before a gap
-    # turns it into nan (inf - inf); the block holds c_k(u) for every row u
-    # and offset k, so it is formed only when one of them is not finite
-    rows, cols = pairs[radii[0]]
-    if not all(np.isfinite(f.eval(space, rows.points)).all() for f in A.stencil.values()):
-        _refuse_non_finite(A.block(rows, cols), rows, cols)
+    # A's own coefficients on the smallest gap rows name a non-finite one as
+    # written, before a gap turns it into nan (inf - inf)
+    rows = pairs[radii[0]][0].points
+    for k, f in A.stencil.items():
+        _coefficient_values(space, k, f, rows)
 
     analytic = None
     if isinstance(bound, _BoundRay):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -448,7 +449,7 @@ def test_non_finite_coefficients_are_named_before_the_svd(tmp_path, capsys, sour
     assert (code, out) == (1, "")
     value = "inf" if source == "1/0" else "nan"
     assert err == (f"error: non-finite coefficient a(u, v) = {value} at u = [0], v = [0]: "
-                   "a window norm needs finite coefficients\n")
+                   "band operators need finite coefficients\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -460,7 +461,7 @@ def test_a_non_finite_coefficient_past_the_first_window_is_named_at_its_point(tm
     code, out, err = run(["limits", "--config", cfg], capsys)
     assert (code, out) == (1, "")
     assert err == ("error: non-finite coefficient a(u, v) = inf at u = [130], v = [130]: "
-                   "a window norm needs finite coefficients\n")
+                   "band operators need finite coefficients\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -475,23 +476,45 @@ def test_bdo_diagnostic_names_a_non_finite_coefficient(tmp_path, capsys, p):
     code, out, err = run(["bdo-diagnostic", "--config", cfg], capsys)
     assert (code, out) == (1, "")
     assert err == ("error: non-finite coefficient a(u, v) = inf at u = [0], v = [0]: "
-                   "a window norm needs finite coefficients\n")
+                   "band operators need finite coefficients\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_p_norms_name_a_non_finite_coefficient(tmp_path, capsys):
-    # at p = 1.5 fredholm once exited 0 on an inf table entry
+    # at p = 1.5 fredholm once exited 0 on an inf table entry; the config now
+    # refuses Infinity itself, so the inf comes from an expression
     op = {"kind": "sum", "terms": [
         {"kind": "identity"},
         {"kind": "scaled", "operator": {"kind": "shift", "v": [1]}, "factor": 0.3},
-        {"kind": "multiplication", "field": {
-            "type": "table", "entries": [{"point": [2], "value": float("inf")}]}}]}
+        {"kind": "multiplication", "field": {"type": "expression", "source": "1/(n-2)"}}]}
     cfg = write_cfg(tmp_path, {"space": Z1, "operator": op, "sequences": [{"v": [1]}],
                                "task": {"p": 1.5, "schedule": [4, 8]}})
     code, out, err = run(["fredholm", "--config", cfg], capsys)
     assert (code, out) == (1, "")
     assert err == ("error: non-finite coefficient a(u, v) = inf at u = [2], v = [2]: "
-                   "a window norm needs finite coefficients\n")
+                   "band operators need finite coefficients\n")
+
+
+LAPLACIAN_Z1 = {"space": Z1, "operator": {"kind": "laplacian"}, "sequences": [{"v": [1]}]}
+
+
+@pytest.mark.parametrize("task, block, constant", [
+    # once an OverflowError traceback from the grid
+    ("essential-spectrum", {"method": "nuGrid", "zBox": [-3, math.inf, -1, 1]}, "Infinity"),
+    # once exit 0 with "tau": NaN in the payload and the verdict inconclusive
+    ("fredholm", {"tau": math.nan}, "NaN"),
+    # once "error: cannot convert float NaN to integer"
+    ("essential-spectrum", {"method": "nuGrid", "pitch": math.nan}, "NaN"),
+    ("essential-spectrum", {"method": "nuGrid", "zBox": [-math.inf, 3, -1, 1]}, "-Infinity"),
+], ids=["zBox-Infinity", "tau-NaN", "pitch-NaN", "zBox-minus-Infinity"])
+def test_json_constants_are_refused_when_the_config_is_loaded(tmp_path, capsys, task, block,
+                                                               constant):
+    # json.dumps writes the non-standard constants NaN, Infinity and -Infinity
+    cfg = write_cfg(tmp_path, {**LAPLACIAN_Z1, "task": block})
+    assert constant in open(cfg).read()
+    code, out, err = run([task, "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: the config holds {constant}; every number in it must be finite\n"
 
 
 @pytest.mark.parametrize("config", [

@@ -209,15 +209,18 @@ def test_structured_gram_path_falls_back_on_a_kernel(z1):
 
 @pytest.mark.parametrize("offset", [(0,), (1,)])
 def test_structured_paths_raise_on_nan_like_the_svd(z1, offset):
+    # LAPACK's SVD fails on a NaN entry
+    M = np.diag([2.0, np.nan, 2.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(M, compute_uv=False)
     nan = TableField({(2,): np.nan}, default=0.5)
     B = BandOperator(z1, {(0,): 2.0, offset: nan})
     w = window(z1, 5)
-    with pytest.raises(np.linalg.LinAlgError):
-        _dense_lower(B, w.points)
-    # window_norm and lower_norm_window name the entry before the SVD would
-    # fail on it
+    # the structured paths and the dense block itself name the entry before
+    # the SVD would fail on it
     v = [2] if offset == (0,) else [3]
-    for call in (lambda: lower_norm_window(B, w), lambda: window_norm(B, w, w)):
+    for call in (lambda: lower_norm_window(B, w), lambda: window_norm(B, w, w),
+                 lambda: _dense_lower(B, w.points)):
         with pytest.raises(InvalidConfigError, match=rf"^non-finite coefficient a\(u, v\) = nan "
                                                      rf"at u = \[2\], v = \[{v[0]}\]: "):
             call()
@@ -587,10 +590,11 @@ def test_nu_grid_cloud_values_match_dense_svd():
 
 def test_nu_grid_rejects_non_finite_input(z1):
     lap = laplacian_stencil(z1)
-    for src in ("1/n", "log(abs(n))", "sqrt(n)"):
+    for src, value, u in (("1/n", "inf", 0), ("log(abs(n))", "-inf", 0), ("sqrt(n)", "nan", -10)):
         A = lap + multiplication(z1, ExpressionField(src))
-        with np.errstate(all="ignore"), pytest.raises(InvalidConfigError,
-                                                      match="not finite"):
+        with np.errstate(all="ignore"), pytest.raises(
+                InvalidConfigError, match=rf"^non-finite coefficient a\(u, v\) = {value} "
+                                          rf"at u = \[{u}\], v = \[{u}\]: "):
             nu_grid_indicator(A, [0.3 + 0.1j, 5], radius=10)
     with pytest.raises(InvalidConfigError, match="grid point"):
         nu_grid_indicator(lap, [0.3, complex(np.nan, 0.0)], radius=10)
@@ -602,8 +606,18 @@ def test_nu_grid_non_finite_coefficient_raises_before_any_arithmetic(z1):
     A = laplacian_stencil(z1) + multiplication(z1, ExpressionField("1/n"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidConfigError, match="not finite"):
+        with pytest.raises(InvalidConfigError, match=r"^non-finite coefficient a\(u, v\) = inf "
+                                                     r"at u = \[0\], v = \[0\]: "):
             nu_grid_indicator(A, [0.3 + 0.1j, 5], radius=10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bloch_oracle_names_a_non_finite_coefficient(z1):
+    # it once ended in LinAlgError after a RuntimeWarning
+    A = laplacian_stencil(z1) + multiplication(z1, PeriodicField([1.0, np.inf]))
+    with pytest.raises(InvalidConfigError, match=r"^non-finite coefficient a\(u, v\) = inf "
+                                                 r"at u = \[1\], v = \[1\]: "):
+        floquet_spectrum(A, 64)
 
 
 def test_spectrum_estimate_method_dispatch(z1, z2):

@@ -303,14 +303,14 @@ def _record_lanes(monkeypatch):
 @pytest.mark.parametrize("where", ["z=nan", "z=inf", "z=i*inf", "z=i*nan",
                                    "gram nan", "gram inf"])
 def test_sweep_flags_non_finite_input(where, monkeypatch):
-    # -1.0 flags non-finite input on both lanes, also where LAPACK alone
-    # would not fail: it never reads the unused corner of the band storage,
-    # and an infinite last pivot factors. On the real lane Re z is finite for
-    # z = i*inf and i*nan, |z|^2 is not.
+    # non-finite input raises ValueError on both lanes (the per-point one and
+    # the float64 column one), before any factorisation, also where LAPACK
+    # alone would not fail: it never reads the unused corner of the band
+    # storage, and an infinite last pivot factors. On the real lane Re z is
+    # finite for z = i*inf and i*nan, |z|^2 is not.
     cases = _sweep_cases()
     lanes = _record_lanes(monkeypatch)
-    for (gb, sl, su, bw, _), lane in ((cases[0], np.complex128), (cases[-1], np.float64)):
-        lanes.clear()
+    for gb, sl, su, bw, _ in (cases[0], cases[-1]):
         zs = np.array([0.5, -1.7 + 0.3j], dtype=np.complex128)
         if where.startswith("z="):
             zs[0] = {"z=nan": np.nan, "z=inf": np.inf, "z=i*inf": complex(0, np.inf),
@@ -320,13 +320,9 @@ def test_sweep_flags_non_finite_input(where, monkeypatch):
         else:
             gb[0, -1] = np.inf
         for tau in (None, 0.1):
-            with np.errstate(invalid="ignore"):
-                out = K.sigma_min_sweep(gb, sl, su, zs, tau)
-            if where.startswith("z="):
-                assert out[0] == -1.0 and out[1] > 0.0
-            else:
-                assert np.all(out == -1.0)
-        assert lanes == {lane}
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                K.sigma_min_sweep(gb, sl, su, zs, tau)
+    assert lanes == set()
 
 
 @pytest.mark.parametrize("kind", ["real symmetric", "complex hermitian",
@@ -583,7 +579,7 @@ def test_bisection_bits_ignore_chunks_and_threads(name, T):
 @pytest.mark.parametrize("where", ["diagonal", "band", "unused corner"])
 def test_bisection_refuses_non_finite_bands(where, monkeypatch):
     # checked once per matrix, before the first factorisation; the sweep
-    # flags such a band with -1.0 on every lane
+    # refuses such a band with ValueError on every lane
     calls = _bisected(monkeypatch)
     for name, T in _long_cases():
         gb, sl, su, bw = _long_bands(name, T)
@@ -593,6 +589,6 @@ def test_bisection_refuses_non_finite_bands(where, monkeypatch):
         with pytest.raises(ValueError, match="infs or NaNs"):
             K.min_eig_banded(base)
         gb[row, col] = np.inf
-        with np.errstate(invalid="ignore"):
-            assert np.all(K.sigma_min_sweep(gb, sl, su, MIXED_Z) == -1.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            K.sigma_min_sweep(gb, sl, su, MIXED_Z)
     assert calls == []

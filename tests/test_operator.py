@@ -398,14 +398,15 @@ def test_dense_norms_name_a_non_finite_entry_before_the_svd(z1, monkeypatch):
 def test_norms_refuse_a_non_finite_entry_at_every_p(z1, p):
     # at p = 1.5 the window norm once read (inf, inf) and the lower norm
     # 2.1634 after hundreds of warnings; at p = 2 the lower norm's dense SVD
-    # read nan
+    # read nan, and the localized norm 0.0 (max(0.0, nan))
     B = BandOperator(z1, {(0,): TableField({(2,): np.inf}, default=2.0), (1,): 1.0})
     w = window(z1, 4)
     part = build_partition(z1, w.pad(1), 0.5)
     for call in (lambda: window_norm(B, w, w.pad(1), p=p),
                  lambda: restricted_norm(B, FullPredicate(), w, p=p),
                  lambda: lower_norm_window(B, w, p=p),
-                 lambda: commutator_stack_norm(B, part, w, p=p)):
+                 lambda: commutator_stack_norm(B, part, w, p=p),
+                 lambda: localized_norm(B, FullPredicate(), part, w, p=p)):
         with pytest.raises(InvalidConfigError,
                            match=r"^non-finite coefficient a\(u, v\) = inf at u = \[2\], v = \[2\]: "):
             call()

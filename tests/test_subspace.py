@@ -8,6 +8,7 @@ from limitops import (
     InvalidConfigError,
     SublatticePredicate,
     SubspaceProjection,
+    TableField,
     commutator_with_projection,
     hat,
     identity,
@@ -51,6 +52,18 @@ def test_hat_commutes_with_projection_exactly(z1):
     proj = halfline(z1)
     H = hat(A, proj)
     assert commutator_with_projection(H, proj, window(z1, 10)) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_commutator_names_a_non_finite_coefficient(z1):
+    # it once read nan: the commutator's block went to abs().max() unchecked;
+    # its coefficient at u = 2 is inf - inf = nan
+    B = BandOperator(z1, {(0,): TableField({(2,): np.inf}, default=2.0), (1,): 1.0})
+    proj = halfline(z1)
+    for A in (B, hat(B, proj)):
+        with pytest.raises(InvalidConfigError, match=r"^non-finite coefficient a\(u, v\) = "
+                                                     r"\(nan\+nanj\) at u = \[2\], v = \[2\]: "):
+            commutator_with_projection(A, proj, window(z1, 4))
 
 
 def test_hat_acts_as_identity_on_complement(z1):
