@@ -23,6 +23,7 @@ from .operator import (
     _coefficient_values,
     _distinct_sorted,
     _gram_bands,
+    _localization_balls,
     _points,
     _real_lane,
     _window_upper,
@@ -147,26 +148,16 @@ def lower_norm_window(B, support, p=2, rows=None):
 def lower_norm_localized(B, predicate, partition, scope, p=2):
     """min over scope centers x of the lower norm on B[x, r_t] intersected
     with the predicate; dominates the plain lower norm over the predicate by
-    construction (each local support is a subset of the full one)."""
-    space = B.space
+    construction (each local support is a subset of the full one). The
+    balls are whole: their points are found in the scope padded by r_t,
+    and each distinct ball is valued once."""
     rt = partition.support_diam
-    centers = scope.points
-    best = np.inf
-    seen = set()
-    for i in range(centers.shape[0]):
-        ball = space.ball(space.from_array(centers[i : i + 1])[0], rt)
-        keep = predicate.test(space, ball)
-        if not keep.any():
-            continue
-        sup = ball[keep]
-        key = sup.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        best = min(best, lower_norm_window(B, sup, p))
-    if best is np.inf:
+    cands = scope.pad(rt).points
+    balls = _localization_balls(B.space, predicate, scope.points, cands, rt)
+    if not balls:
         warnings.warn("predicate misses every localization ball; +inf")
-    return float(best)
+        return float(np.inf)
+    return float(min(lower_norm_window(B, cands[ball], p) for ball in balls))
 
 
 @dataclass
@@ -435,7 +426,12 @@ def _grid(box, pitch):
     re0, re1, im0, im1 = box
 
     def axis(lo, hi):
-        n = int(round((hi - lo) / pitch)) + 1
+        steps = (hi - lo) / pitch
+        if not np.isfinite(steps):
+            raise InvalidConfigError(
+                f"zBox {list(box)} is too wide to grid at pitch {pitch}: its axis "
+                f"count overflows")
+        n = int(round(steps)) + 1
         return 0.5 * (lo + hi) + pitch * (np.arange(n) - 0.5 * (n - 1))
 
     R, I = np.meshgrid(axis(re0, re1), axis(im0, im1), indexing="ij")

@@ -4,11 +4,14 @@ A band operator keeps a stencil: a finite map offset -> coefficient field,
 encoding the kernel a(u, u + k) = c_k(u). Sums, products, adjoints, scalar
 shifts and indicator restrictions all stay in this class, with propagation
 tracked structurally (exact for sums/adjoints, upper bound for products).
-Window blocks are assembled densely. p = 2 window norms are largest
-singular values: read off the diagonal for multiplication operators
-(propagation 0), from a dense SVD otherwise; a block with no imaginary part
-goes to LAPACK in float64. Other exponents get certified intervals (sampled
-lower bound, row/column interpolation upper bound).
+Window blocks are assembled densely. ``window_norm`` values every block
+norm, the restricted and localised norms included: at p = 2 the largest
+singular value, read off the diagonal for multiplication operators
+(propagation 0), from a dense SVD otherwise (a block with no imaginary part
+goes to LAPACK in float64); other exponents get certified intervals (sampled
+lower bound, row/column interpolation upper bound). Localisation balls, for
+``localized_norm`` and ``fredholm.lower_norm_localized``, come from one
+``pairs_within`` call (``_localization_balls``).
 """
 
 import warnings
@@ -425,12 +428,15 @@ def _gram_bands(B, pts, weights=None, grouped=None):
     loc = PointLocator(pts)
     groups, kd = _gram_groups(B, pts, loc) if grouped is None else grouped
     gram = np.zeros((kd + 1, n), dtype=np.complex128)
-    for a, b, j, l in groups:
-        prods = np.conj(cols[a[:, None], j]) * cols[b[:, None], l]
-        if weights is not None:
-            prods *= np.einsum("tpj,tpj->pj", weights[:, a[:, None], j], weights[:, b[:, None], l])
-        # accumulate is sequential, so the pairs add in order, from 0
-        gram[j - l, l] += np.add.accumulate(prods, axis=0)[-1]
+    # a product that overflows is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, j, l in groups:
+            prods = np.conj(cols[a[:, None], j]) * cols[b[:, None], l]
+            if weights is not None:
+                prods *= np.einsum("tpj,tpj->pj", weights[:, a[:, None], j],
+                                   weights[:, b[:, None], l])
+            # accumulate is sequential, so the pairs add in order, from 0
+            gram[j - l, l] += np.add.accumulate(prods, axis=0)[-1]
     # the slice's row s_l - k in column l, for every offset k
     rows = loc.locate(back.reshape(-1, pts.shape[1])).reshape(keys.shape[0], n)
     sl, su = [], []
@@ -479,22 +485,23 @@ def commutator_stack_norm(A, partition, scope, p=2):
         if top is not None:
             return float(np.sqrt(max(top, 0.0)))
     block = A.block(rows, scope)
-    # phi_t once per tent, on the rows; the scope's values are gathered
-    pick = rows.locate(cpts)
     if p == 2:
         block = _real_lane(block)
         G = np.zeros((cpts.shape[0], cpts.shape[0]), dtype=block.dtype)
-        for t in tents:
-            phi = partition.root_values(t, rpts, 2)
-            C = block * (phi[pick][None, :] - phi[:, None])
-            G += C.conj().T @ C
-        lam = float(np.linalg.eigvalsh(G)[-1]) if np.any(G) else 0.0
-        return float(np.sqrt(max(lam, 0.0)))
+    # phi_t once per tent, on the rows; the scope's values are gathered
+    pick = rows.locate(cpts)
     stack = []
     for t in tents:
         phi = partition.root_values(t, rpts, p)
-        stack.append(block * (phi[pick][None, :] - phi[:, None]))
-    return _pnorm_bounds(np.vstack(stack), p)
+        C = block * (phi[pick][None, :] - phi[:, None])
+        if p == 2:
+            G += C.conj().T @ C
+        else:
+            stack.append(C)
+    if p != 2:
+        return _pnorm_bounds(np.vstack(stack), p)
+    lam = float(np.linalg.eigvalsh(G)[-1]) if np.any(G) else 0.0
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def _band_gram_top(A, partition, tents, rows, scope):
@@ -571,47 +578,40 @@ def bdo_diagnostic(A, t_grid, scope, p=2):
 
 
 def restricted_norm(A, predicate, scope, p=2):
-    """Norm of A M_1F restricted to the scope: columns are the points of the
-    scope satisfying the predicate, rows the scope padded by the
-    propagation."""
+    """Norm of A M_1F restricted to the scope: ``window_norm`` with the
+    points of the scope satisfying the predicate as columns and the scope
+    padded by the propagation as rows."""
     pts = scope.points
     keep = predicate.test(A.space, pts)
     if not keep.any():
         warnings.warn("predicate selects no scope point; restricted norm is 0")
         return 0.0 if p == 2 else (0.0, 0.0)
-    cols = pts[keep]
-    rows = scope.pad(A.propagation)
-    M = A.block(rows, cols)
-    if p == 2:
-        return _sigma_max(M)
-    return _pnorm_bounds(M, p)
+    return window_norm(A, scope.pad(A.propagation), pts[keep], p)
+
+
+def _localization_balls(space, predicate, centres, candidates, radius):
+    """The distinct non-empty sets B(x, radius) of candidates satisfying the
+    predicate, over the centres x, in the order they first occur; each is an
+    index array into the candidates, in candidate order. One
+    ``pairs_within`` call and one predicate test."""
+    i, j, _ = space.pairs_within(centres, candidates, radius)
+    inside = predicate.test(space, candidates)[j]
+    # the pairs come sorted by centre, then candidate
+    balls = np.split(j[inside], np.searchsorted(i[inside], np.arange(1, centres.shape[0])))
+    return list({ball.tobytes(): ball for ball in balls if ball.size}.values())
 
 
 def localized_norm(A, predicate, partition, scope, p=2):
-    """max over scope centers x of the norm of A restricted to
-    B[x, r_t] intersected with the predicate and the scope. Dominated by
+    """max over scope centers x of ``window_norm`` of A on the columns
+    B[x, r_t] intersected with the predicate and the scope, and the scope
+    padded by the propagation as rows; at p != 2 the lower end of each
+    interval. Each distinct ball is valued once. Dominated by
     restricted_norm by construction (every local support is a subset)."""
-    space = A.space
     pts = scope.points
-    keep = predicate.test(space, pts)
-    if not keep.any():
+    balls = _localization_balls(A.space, predicate, pts, pts, partition.support_diam)
+    if not balls:
         warnings.warn("predicate selects no scope point; localized norm is 0")
         return 0.0
     rows = scope.pad(A.propagation)
-    # each centre's ball as column indices in scope order: the pairs come
-    # sorted by centre, then column
-    i, j, _ = space.pairs_within(pts, pts, partition.support_diam)
-    inside = keep[j]
-    balls = np.split(j[inside], np.searchsorted(i[inside], np.arange(1, pts.shape[0])))
-    best = 0.0
-    seen = set()
-    for ball in balls:
-        key = ball.tobytes()
-        if key in seen or not ball.size:
-            continue
-        seen.add(key)
-        M = A.block(rows, pts[ball])
-        if np.any(M):
-            best = max(best, _sigma_max(M) if p == 2 else _pnorm_bounds(M, p)[0])
-    return best
-
+    norms = (window_norm(A, rows, pts[ball], p) for ball in balls)
+    return max(g if p == 2 else g[0] for g in norms)

@@ -160,11 +160,6 @@ class Space:
             self._check_point(row[0] if self.kind == "graph" else row)
             raise InvalidPointError(f"point {row} does not fit in int64")
 
-    def from_array(self, arr):
-        if self.kind == "graph":
-            return [int(v) for v in np.asarray(arr).reshape(-1)]
-        return [tuple(int(c) for c in row) for row in np.asarray(arr).reshape(-1, self.point_arity)]
-
     # -- metric and translation (lattices) ------------------------------------
 
     def norm(self, delta):

@@ -517,6 +517,31 @@ def test_json_constants_are_refused_when_the_config_is_loaded(tmp_path, capsys, 
     assert err == f"error: the config holds {constant}; every number in it must be finite\n"
 
 
+def test_a_zbox_too_wide_to_grid_is_one_error_line(tmp_path, capsys):
+    # once an OverflowError traceback: the axis width 2e308 overflows to inf
+    cfg = write_cfg(tmp_path, {**LAPLACIAN_Z1,
+                               "task": {"method": "nuGrid", "zBox": [-1e308, 1e308, -1, 1]}})
+    code, out, err = run(["essential-spectrum", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: zBox [-1e+308, 1e+308, -1, 1] is too wide to grid at pitch 0.02: "
+                   "its axis count overflows\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_gram_that_overflows_is_refused_without_warnings(tmp_path, capsys):
+    # once two lines of "RuntimeWarning: overflow encountered in multiply"
+    # before the error line
+    op = {"kind": "sum", "terms": [{"kind": "laplacian"}, {
+        "kind": "multiplication", "field": {"type": "constant", "value": 1e300}}]}
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": op, "sequences": [{"v": [1]}],
+                               "task": {"method": "nuGrid", "windowRadius": 20, "pitch": 0.1,
+                                        "zBox": [-1, 1, -1, 1]}})
+    code, out, err = run(["essential-spectrum", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: the window's Gram bands overflow: a coefficient is too large to "
+                   "square in float64\n")
+
+
 @pytest.mark.parametrize("config", [
     {"operator": {"kind": "multiplication", "field": {
         "type": "table", "entries": [{"point": [2 ** 70], "value": 3.0}]}},

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +95,50 @@ def test_localized_lower_norm_dominates_plain(z1):
     nu = lower_norm_window(A, sup)
     nut = lower_norm_localized(A, pred, part, scope)
     assert nu <= nut + 1e-12
+
+
+def _sorted_points(pts):
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+@pytest.mark.parametrize("case", ["z1", "z2-l1", "z1-fiber3"])
+def test_lower_norm_localized_values_the_whole_balls(z1, z2_l1, monkeypatch, case):
+    """The supports valued are the distinct non-empty B(x, r_t) ∩ F over the
+    scope centres x, in full (past the scope's edge), each once, in the
+    order they first occur; the value is the least lower norm over them."""
+    if case == "z1":
+        A = laplacian_stencil(z1) + multiplication(z1, SeededRandomField(7)) + 2.5
+        scope, pred, rt = window(z1, 20), HalfspacePredicate((1,), -12), 6
+    elif case == "z2-l1":
+        A = laplacian_stencil(z2_l1) + multiplication(z2_l1, SeededRandomField(8)) + 5.0
+        scope, pred, rt = window(z2_l1, 4), HalfspacePredicate((1, 1), 0), 3
+    else:
+        A = BandOperator(Z1_FIBER3, {(1, 0): SeededRandomField(4), (0, 1): 0.5,
+                                     (0, 0): 3.0})
+        scope, pred, rt = window(Z1_FIBER3, 6, (0, 1)), HalfspacePredicate((1,), -2), 4
+    space = A.space
+    # the localised norm reads only the partition's support diameter
+    part = SimpleNamespace(support_diam=rt)
+    # every point within rt of the scope, from the full distance block
+    lo, hi = scope.bounds()
+    cands = space.box_points(lo - int(rt), hi + int(rt))
+    near = space.dist_block(scope.points, cands) <= rt
+    balls = []
+    for row in near:
+        ball = _sorted_points(cands[row & pred.test(space, cands)])
+        if ball.size and not any(np.array_equal(ball, b) for b in balls):
+            balls.append(ball)
+    assert len(balls) > 1
+    want = min(lower_norm_window(A, b) for b in balls)
+    seen = []
+    plain = fredholm.lower_norm_window
+    monkeypatch.setattr(fredholm, "lower_norm_window",
+                        lambda B, sup, p=2: seen.append(sup) or plain(B, sup, p))
+    got = lower_norm_localized(A, pred, part, scope)
+    assert [_sorted_points(s).tolist() for s in seen] == [b.tolist() for b in balls]
+    assert got == want
+    # some ball reaches past the scope: the supports are not cut to it
+    assert any((scope.locate(s) < 0).any() for s in seen)
 
 
 def test_lower_norm_zero_when_rows_fewer_than_support(z1):

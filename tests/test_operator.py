@@ -253,6 +253,27 @@ def test_restricted_and_localized_norms(monkeypatch):
         assert full <= A.norm_bound()[0] + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["real", "disk"])
+def test_restricted_and_localized_norms_of_a_potential_take_no_svd(z2, monkeypatch, mode):
+    A = multiplication(z2, SeededRandomField(33, mode=mode))
+    scope = window(z2, 6)
+    part = build_partition(z2, scope.pad(0), 0.5)
+    pred = HalfspacePredicate((1, 0), 0)
+    _, balls = _localized_by_definition(A, pred, part.support_diam, scope)
+    full_ref = svd_norm(A.block(scope, scope.points[pred.test(z2, scope.points)]))
+    local_ref = max(svd_norm(A.block(scope, ball)) for ball in balls)
+    seen = _record_dtypes(monkeypatch, "svd")
+    full, local = restricted_norm(A, pred, scope), localized_norm(A, pred, part, scope)
+    assert seen == []
+    # every ball holds its centre, so the largest |c| is in some ball
+    assert local == full
+    if mode == "real":
+        assert (full, local) == (full_ref, local_ref)
+    else:
+        assert full == pytest.approx(full_ref, rel=1e-12, abs=0)
+        assert local == pytest.approx(local_ref, rel=1e-12, abs=0)
+
+
 def test_restricted_norm_empty_predicate_warns(z1):
     A = laplacian(z1)
     with pytest.warns(UserWarning):
