@@ -1,12 +1,14 @@
 """Hot numeric kernels in numpy and LAPACK: the greedy net selection and the
 cell scan behind coverings, the banded sigma-min sweep behind the
-essential-spectrum grid, and the one point locator (rows packed into int64
-keys) behind every lookup of points in a point array.
+essential-spectrum grid, and the point locator (rows packed into int64
+keys) behind the lookups of points in a point array; lattice ball
+neighbours have their own offset-additive keys (``space._ball_lookup``).
 
-Point arrays are int64 of shape (n, point_arity). The net and cell scans take
+Point arrays are int64 of shape (n, point_arity). The net and cell scans read
 the space's neighbour enumeration (``Space.pairs_within``), so lattices and
 graphs run the same scan, and each point meets only the points of one ball
-around it: O(n |B(R)|) under bounded geometry, not O(n^2).
+around it: O(n |B(R)|) under bounded geometry, not O(n^2). Cell diameters
+read the pairs of rows inside each cell only.
 
 LAPACK is scipy's compiled ``_flapack`` module alone, loaded from its file on
 first use (``_lapack``), so ``scipy/linalg/__init__.py`` never runs: on 2 vCPUs
@@ -98,30 +100,50 @@ def greedy_net(points, sep, pairs):
     return keep
 
 
+def _cell_order(cell_of, ncells):
+    """Rows grouped by cell (row order within a cell) and the bounds of each
+    cell 0..ncells-1 in that order; entries outside that range lie before
+    the first bound or after the last."""
+    order = np.argsort(cell_of, kind="stable")
+    return order, np.searchsorted(cell_of[order], np.arange(ncells + 1))
+
+
 def cell_members(cell_of, ncells):
     """Row indices of each cell 0..ncells-1, each in row order; entries
     outside that range belong to no cell."""
-    order = np.argsort(cell_of, kind="stable")
-    bounds = np.searchsorted(cell_of[order], np.arange(ncells + 1))
+    order, bounds = _cell_order(cell_of, ncells)
     return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def cell_scan(points, cell_of, ncells, thresh, pairs):
+def cell_scan(points, cell_of, ncells, thresh, space):
     """Cell adjacency at set-distance <= thresh (self included) plus per-cell
-    diameter, with ``pairs`` as in ``greedy_net``. Adjacency comes from the
-    point pairs within floor(thresh); each diameter from the distances inside
-    its own cell, so both stay exact for any ``cell_of``."""
+    diameter, on the ``Space`` the points belong to. Adjacency comes from
+    the point pairs of ``space.pairs_within`` within floor(thresh). The
+    diameters come from every pair of rows that share a cell, formed from
+    one grouping of the rows by cell and measured by one row-wise
+    ``space._dist_rows`` call; each cell's maximum is one
+    ``np.maximum.reduceat`` segment of the grouped order. Both stay exact
+    for any ``cell_of``; entries outside 0..ncells-1 belong to no cell."""
     points = np.ascontiguousarray(points, dtype=np.int64)
     cell_of = np.ascontiguousarray(cell_of, dtype=np.int64)
     adj = np.zeros((ncells, ncells), dtype=np.uint8)
-    diam = np.zeros(ncells, dtype=np.float64)
-    i, j, _ = pairs(points, points, np.floor(thresh))
+    i, j, _ = space.pairs_within(points, points, np.floor(thresh))
     ci, cj = cell_of[i], cell_of[j]
     ok = (ci >= 0) & (ci < ncells) & (cj >= 0) & (cj < ncells)
     adj[ci[ok], cj[ok]] = 1
-    for c, members in enumerate(cell_members(cell_of, ncells)):
-        if members.size > 1:
-            diam[c] = pairs(points[members], points[members], np.inf)[2].max()
+    # each grouped position p pairs with the later positions of its cell
+    order, bounds = _cell_order(cell_of, ncells)
+    sizes = np.diff(bounds)
+    pos = np.arange(bounds[0], bounds[-1])
+    later = np.repeat(bounds[1:], sizes) - pos - 1
+    p = np.repeat(pos, later)
+    q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(later) - later, later)
+    d = space._dist_rows(points[order[p]], points[order[q]])
+    npairs = sizes * (sizes - 1) // 2
+    diam = np.zeros(ncells, dtype=np.float64)
+    has = np.flatnonzero(npairs)
+    if has.size:
+        diam[has] = np.maximum.reduceat(d, (np.cumsum(npairs) - npairs)[has])
     return adj, diam
 
 

@@ -265,7 +265,8 @@ def _bloch_spectrum(op, theta_grid):
         for u, s, c, q in entries:
             phase = sum((q[a] * th[a] for a in range(d)), np.zeros(th.shape[1]))
             M[:, u, s] += c * np.exp(1j * phase)
-        out.append(np.linalg.eigvals(M))
+        # a 1 x 1 Bloch matrix is its own eigenvalue
+        out.append(M[:, 0] if n == 1 else np.linalg.eigvals(M))
     return _sorted_complex(np.concatenate(out))
 
 

@@ -18,7 +18,7 @@ points rather than O(n^2).
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain, product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -196,20 +196,31 @@ class Space:
 
     def dist_block(self, pts_a, pts_b):
         """Pairwise int64 distance matrix between two point arrays (graphs:
-        one breadth-first search per row)."""
+        one breadth-first search per distinct row of the first)."""
         a, b = self.as_array(pts_a), self.as_array(pts_b)
         if self.kind == "graph":
-            out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
-            targets = b[:, 0].tolist()
-            for i, x in enumerate(a[:, 0].tolist()):
-                seen = self._bfs(x)
-                try:
-                    out[i] = [seen[y] for y in targets]
-                except KeyError as exc:
-                    raise InvalidPointError(
-                        f"nodes {x} and {exc.args[0]} are not connected") from None
-            return out
+            rows = self._dist_rows(np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1)))
+            return rows.reshape(a.shape[0], b.shape[0])
         return self.norm(a[:, None, :] - b[None, :, :])
+
+    def _dist_rows(self, a, b):
+        """d(a_k, b_k) for each row k of two int64 point arrays of one
+        shape, as int64: on lattices ``norm`` of the differences, on graphs
+        one breadth-first search per distinct a_k."""
+        if self.kind == "lattice":
+            return self.norm(a - b)
+        src, tgt = a[:, 0], b[:, 0]
+        out = np.empty(src.size, dtype=np.int64)
+        order = np.argsort(src, kind="stable")
+        sources, starts = np.unique(src[order], return_index=True)
+        for x, rows in zip(sources.tolist(), np.split(order, starts[1:])):
+            seen = self._bfs(x)
+            try:
+                out[rows] = [seen[y] for y in tgt[rows].tolist()]
+            except KeyError as exc:
+                raise InvalidPointError(
+                    f"nodes {x} and {exc.args[0]} are not connected") from None
+        return out
 
     def _bfs(self, x, radius=np.inf):
         """Graph distance from node x to every node within radius, found
@@ -233,15 +244,22 @@ class Space:
         distances d, as three arrays sorted by i then j.
 
         Around each row of the shorter array the radius ball is enumerated
-        (the cached ball stencil on lattices, a breadth-first search cut at
-        the radius on graphs) and looked up in the other array by packed
-        coordinate keys, so under bounded geometry the cost is
-        O(min(|a|, |b|) |B(radius)|). On lattices, when the stencil would
-        hold more points than the other array has rows (an infinite radius
-        included), every pair is compared instead, so the cost never exceeds
-        that of the full distance block. The rows of each array must be
-        distinct, as the rows of a window are.
+        and looked up in the other array, so under bounded geometry the cost
+        is O(min(|a|, |b|) |B(radius)|). On graphs the ball is a
+        breadth-first search cut at the radius, looked up by packed
+        coordinate keys. On lattices keys are linear in the coordinates: the
+        other array is packed once over its box padded by twice the radius
+        (``_ball_lookup``), each offset of the cached ball stencil once, and
+        a row's neighbours are the sums of its key and the offset keys found
+        among the packed ones. When the stencil would hold more points than
+        the other array has rows (an infinite radius included), every pair
+        is compared instead, so the cost never exceeds that of the full
+        distance block. The rows of each array must be distinct, as the
+        rows of a window are; of repeated rows the ball lookups find the
+        lowest index. A NaN radius is refused.
         """
+        if np.isnan(radius):
+            raise InvalidConfigError("neighbour radius must be a number, not nan")
         a, b = self.as_array(pts_a), self.as_array(pts_b)
         if radius < 0 or not a.shape[0] or not b.shape[0]:
             empty = np.empty(0, dtype=np.int64)
@@ -262,32 +280,29 @@ class Space:
         else:
             per_row = np.inf if np.isinf(radius) else self.ball_size(radius)
             if per_row > nb:
-                per_row, index = nb, None
+                per_row, lookup = nb, None
             else:
-                offs, offs_d = _lattice_offsets(self, int(np.floor(radius)))
-                index = _kernels.PointLocator(b)
+                lookup = _ball_lookup(self, b, int(np.floor(radius)))
         step = max(1, _PAIRS_CHUNK // per_row)
         parts = []
         for lo in range(0, a.shape[0], step):
             chunk = a[lo : lo + step]
-            if index is None:
-                d = self.dist_block(chunk, b)
-                i, j = np.nonzero(d <= radius)
-                parts.append((i + lo, j, d[i, j]))
-                continue
             if self.kind == "graph":
                 balls = [self._bfs(x, np.floor(radius)) for x in chunk[:, 0].tolist()]
                 i = np.repeat(np.arange(len(balls)), [len(s) for s in balls])
                 cand = np.fromiter(chain.from_iterable(balls), np.int64, i.size)[:, None]
                 d = np.fromiter(chain.from_iterable(s.values() for s in balls),
                                 np.int64, i.size)
+                j = index.locate(cand)
+                hit = j >= 0
+                i, j, d = i[hit], j[hit], d[hit]
+            elif lookup is None:
+                d = self.dist_block(chunk, b)
+                i, j = np.nonzero(d <= radius)
+                d = d[i, j]
             else:
-                i = np.repeat(np.arange(chunk.shape[0]), offs.shape[0])
-                cand = self.translate(chunk[:, None, :], offs).reshape(-1, self.point_arity)
-                d = np.tile(offs_d, chunk.shape[0])
-            j = index.locate(cand)
-            hit = j >= 0
-            parts.append((i[hit] + lo, j[hit], d[hit]))
+                i, j, d = lookup(chunk)
+            parts.append((i + lo, j, d))
         return tuple(np.concatenate(p) for p in zip(*parts))
 
     # -- balls and ordering --------------------------------------------------
@@ -350,6 +365,68 @@ def _lattice_offsets(space, radius):
     norm = space.norm(offs)
     keep = norm <= radius
     return offs[keep], norm[keep]
+
+
+def _ball_lookup(space, b, radius):
+    """The lattice ball lookup of ``Space._ball_pairs``: a function taking a
+    chunk of rows x to the triples (row, j, d) with b_j = x + o for an
+    offset o of the radius-ball stencil, d its norm.
+
+    Packed keys are linear in the coordinates. b's rows are packed once,
+    row-major over their bounding box padded by 2 radius on each lattice
+    axis, with 2m fiber slots: each row enters at its slot f and at f + m,
+    so a fiber slot plus an offset's (0..m-1) needs no modulo. Each offset
+    is packed once, unshifted. A row within the radius of b's box on every
+    lattice axis then has key(x + o) = key(x) + key(o) inside the frame,
+    and its neighbours are the sums found among b's sorted keys; any other
+    row has no neighbour in b and is skipped. The frame's bounds are Python
+    ints and rows are moved into it in uint64, so a box near either end of
+    int64 does not wrap. Of repeated rows of b the lowest index wins, as in
+    ``PointLocator``; a frame of 2^63 cells or more is refused."""
+    offs, offs_d = _lattice_offsets(space, radius)
+    dim, m = space.dim, space.fiber
+    lo = b[:, :dim].min(axis=0).tolist()
+    hi = b[:, :dim].max(axis=0).tolist()
+    shape = [h - l + 4 * radius + 1 for l, h in zip(lo, hi)] + ([2 * m] if m > 1 else [])
+    if prod(shape) >= 2 ** 63:
+        raise InvalidConfigError(
+            f"point box {tuple(shape)} is too large to index by int64 keys")
+    # frame origin lo - 2 radius, as uint64 (it may lie below int64); rows
+    # within the radius of the box, clipped to int64, are the ones kept
+    origin = np.array([(l - 2 * radius) % 2 ** 64 for l in lo] + [0] * (m > 1), np.uint64)
+    first = np.array([max(l - radius, -2 ** 63) for l in lo], np.int64)
+    last = np.array([min(h + radius, 2 ** 63 - 1) for h in hi], np.int64)
+
+    def framed(pts):  # exact for the rows inside the frame
+        return (pts.view(np.uint64) - origin).view(np.int64)
+
+    def pack(rel):
+        keys = rel[:, 0]
+        for c in range(1, len(shape)):
+            keys = keys * shape[c] + rel[:, c]
+        return keys
+
+    keys = pack(framed(b))
+    owner = np.arange(b.shape[0])
+    if m > 1:  # the fiber is the last axis: slot f + m is key + m
+        keys, owner = np.concatenate([keys, keys + m]), np.concatenate([owner, owner])
+    order = np.argsort(keys, kind="stable")
+    # a sentinel above every frame key, so each search lands on a key
+    table = np.append(keys[order], prod(shape))
+    owner = owner[order]
+    okeys = pack(offs)
+
+    def lookup(chunk):
+        keep = np.ones(chunk.shape[0], dtype=bool)
+        for c in range(dim):
+            keep &= (chunk[:, c] >= first[c]) & (chunk[:, c] <= last[c])
+        rows = np.flatnonzero(keep)
+        cand = pack(framed(chunk[rows]))[:, None] + okeys
+        pos = np.searchsorted(table, cand)
+        r, o = np.nonzero(table[pos] == cand)
+        return rows[r], owner[pos[r, o]], offs_d[o]
+
+    return lookup
 
 
 @lru_cache(maxsize=1024)
@@ -460,8 +537,8 @@ def separated_net(space, scope, sep):
     Pairwise distances are >= sep and every scope point lies within < sep of
     some net point; re-running on the net itself returns it unchanged.
     """
-    if not sep > 0:
-        raise InvalidConfigError("separation must be positive")
+    if not 0 < sep < np.inf:
+        raise InvalidConfigError("separation must be positive and finite")
     pts = scope.points
     return pts[_kernels.greedy_net(pts, float(sep), space.pairs_within)]
 
@@ -503,9 +580,7 @@ class Covering:
         own = self.cell_of[i] == j
         report["cells_inside_open_2r"] = int(own.sum()) == pts.shape[0]
         report["open_r_ball_inside_cell"] = bool(own[d < r].all())
-        adj, diam = _kernels.cell_scan(
-            pts, self.cell_of, self.ncells, float(r), self.space.pairs_within
-        )
+        adj, diam = _kernels.cell_scan(pts, self.cell_of, self.ncells, float(r), self.space)
         report["max_cell_diam"] = float(diam.max()) if diam.size else 0.0
         report["diam_bound"] = 4.0 * r
         report["diam_ok"] = report["max_cell_diam"] <= 4 * r
@@ -555,8 +630,8 @@ def build_covering(space, scope, r):
     the standard peeling construction, evaluated pointwise over each point's
     net neighbours within 2r.
     """
-    if not r >= 1:
-        raise InvalidConfigError("covering parameter r must be >= 1")
+    if not 1 <= r < np.inf:
+        raise InvalidConfigError("covering parameter r must be >= 1 and finite")
     net = separated_net(space, scope, 2 * r)
     pts = scope.points
     cell_of = np.full(pts.shape[0], -1, dtype=np.int64)

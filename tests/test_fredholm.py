@@ -438,6 +438,30 @@ def test_symbol_spectrum_bits_are_the_scalar_symbol(z1):
     assert symbol_spectrum(A).tobytes() == want.tobytes()
 
 
+def test_scalar_bloch_matrices_skip_eigvals(monkeypatch, z1):
+    # a 1 x 1 Bloch matrix is its own eigenvalue: no eigvals call, and at
+    # |entry| ~ 1e200, where zgeev's rescaling would move the last bits, the
+    # entry itself is returned; a fiber still takes eigvals
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recording(M):
+        shapes.append(M.shape[1:])
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    c1, c2 = 3e199 - 1e200j, 7e200
+    theta = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+    vals = np.zeros(theta.size, dtype=np.complex128)
+    for k, c in ((1, c1), (-1, c2)):
+        vals += c * np.exp(1j * (k * theta))
+    got = symbol_spectrum(BandOperator(z1, {(1,): c1, (-1,): c2}))
+    assert got.tobytes() == fredholm._sorted_complex(vals).tobytes()
+    assert shapes == []
+    floquet_spectrum(BandOperator(Z1_FIBER3, {(1, 1): 1.0}), theta_grid=64)
+    assert shapes and all(s == (3, 3) for s in shapes)
+
+
 # -- banded nu-grid ----------------------------------------------------------
 
 

@@ -59,34 +59,101 @@ def _point(space, row):
     return int(row[0]) if space.kind == "graph" else tuple(row)
 
 
-@pytest.mark.parametrize("space", [Z1_FIBER3, Space(dim=2, metric="linf"),
-                                   Space(dim=3, metric="l1"), GRID],
-                         ids=["z1-fiber3", "z2-linf", "z3-l1", "grid-graph"])
-def test_pairs_within_matches_bruteforce(space):
-    # b is a shuffled part of a window, so the ball stencil is sometimes
-    # smaller and sometimes larger than b, and a's balls leave b's box; the
-    # reversed call enumerates balls around the shorter array
-    rng = np.random.default_rng(5)
-    origin = space.basepoint
-    if space.kind == "graph":
-        a, b = space.ball(10, 2), space.ball(24, 3)
-    else:
-        far = tuple(2 if k < space.dim else 0 for k in range(len(origin)))
-        a, b = space.ball(origin, 2), space.ball(far, 3)
-    b = b[rng.permutation(b.shape[0])[: 2 * b.shape[0] // 3]]
-    for radius in (0, 1.5, 2, 3, np.inf):
+_BOTTOM, _TOP = -9223372036854775795, 9223372036854775794  # -2^63 + 13, 2^63 - 14
+
+
+def _pairs_case(case, rng):
+    """(space, a, b, radii, lowest) of a pairs_within case; lowest marks a b
+    with repeated rows, where only the lowest index of a row is found."""
+    if case in ("z1-fiber3", "z2-linf", "z3-l1", "grid-graph"):
+        # b is a shuffled part of a window, so the ball stencil is sometimes
+        # smaller and sometimes larger than b, and a's balls leave b's box
+        space = {"z1-fiber3": Z1_FIBER3, "z2-linf": Space(dim=2, metric="linf"),
+                 "z3-l1": Space(dim=3, metric="l1"), "grid-graph": GRID}[case]
+        origin = space.basepoint
+        if space.kind == "graph":
+            a, b = space.ball(10, 2), space.ball(24, 3)
+        else:
+            far = tuple(2 if k < space.dim else 0 for k in range(len(origin)))
+            a, b = space.ball(origin, 2), space.ball(far, 3)
+        b = b[rng.permutation(b.shape[0])[: 2 * b.shape[0] // 3]]
+        return space, a, b, (0, 1.5, 2, 3, np.inf), False
+    if case in ("z2-linf-box-edge", "z3-l1-box-edge"):
+        # rows of a exactly R and R + 1 outside b's box on each axis, and rows
+        # one padded frame width (w + 4R + 1) away on one axis and one step
+        # along the axis before it, whose keys plus an offset alias b's
+        # rows if rows outside the radius of the box are not skipped
+        space = Space(dim=2) if case == "z2-linf-box-edge" else Space(dim=3, metric="l1")
+        R = 2
+        b = space.ball((0,) * space.dim, 4)
+        lo, hi = b.min(axis=0), b.max(axis=0)
+        rows = []
+        for c in range(space.dim):
+            for edge in (lo[c] - R, lo[c] - R - 1, hi[c] + R, hi[c] + R + 1):
+                row = np.zeros(space.dim, dtype=np.int64)
+                row[c] = edge
+                rows.append(row)
+            if c:
+                for frame in (hi[c] - lo[c] + 4 * R + 1, -(hi[c] - lo[c] + 4 * R + 1)):
+                    row = b[0].copy()
+                    row[c] += frame
+                    row[c - 1] -= np.sign(frame)
+                    rows.append(row)
+        return space, np.array(rows), b, (R,), False
+    if case in ("z1-fiber2", "z2-l1-fiber4"):
+        # balls from fiber slots 0 and m - 1 wrap past both ends of the fiber
+        space = (Space(dim=1, fiber=2) if case == "z1-fiber2"
+                 else Space(dim=2, metric="l1", fiber=4))
+        m = space.fiber
+        lattice = (1,) * space.dim
+        a = np.vstack([space.ball(lattice + (0,), 1), space.ball(lattice + (m - 1,), 1)])
+        a = np.unique(a, axis=0)
+        b = space.ball((0,) * space.dim + (m - 1,), 3)
+        b = b[rng.permutation(b.shape[0])[: 2 * b.shape[0] // 3]]
+        return space, a, b, (0, 1, 2, 3), False
+    if case in ("z3-l1-int64-bottom", "z3-l1-int64-top"):
+        # b's box touches an end of int64, so its padded frame leaves int64
+        space = Space(dim=3, metric="l1")
+        step = -1 if case == "z3-l1-int64-bottom" else 1
+        centre = _BOTTOM if step < 0 else _TOP
+        a = space.ball((centre + 11 * step, -37, 22), 2)
+        b = space.ball((centre + 10 * step, -37, 22), 3)
+        b = b[rng.permutation(b.shape[0])[: 2 * b.shape[0] // 3]]
+        return space, a, b, (0, 1, 2, 3), False
+    # b with repeated rows, each radius's stencil no larger than b
+    space = Space(dim=2) if case == "z2-linf-repeated" else Z1_FIBER3
+    centre = (0, 0) if space.dim == 2 else (0, 1)
+    pool = space.ball(centre, 4)
+    b = pool[rng.integers(0, pool.shape[0], size=2 * pool.shape[0])]
+    a = space.ball(centre, 2)
+    radii = (0, 1, 2)
+    assert all(space.ball_size(r) <= b.shape[0] for r in radii)
+    return space, a, b, radii, True
+
+
+@pytest.mark.parametrize("case", [
+    "z1-fiber3", "z2-linf", "z3-l1", "grid-graph", "z2-linf-box-edge", "z3-l1-box-edge",
+    "z1-fiber2", "z2-l1-fiber4", "z3-l1-int64-bottom", "z3-l1-int64-top",
+    "z2-linf-repeated", "z1-fiber3-repeated"])
+def test_pairs_within_matches_bruteforce(case):
+    # both argument orders; the reversed call enumerates balls around the
+    # shorter array
+    space, a, b, radii, lowest = _pairs_case(case, np.random.default_rng(5))
+    first = _dict_locate(b, b)
+    for radius in radii:
         i, j, d = space.pairs_within(a, b, radius)
         ref = []
         for x in range(a.shape[0]):
             for y in range(b.shape[0]):
                 dxy = space.dist(_point(space, a[x]), _point(space, b[y]))
-                if dxy <= radius:
+                if dxy <= radius and (first[y] == y or not lowest):
                     ref.append((x, y, dxy))
         assert list(zip(i.tolist(), j.tolist(), d.tolist())) == ref
         assert i.dtype == j.dtype == d.dtype == np.int64
         j, i, d = space.pairs_within(b, a, radius)
         assert list(zip(i.tolist(), j.tolist(), d.tolist())) == sorted(
             ref, key=lambda t: (t[1], t[0]))
+    assert ref  # each case finds pairs
     i, j, d = space.pairs_within(a, b[:0], 3)
     assert i.size == j.size == d.size == 0
 
@@ -96,6 +163,16 @@ def test_pairs_within_refuses_unpackable_box():
     g = Space(kind="graph", adjacency={-big: [big], big: [-big]})
     with pytest.raises(InvalidConfigError, match="too large"):
         g.pairs_within([-big], [-big, big], 1)
+    # on a lattice the box is padded by twice the radius on each axis: 2^63
+    # - 20 cells pack, the padded 2^63 do not, in either argument order
+    z1 = Space(dim=1)
+    b = np.append(np.arange(10), 2 ** 63 - 21)[:, None]
+    K.PointLocator(b)
+    for args in (([[5]], b, 5), (b, [[5]], 5)):
+        with pytest.raises(InvalidConfigError) as err:
+            z1.pairs_within(*args)
+        assert str(err.value) == (
+            "point box (9223372036854775808,) is too large to index by int64 keys")
 
 
 def _dict_locate(pts, query):
@@ -170,7 +247,7 @@ def test_cell_scan_matches_bruteforce(z2):
         rng = np.random.default_rng(1)
         ncells = 5 if blocks is None else 7
         cell_of = rng.integers(0, ncells, size=pts.shape[0]) if blocks is None else blocks
-        adj, diam = K.cell_scan(pts, cell_of, ncells, thresh, space.pairs_within)
+        adj, diam = K.cell_scan(pts, cell_of, ncells, thresh, space)
         ref_adj = np.zeros((ncells, ncells), dtype=np.uint8)
         ref_diam = np.zeros(ncells)
         n = pts.shape[0]
@@ -183,6 +260,32 @@ def test_cell_scan_matches_bruteforce(z2):
                     ref_diam[cell_of[i]] = max(ref_diam[cell_of[i]], d)
         assert np.array_equal(np.asarray(adj), ref_adj)
         assert np.array_equal(np.asarray(diam), ref_diam)
+
+
+@pytest.mark.parametrize("space", [Space(dim=2), Space(dim=3, metric="l1"), Z1_FIBER3, GRID],
+                         ids=["z2-linf", "z3-l1", "z1-fiber3", "grid-graph"])
+def test_cell_scan_diameters_match_per_cell_blocks(space):
+    # random cells, corrupted with indices -1 and ncells, plus a singleton
+    # cell, an empty one and a cell of far-apart points; each diameter is
+    # the largest entry of the cell's own distance block
+    pts = space.ball(17, 4) if space.kind == "graph" else space.ball(space.basepoint, 3)
+    n, ncells = pts.shape[0], 7
+    rng = np.random.default_rng(3)
+    for trial in range(4):
+        cell_of = rng.integers(0, ncells - 2, size=n)
+        cell_of[rng.choice(n, 4, replace=False)] = [-1, ncells, -1, ncells]
+        if trial % 2:
+            cell_of[cell_of == 0] = 1
+            cell_of[rng.integers(n)] = 0  # a singleton cell
+            cell_of[cell_of == ncells - 2] = 1  # an empty cell
+            cell_of[[0, n - 1]] = ncells - 1  # the centre and a point on the rim
+        _, diam = K.cell_scan(pts, cell_of, ncells, 1.0, space)
+        want = []
+        for c in range(ncells):
+            members = pts[cell_of == c]
+            want.append(float(space.dist_block(members, members).max(initial=0)))
+        assert diam.dtype == np.float64
+        assert diam.tolist() == want
 
 
 def test_sweep_clusters_need_restarts():

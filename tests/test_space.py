@@ -328,32 +328,64 @@ def test_graph_neighbor_bound_is_the_profile_maximum(r):
 
 def test_covering_scans_form_no_block_beyond_one_cell(monkeypatch, z2):
     # the net, the cell assignment and every check of verify() read ball
-    # neighbours only; full distance blocks are formed inside one cell at most
-    shapes = []
-    dist_block = Space.dist_block
+    # neighbours only, so no distance block is formed; the diameter pass
+    # measures row pairs inside one cell, at most sum_c |c|^2 of them
+    blocks, measured = [], []
+    dist_block, dist_rows = Space.dist_block, Space._dist_rows
 
-    def recording(self, a, b):
+    def recording_block(self, a, b):
         out = dist_block(self, a, b)
-        shapes.append(out.shape)
+        blocks.append(out.shape)
         return out
+
+    def recording_rows(self, a, b):
+        measured.append((a.copy(), b.copy()))
+        return dist_rows(self, a, b)
 
     scope = window(z2, 20)
     scope.points
-    monkeypatch.setattr(Space, "dist_block", recording)
+    monkeypatch.setattr(Space, "dist_block", recording_block)
+    monkeypatch.setattr(Space, "_dist_rows", recording_rows)
     for r in (1, 1.5, 2):
-        shapes.clear()
+        blocks.clear()
+        measured.clear()
         cov = build_covering(z2, scope, r)
         assert cov.verify()["ok"]
-        biggest = np.bincount(cov.cell_of).max()
-        assert shapes and max(a * b for a, b in shapes) <= biggest ** 2
+        assert not blocks
+        ia = scope.locate(np.concatenate([a for a, _ in measured]))
+        ib = scope.locate(np.concatenate([b for _, b in measured]))
+        assert ia.size and (ia >= 0).all() and (ib >= 0).all()
+        assert (cov.cell_of[ia] == cov.cell_of[ib]).all()
+        assert ia.size <= (np.bincount(cov.cell_of) ** 2).sum()
 
 
 def test_covering_rejects_bad_parameters(z2):
-    for r in (0.5, float("nan")):
-        with pytest.raises(InvalidConfigError, match="r must be >= 1"):
+    for r in (0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="r must be >= 1 and finite"):
             build_covering(z2, window(z2, 4), r)
-    with pytest.raises(InvalidConfigError, match="positive"):
-        separated_net(z2, window(z2, 4), float("nan"))
+    for sep in (0, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="positive and finite"):
+            separated_net(z2, window(z2, 4), sep)
+    # a NaN neighbour radius is refused, an infinite one lists every pair
+    pts = window(z2, 3).points
+    with pytest.raises(InvalidConfigError, match="not nan"):
+        z2.pairs_within(pts, pts, float("nan"))
+    assert z2.pairs_within(pts, pts, np.inf)[0].size == pts.shape[0] ** 2
+
+
+@pytest.mark.parametrize("center", [[0, -37, 22], [-9223372036854775795, -37, 22],
+                                    [9223372036854775794, -37, 22]],
+                         ids=["middle", "int64-bottom", "int64-top"])
+def test_covering_near_int64_ends_matches_the_middle(center):
+    # the scope touches an end of int64 (first coordinate -2^63 + 1 or
+    # 2^63 - 2), so the padded key frame of each scan leaves int64
+    space = Space(dim=3, metric="l1")
+    cov = build_covering(space, Window(space, tuple(center), 12), 2)
+    ref = build_covering(space, Window(space, (0, -37, 22), 12), 2)
+    rep = cov.verify()
+    assert rep == ref.verify()
+    assert (rep["cells"], rep["max_cell_diam"], rep["ok"]) == (231, 6.0, True)
+    assert np.array_equal(cov.cell_of, ref.cell_of)
 
 
 def test_covering_cells_partition_scope(z2_l1):
