@@ -75,7 +75,6 @@ from .descriptors import (
 )
 from .subspace import SubspaceProjection, commutator_with_projection, hat, toeplitz
 from .fredholm import (
-    DEFAULT_T_GRID,
     FAMILY_CAVEAT,
     InvertibilityEstimate,
     SpectrumEstimate,

@@ -19,13 +19,15 @@ from ._kernels import PointLocator
 from .errors import InvalidConfigError, UnsupportedConstructionError
 from .fields import ConstantField, PeriodicField
 from .operator import (
-    _abs_diagonal,
+    GRAM_OVERFLOW,
     _coefficient_values,
+    _diagonal,
     _distinct_sorted,
     _gram_bands,
+    _gram_eig,
     _localization_balls,
     _points,
-    _real_lane,
+    _singular,
     _window_upper,
     window_norm,
 )
@@ -39,7 +41,6 @@ FAMILY_CAVEAT = (
     "are relative to this family"
 )
 
-DEFAULT_T_GRID = (0.5, 0.3, 0.15)
 DEFAULT_SWEEP_CHUNK = 512
 # below this multiple of norm_bound()^2 the Gram eigenvalue has lost too many
 # digits to squaring, and the dense SVD decides
@@ -93,56 +94,42 @@ def _lower_norm_p(M, p, starts=4, iters=200):
     return best
 
 
-def _lower_norm_structured(B, pts):
-    """p = 2 lower norm of the tall block of B on a lattice support, from the
-    operator's structure; None where the dense SVD must decide."""
-    pts = _distinct_sorted(pts)
-    if pts is None:
-        return None  # the dense block repeats a column
-    if B.propagation == 0:
-        return float(_abs_diagonal(B, pts).min())
-    bands = _gram_bands(B, pts)
-    if bands is None:
-        return None
-    lam = _kernels.min_eig_banded(bands[0])
-    if lam < GRAM_FLOOR * B.norm_bound()[0] ** 2:
-        return None
-    return float(np.sqrt(lam))
-
-
 def lower_norm_window(B, support, p=2, rows=None):
     """inf over unit vectors supported in the window of ||Bf||_p.
 
     p = 2: smallest singular value of the tall block whose rows cover
     everything the support can reach. On a lattice, multiplication operators
-    (propagation 0) give min |c(u)| over the support, exactly; other
-    operators give the square root of the smallest eigenvalue of the tall
-    block's Gram matrix, banded by ``_gram_bands`` and valued by the sweep's
-    ``_kernels.min_eig_banded``. That differs from the singular value by
-    about eps * norm^2 / value, plus on a long band of kd >= 2 the bisection
-    bracket's relative width 1e-10 (the value stays an upper bound). The dense
-    SVD takes over where the eigenvalue is below GRAM_FLOOR * norm_bound^2 or
-    where a point repeats. Explicit rows always take the dense SVD; when they
-    are fewer than the support points a kernel vector exists and the value is
-    0, for every p. Other exponents: a certified upper bound from minimization
-    restarts. A non-finite coefficient raises InvalidConfigError
-    (``operator._coefficient_values``). Nonincreasing under support
-    enlargement.
+    (propagation 0) give min |c(u)| over the support, exactly (``_diagonal``);
+    other operators the square root of the smallest eigenvalue of the tall
+    block's Gram band (``_gram_eig``, the sweep's ``min_eig_banded``). That
+    differs from the singular value by about eps * norm^2 / value, plus on a
+    long band of kd >= 2 the bisection bracket's relative width 1e-10 (the
+    value stays an upper bound). The dense SVD (``_singular``) takes over
+    where the eigenvalue is below GRAM_FLOOR * norm_bound^2, where the Gram
+    overflows or where a point repeats. Explicit rows always take the dense
+    SVD; when they are fewer than the support points a kernel vector exists
+    and the value is 0, for every p. Other exponents: a certified upper
+    bound from minimization restarts. A non-finite coefficient raises
+    InvalidConfigError (``operator._coefficient_values``). Nonincreasing
+    under support enlargement.
     """
     support_pts = _points(support)
     if support_pts.shape[0] == 0:
         warnings.warn("empty support; lower norm is +inf")
         return np.inf
     if p == 2 and rows is None and B.space.kind == "lattice":
-        nu = _lower_norm_structured(B, support_pts)
-        if nu is not None:
-            return nu
+        if B.propagation == 0:
+            diag = _diagonal(B, support, support)
+            if diag is not None:
+                return float(diag.min())
+        elif (pts := _distinct_sorted(support_pts)) is not None:
+            lam = _gram_eig(B, pts, 1)
+            if lam is not None and lam >= GRAM_FLOOR * B.norm_bound()[0] ** 2:
+                return float(np.sqrt(lam))
     _, M = _tall_block(B, support_pts, rows.points if isinstance(rows, Window) else rows)
     if M.shape[0] < M.shape[1]:
         return 0.0
-    if p == 2:
-        return float(np.linalg.svd(_real_lane(M), compute_uv=False)[-1])
-    return _lower_norm_p(M, p)
+    return _singular(M, -1) if p == 2 else _lower_norm_p(M, p)
 
 
 def lower_norm_localized(B, predicate, partition, scope, p=2):
@@ -315,8 +302,7 @@ def _banded_data(B, radius):
     pts = space.box_points([-radius], [radius])
     bands = _gram_bands(B, pts)
     if bands is None:
-        raise InvalidConfigError("the window's Gram bands overflow: a coefficient is too "
-                                 "large to square in float64")
+        raise InvalidConfigError(GRAM_OVERFLOW)
     bw = 2 * (wl * m + m - 1)
     gb, sl, su = (np.pad(b, ((0, bw + 1 - b.shape[0]), (0, 0))) for b in bands)
     return gb, sl, su, bw, pts.shape[0]
@@ -487,7 +473,12 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
 # -- limit-operator driven reports ------------------------------------------------
 
 
-def _extract_limits(A, sequences, radii, tol, budget, p=2):
+def _extract_limits(A, proj, sequences, what, radii, tol, budget, p=2):
+    """The limits of A, or of hat(A, proj), and the divergences per sequence."""
+    if not sequences:
+        raise InvalidConfigError(f"{what} needs at least one sequence")
+    if proj is not None:
+        A = hat(A, proj)
     limits, divergences = [], []
     for seq in sequences:
         out = limit_operator(A, seq, radii=radii, tol=tol, budget=budget, p=p)
@@ -502,18 +493,14 @@ def compactness_test(A, sequences, radii=(5, 10, 20), tol=1e-9, budget=2 ** 20,
                      p=2):
     """Compact-consistency: every declared limit operator must vanish in
     window norm on every certified radius."""
-    if not sequences:
-        raise InvalidConfigError("compactness test needs at least one sequence")
-    limits, divergences = _extract_limits(A, sequences, radii, min(tol, 1e-9),
-                                          budget, p)
+    limits, divergences = _extract_limits(A, None, sequences, "compactness test", radii,
+                                          min(tol, 1e-9), budget, p)
     window = basepoint_windows(A.space)
     per_seq = []
     worst = 0.0
     for lim in limits:
         omega = lim.op.propagation
-        norms = []
-        for r in sorted(radii):
-            norms.append(_window_upper(lim.op, window(r), window(r + omega), p))
+        norms = [_window_upper(lim.op, window(r), window(r + omega), p) for r in sorted(radii)]
         worst = max(worst, max(norms))
         per_seq.append({
             "sequence": lim.sequence_label,
@@ -548,10 +535,8 @@ def fredholm_test(A, proj, sequences, schedule=(50, 100, 200, 400), tau=0.05,
     falls below tau); Fredholm-consistency requires invertibility evidence for
     every declared limit, and stays evidence.
     """
-    if not sequences:
-        raise InvalidConfigError("fredholm test needs at least one sequence")
-    A_hat = hat(A, proj) if proj is not None else A
-    limits, divergences = _extract_limits(A_hat, sequences, radii, tol, budget, p)
+    limits, divergences = _extract_limits(A, proj, sequences, "fredholm test", radii, tol,
+                                          budget, p)
     per_seq = []
     margins = []
     witness = None
@@ -570,13 +555,11 @@ def fredholm_test(A, proj, sequences, schedule=(50, 100, 200, 400), tau=0.05,
             all_evidence = False
     if witness is not None:
         verdict = "notFredholm"
-        certified = witness[0].exact
     elif all_evidence and not divergences:
         verdict = "Fredholm-consistent"
-        certified = False
     else:
         verdict = "inconclusive"
-        certified = False
+    certified = witness is not None and witness[0].exact
     report = {
         "verdict": verdict,
         "certified": certified,
@@ -605,11 +588,9 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
     the lower-norm grid sweep; the method argument can force a route
     ("symbol" is short for "symbolOracle").
     """
-    if not sequences:
-        raise InvalidConfigError("essential spectrum needs at least one sequence")
     method = {"symbol": "symbolOracle"}.get(method, method)
-    A_hat = hat(A, proj) if proj is not None else A
-    limits, divergences = _extract_limits(A_hat, sequences, radii, tol, budget)
+    limits, divergences = _extract_limits(A, proj, sequences, "essential spectrum", radii,
+                                          tol, budget)
     estimates = [
         spectrum_estimate_for(lim.op, lim.sequence_label, tau=tau, pitch=pitch,
                               radius=radius, z_box=z_box, theta_grid=theta_grid,
@@ -635,21 +616,17 @@ def ess_norm_estimate(A, proj, sequences, schedule=(25, 50, 100),
                       radii=(5, 10, 20), tol=1e-8, budget=2 ** 20):
     """Interval for the essential norm over the declared family: window lower
     bounds against coefficient-sum upper bounds of the limit operators."""
-    if not sequences:
-        raise InvalidConfigError("essential norm needs at least one sequence")
     if proj is not None and getattr(proj, "general", False):
         warnings.warn("essential norm formula assumes a norm-one projection; "
                       "general projections give a heuristic only")
-    A_hat = hat(A, proj) if proj is not None else A
-    limits, divergences = _extract_limits(A_hat, sequences, radii, tol, budget)
-    window = basepoint_windows(A_hat.space)
+    limits, divergences = _extract_limits(A, proj, sequences, "essential norm", radii, tol,
+                                          budget)
+    window = basepoint_windows(A.space)
     lowers, uppers, per_limit = [], [], []
     for lim in limits:
         omega = lim.op.propagation
-        lo = 0.0
-        for r in schedule:
-            g = window_norm(lim.op, window(r), window(r + omega), 2)
-            lo = max(lo, g)
+        lo = max((window_norm(lim.op, window(r), window(r + omega)) for r in schedule),
+                 default=0.0)
         up, certified = lim.op.norm_bound()
         lowers.append(lo)
         uppers.append(up)

@@ -5,13 +5,15 @@ encoding the kernel a(u, u + k) = c_k(u). Sums, products, adjoints, scalar
 shifts and indicator restrictions all stay in this class, with propagation
 tracked structurally (exact for sums/adjoints, upper bound for products).
 Window blocks are assembled densely. ``window_norm`` values every block
-norm, the restricted and localised norms included: at p = 2 the largest
-singular value, read off the diagonal for multiplication operators
-(propagation 0), from a dense SVD otherwise (a block with no imaginary part
-goes to LAPACK in float64); other exponents get certified intervals (sampled
-lower bound, row/column interpolation upper bound). Localisation balls, for
-``localized_norm`` and ``fredholm.lower_norm_localized``, come from one
-``pairs_within`` call (``_localization_balls``).
+norm, the restricted and localised norms included. Each p = 2 valuation has
+one owner, which ``window_norm``, ``fredholm.lower_norm_window`` and
+``commutator_stack_norm`` call: ``_diagonal`` (a multiplication operator's
+diagonal), ``_gram_eig`` (a Gram band's eigenvalue) and ``_singular`` (one
+dense SVD), in float64 when there is no imaginary part. Other exponents get
+certified intervals (sampled lower bound, row/column interpolation upper
+bound). Localisation balls, for ``localized_norm`` and
+``fredholm.lower_norm_localized``, come from one ``pairs_within`` call
+(``_localization_balls``).
 """
 
 import warnings
@@ -21,8 +23,11 @@ import numpy as np
 
 from .errors import InvalidConfigError, ScopeError, TruncationError
 from .fields import ConstantField, Field, _normalize_shift, _wrapped_shift
-from ._kernels import PointLocator, eig_banded
+from ._kernels import PointLocator, eig_banded, min_eig_banded
 from .space import Window
+
+GRAM_OVERFLOW = ("the window's Gram bands overflow: a coefficient is too large to "
+                 "square in float64")
 
 
 class BandOperator:
@@ -215,18 +220,9 @@ def _locate(pts):
 
 
 def _real_lane(M):
-    """A complex block as float64 when no entry has an imaginary part, so
-    LAPACK runs in real arithmetic; the block itself otherwise."""
+    """A complex block or band as float64 when no entry has an imaginary
+    part, so LAPACK runs in real arithmetic; the array itself otherwise."""
     return M if M.imag.any() else np.ascontiguousarray(M.real)
-
-
-def _abs_diagonal(A, pts):
-    """|a(u, u)| at the given points."""
-    k = (0,) * A.space.point_arity
-    f = A.stencil.get(k)
-    if f is None:
-        return np.zeros(pts.shape[0])
-    return np.abs(_coefficient_values(A.space, k, f, pts))
 
 
 # -- constructors -------------------------------------------------------------
@@ -302,42 +298,50 @@ def _distinct_sorted(pts):
     return None if (pts[1:] == pts[:-1]).all(axis=1).any() else pts
 
 
-def _diagonal_norm(A, rows, cols):
-    """max |c(u)| over the points rows and cols share, for a multiplication
-    operator; None where the dense SVD must decide (a repeated point).
-    Window points are distinct by construction."""
+def _diagonal(A, rows, cols):
+    """|a(u, u)| on the points rows and cols share, in row order: for a
+    multiplication operator the only entries its block can hold, read
+    without forming it. None where a dense block must decide (a repeated point);
+    window points are distinct by construction."""
     rows_pts, cols_pts = _points(rows), _points(cols)
     if not (rows_pts.size and cols_pts.size):
-        return 0.0
+        return np.zeros(0)
     for w in (rows, cols):
         if not isinstance(w, Window) and _distinct_sorted(_points(w)) is None:
             return None
     shared = rows_pts[_locate(cols)(rows_pts) >= 0]
-    c = _abs_diagonal(A, shared)
-    return float(c.max()) if c.size else 0.0
+    k = (0,) * A.space.point_arity
+    return np.abs(_coefficient_values(A.space, k, A.coefficient(k), shared))
+
+
+def _singular(M, end):
+    """The largest (end 0) or smallest (end -1) singular value of a dense
+    block by one SVD; exactly 0.0 for an empty or all-zero block."""
+    if M.size == 0 or not np.any(M):
+        return 0.0
+    return float(np.linalg.svd(_real_lane(M), compute_uv=False)[end])
 
 
 def window_norm(A, rows, cols, p=2):
     """Norm of the two-sided truncation M_rows A M_cols.
 
     p = 2: largest singular value (float). For a multiplication operator
-    (propagation 0) on a lattice the block is diagonal and this is max |c(u)|
-    over the points rows and cols share, without forming the block; it
-    equals the SVD value bitwise for real coefficients and to rounding for
-    complex ones. Other operators and repeated points take a dense SVD, in
-    float64 when the block has no imaginary part.
+    (propagation 0) on a lattice the block is diagonal and this is the
+    largest |c(u)| over the points rows and cols share (``_diagonal``),
+    without forming the block; it equals the SVD value bitwise for real
+    coefficients and to rounding for complex ones. Other operators and
+    repeated points take a dense SVD (``_singular``), in float64 when the
+    block has no imaginary part.
     Other p in (1, inf): certified interval (lower, upper).
     A non-finite coefficient in the block raises InvalidConfigError
     (``_coefficient_values``).
     """
     if p == 2 and A.propagation == 0 and A.space.kind == "lattice":
-        g = _diagonal_norm(A, rows, cols)
-        if g is not None:
-            return g
+        diag = _diagonal(A, rows, cols)
+        if diag is not None:
+            return float(diag.max(initial=0.0))
     M = A.block(rows, cols)
-    if p == 2:
-        return _sigma_max(M)
-    return _pnorm_bounds(M, p)
+    return _singular(M, 0) if p == 2 else _pnorm_bounds(M, p)
 
 
 def _window_upper(A, rows, cols, p=2):
@@ -345,14 +349,6 @@ def _window_upper(A, rows, cols, p=2):
     end of the interval otherwise."""
     g = window_norm(A, rows, cols, p)
     return float(g if p == 2 else g[1])
-
-
-def _sigma_max(M):
-    """Largest singular value of a dense block; exactly 0.0 for an empty or
-    all-zero one."""
-    if M.size == 0 or not np.any(M):
-        return 0.0
-    return float(np.linalg.svd(_real_lane(M), compute_uv=False)[0])
 
 
 def _offsets(B):
@@ -449,6 +445,20 @@ def _gram_bands(B, pts, weights=None, grouped=None):
     return (gram, _bands(n, sl), _bands(n, su)) if np.isfinite(gram).all() else None
 
 
+def _gram_eig(B, pts, index, weights=None, grouped=None):
+    """The index-th smallest eigenvalue (1-based) of the Gram band of
+    ``_gram_bands``, in float64 when it is real: the smallest by
+    ``min_eig_banded``, any other by one ``eig_banded`` call. Exactly 0.0
+    for an all-zero Gram; None only when the Gram overflows."""
+    bands = _gram_bands(B, pts, weights, grouped)
+    if bands is None:
+        return None
+    G = _real_lane(bands[0])
+    if not np.any(G):
+        return 0.0
+    return min_eig_banded(G) if index == 1 else eig_banded(G, index)
+
+
 def commutator_stack_norm(A, partition, scope, p=2):
     """Norm of the stacked commutators f -> ([A, M_phi_t] f)_t over tents t
     of the partition, for f supported in the scope, with phi_t = rho_t^(1/p).
@@ -459,13 +469,13 @@ def commutator_stack_norm(A, partition, scope, p=2):
     the scope (columns), scaled entrywise by phi_t(column) - phi_t(row). G
     has the bandwidth of A^H A. Where that band holds at most half the
     matrix (kd + 1 <= n/2 on the sorted scope), G is assembled in lower band
-    storage by ``_gram_bands``, weighted per tent, and valued by one LAPACK
-    band call for its top eigenvalue (``_kernels.eig_banded``, in float64
+    storage by ``_gram_bands``, weighted per tent, and valued by
+    ``_gram_eig`` for its top eigenvalue (one LAPACK band call, in float64
     when the band has no imaginary part); a wider band is formed densely,
     one product per tent, and valued by ``eigvalsh``. The two routes agree
-    to rounding. An all-zero Gram gives exactly 0.0. Other exponents return
-    a certified interval of the stacked dense block. A non-finite
-    coefficient raises InvalidConfigError (``_coefficient_values``).
+    to rounding. An all-zero Gram gives exactly 0.0; one that overflows,
+    like a non-finite coefficient, raises InvalidConfigError. Other
+    exponents return a certified interval of the stacked dense block.
     """
     space = A.space
     rows = scope.pad(A.propagation)
@@ -495,20 +505,24 @@ def commutator_stack_norm(A, partition, scope, p=2):
         phi = partition.root_values(t, rpts, p)
         C = block * (phi[pick][None, :] - phi[:, None])
         if p == 2:
-            G += C.conj().T @ C
+            # a product that overflows is caught by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                G += C.conj().T @ C
         else:
             stack.append(C)
     if p != 2:
         return _pnorm_bounds(np.vstack(stack), p)
+    if not np.isfinite(G).all():
+        raise InvalidConfigError(GRAM_OVERFLOW)
     lam = float(np.linalg.eigvalsh(G)[-1]) if np.any(G) else 0.0
     return float(np.sqrt(max(lam, 0.0)))
 
 
 def _band_gram_top(A, partition, tents, rows, scope):
     """Top eigenvalue of the p = 2 commutator Gram of
-    ``commutator_stack_norm`` from its lower bands; None where the dense
-    route decides: a band of more than half the matrix, or a Gram that
-    overflows."""
+    ``commutator_stack_norm`` from its lower bands (``_gram_eig``); None
+    where the dense route decides, a band of more than half the matrix. A
+    Gram that overflows raises InvalidConfigError."""
     space = A.space
     pts = _distinct_sorted(scope.points)
     n, keys = pts.shape[0], _offsets(A)
@@ -530,11 +544,10 @@ def _band_gram_top(A, partition, tents, rows, scope):
     back = space.translate(pts[None, :, :], np.negative(keys)[:, None, :])
     back = rows.locate(back.reshape(-1, pts.shape[1])).reshape(keys.shape[0], n)
     weights = phi[:, rows.locate(pts)][:, None, :] - phi[:, back]
-    bands = _gram_bands(A, pts, weights, grouped)
-    if bands is None:
-        return None
-    G = _real_lane(bands[0])
-    return eig_banded(G, n) if np.any(G) else 0.0
+    top = _gram_eig(A, pts, n, weights, grouped)
+    if top is None:
+        raise InvalidConfigError(GRAM_OVERFLOW)
+    return top
 
 
 def bdo_diagnostic(A, t_grid, scope, p=2):

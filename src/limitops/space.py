@@ -188,10 +188,13 @@ class Space:
         return out
 
     def dist(self, x, y):
-        """Distance between two points."""
+        """Distance between two points (lattice differences must fit in int64)."""
         x, y = self._check_point(x), self._check_point(y)
         if self.kind == "graph":
             return int(self.dist_block([x], [y])[0, 0])
+        if any(abs(a - b) >= 2 ** 63 for a, b in zip(x, y)):
+            raise InvalidConfigError(f"points {list(x)} and {list(y)} are too far apart: "
+                                     f"their difference leaves int64")
         return int(self.norm(np.subtract(x, y)))
 
     def dist_block(self, pts_a, pts_b):
@@ -458,7 +461,8 @@ class Window:
     Points materialize lazily (in the deterministic breadth-first order), so a
     window can describe a large scope without ever enumerating it. They are
     distinct and read-only: one window, with its cached points and locator,
-    can serve every block of a scan.
+    can serve every block of a scan. A lattice window is refused unless
+    center +- floor(radius) fits in int64 on every axis, so its points do.
     """
 
     space: Space
@@ -471,6 +475,12 @@ class Window:
         self.center = self.space._check_point(self.center)
         if self.radius < 0:
             raise InvalidConfigError("window radius must be >= 0")
+        r = int(self.radius) if np.isfinite(self.radius) else 2 ** 64
+        if self.space.kind == "lattice" and not all(
+                -2 ** 63 <= c - r and c + r < 2 ** 63 for c in self.center[: self.space.dim]):
+            raise InvalidConfigError(
+                f"window of radius {self.radius} about {list(self.center)} leaves int64: "
+                f"center +- floor(radius) must fit on every axis")
 
     @property
     def points(self):

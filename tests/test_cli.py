@@ -542,6 +542,31 @@ def test_a_gram_that_overflows_is_refused_without_warnings(tmp_path, capsys):
                    "square in float64\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bdo_diagnostic_refuses_a_gram_that_overflows(tmp_path, capsys):
+    # once "RuntimeWarning: overflow encountered in matmul", then "error:
+    # Eigenvalues did not converge": the band route handed the overflowing
+    # Gram to the dense one
+    op = {"kind": "band", "stencil": [
+        {"offset": [1], "coeff": {"type": "constant", "value": 1e300}},
+        {"offset": [0], "coeff": {"type": "constant", "value": 1.0}}]}
+    cfg = write_cfg(tmp_path, {"space": Z1, "operator": op, "task": {"scopeRadius": 10}})
+    code, out, err = run(["bdo-diagnostic", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: the window's Gram bands overflow: a coefficient is too large to "
+                   "square in float64\n")
+
+
+def test_a_scope_beyond_int64_is_one_error_line(tmp_path, capsys):
+    # once "error: point box (18446744073709551620,) is too large to index by
+    # int64 keys": the scope's points wrapped past 2^63 - 1
+    cfg = write_cfg(tmp_path, {"space": Z1, "task": {"center": [2 ** 63 - 2], "scopeRadius": 3}})
+    code, out, err = run(["covering", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: window of radius 3 about [9223372036854775806] leaves int64: "
+                   "center +- floor(radius) must fit on every axis\n")
+
+
 @pytest.mark.parametrize("config", [
     {"operator": {"kind": "multiplication", "field": {
         "type": "table", "entries": [{"point": [2 ** 70], "value": 3.0}]}},

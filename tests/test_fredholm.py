@@ -252,6 +252,17 @@ def test_structured_gram_path_falls_back_on_a_kernel(z1):
     assert got < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_structured_gram_path_falls_back_on_an_overflow(z1):
+    # the Gram of 3e200 I + 1e200 S overflows, the dense SVD does not: the
+    # lower norm is 2e200 up to the window's edge effect
+    B = BandOperator(z1, {(1,): 1e200, (0,): 3e200})
+    w = window(z1, 20)
+    got = lower_norm_window(B, w)
+    assert got == pytest.approx(_dense_lower(B, w.points), rel=1e-12, abs=0)
+    assert 2e200 < got < 2.01e200
+
+
 @pytest.mark.parametrize("offset", [(0,), (1,)])
 def test_structured_paths_raise_on_nan_like_the_svd(z1, offset):
     # LAPACK's SVD fails on a NaN entry

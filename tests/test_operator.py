@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitops._kernels
-import limitops.fredholm
 import limitops.operator
 from limitops import (
     BandOperator,
@@ -213,7 +212,7 @@ def _localized_by_definition(A, predicate, rt, scope):
         if ball.size and not any(np.array_equal(ball, b) for b in balls):
             balls.append(ball)
     rows = scope.pad(A.propagation)
-    return max(limitops.operator._sigma_max(A.block(rows, b)) for b in balls), balls
+    return max(limitops.operator._singular(A.block(rows, b), 0) for b in balls), balls
 
 
 def _localized_cases():
@@ -298,9 +297,9 @@ def _record_dtypes(monkeypatch, name):
 
 
 def _complex_lane(monkeypatch):
-    """Hand every dense block to LAPACK as complex128, as before the lane."""
-    for mod in (limitops.operator, limitops.fredholm):
-        monkeypatch.setattr(mod, "_real_lane", lambda M: M)
+    """Hand every dense block and Gram band to LAPACK as complex128, as
+    before the lane."""
+    monkeypatch.setattr(limitops.operator, "_real_lane", lambda M: M)
 
 
 def _shift_gap(z2, c, x=(3, 0), y=(-3, 0)):
@@ -363,6 +362,36 @@ def test_commutator_of_a_real_operator_runs_in_float64(z2, monkeypatch, mode, dt
     got = commutator_stack_norm(A, part, scope)
     assert seen == [(routine, dtype)]
     assert got > 0.1
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+LOWER_NORM_LANES = {
+    # I + 0.3 S: a tridiagonal Gram on 81 points
+    "z1-shift": (lambda z1, z2: identity(z1) + 0.3 * shift_operator(z1, (1,)), 40,
+                 "dsbevx", np.float64),
+    # 81 points, Gram bandwidth 18: one band call, no bisection
+    "z2-real-potential": (
+        lambda z1, z2: laplacian(z2) + multiplication(z2, SeededRandomField(34, mode="real")),
+        4, "dsbevx", np.float64),
+    "z2-phase-hop": (
+        lambda z1, z2: laplacian(z2) + BandOperator(
+            z2, {(1, 0): SeededRandomField(31, mode="phase")}),
+        4, "zhbevx", np.complex128),
+}
+
+
+@pytest.mark.parametrize("case", list(LOWER_NORM_LANES))
+def test_lower_norm_gram_of_a_real_operator_runs_in_float64(z1, z2, monkeypatch, case):
+    build, radius, routine, dtype = LOWER_NORM_LANES[case]
+    B = build(z1, z2)
+    w = window(B.space, radius)
+    with monkeypatch.context() as m:
+        _complex_lane(m)
+        ref = lower_norm_window(B, w)
+    seen = _record_band_calls(monkeypatch)
+    got = lower_norm_window(B, w)
+    assert seen == [(routine, dtype)]
+    assert got > 0.05
     assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
@@ -526,6 +555,29 @@ def test_commutator_route_follows_the_gram_bandwidth(z1, z2, z2_l1, monkeypatch,
         assert (len(dense), band) == (1, [])
     else:
         assert (dense, [name for name, _ in band]) == ([], [routines[case]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route", ["band", "dense"])
+def test_commutator_refuses_a_gram_that_overflows(z1, monkeypatch, route):
+    """Both routes refuse a Gram whose products overflow, with the sweep's
+    message; the band route once handed its overflowing Gram to the dense
+    one, which ended in "Eigenvalues did not converge"."""
+    if route == "band":
+        A, radius = BandOperator(z1, {(1,): 1e300, (0,): 1.0}), 10
+    else:
+        stencil = {(k,): 1.0 / (1.0 + k * k) for k in range(-200, 201)}
+        A, radius = BandOperator(z1, {**stencil, (3,): 1e300}), 64
+    scope = window(z1, radius)
+    part = build_partition(z1, scope.pad(A.propagation), 0.5)
+    block = BandOperator.block
+    blocks = []
+    monkeypatch.setattr(BandOperator, "block",
+                        lambda op, rows, cols: blocks.append(cols) or block(op, rows, cols))
+    with pytest.raises(InvalidConfigError, match=r"^the window's Gram bands overflow: a "
+                                                 r"coefficient is too large to square in float64$"):
+        commutator_stack_norm(A, part, scope)
+    assert len(blocks) == (route == "dense")
 
 
 def test_bdo_diagnostic_band_operator_consistent(z1):

@@ -151,6 +151,29 @@ def test_points_outside_int64_are_refused(z1):
         Window(z1, (2 ** 70,), 1).points
 
 
+def test_windows_and_distances_that_leave_int64_are_refused(z1, z2_l1):
+    # the window's points once wrapped to -2^63 and -2^63 + 1, and the
+    # distance between the two ends of int64 read 1
+    top, bottom = 2 ** 63 - 1, -2 ** 63
+    for space, center, radius in ((z1, (top,), 2), (z1, (bottom,), 1.5),
+                                  (z2_l1, (0, top - 1), 2), (z1, (0,), np.inf)):
+        with pytest.raises(InvalidConfigError, match=rf"^window of radius {radius} about "
+                                                     rf"\[{', '.join(map(str, center))}\] "
+                                                     rf"leaves int64: "):
+            Window(space, center, radius)
+    for x, y in (((top,), (bottom,)), ((0,), (bottom,)), ((bottom,), (1,))):
+        with pytest.raises(InvalidConfigError, match=rf"^points \[{x[0]}\] and \[{y[0]}\] "
+                                                     rf"are too far apart: "):
+            z1.dist(x, y)
+    # windows and distances that reach the ends themselves
+    assert Window(z1, (top - 2,), 2.5).points.max() == top
+    assert Window(z1, (bottom + 2,), 2).points.min() == bottom
+    assert Window(Z1_FIBER3, (top, 2), 0).points.tolist() == [[top, 2]]
+    assert z1.dist((top,), (0,)) == top
+    assert z1.dist((-1,), (bottom,)) == top
+    assert Window(z1, (top,), 0).contains((top,))
+
+
 def test_uint64_point_arrays_are_refused_outside_int64(z1):
     # as_array once wrapped 2^63 to -2^63 unchecked, and dist_block of that
     # point to the origin read -2^63
