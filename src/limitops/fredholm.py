@@ -328,16 +328,53 @@ def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
     return np.concatenate(outs) if outs else np.empty(0)
 
 
+def _sublattice_fold(gb, sl, su):
+    """Whether a +-1 pattern D on the window sites leaves the Gram bands
+    even (D gb D = gb) and makes both slice triangles odd (D S D = -S), so
+    that G(-z) = D G(z) D. Each site takes its colour from its nearest
+    earlier stored neighbour, flipped across a slice entry and kept across a
+    Gram entry (pointer doubling along that parent chain); then every stored
+    entry is checked against the colours. A non-zero slice diagonal rules D
+    out at once."""
+    odd = (sl != 0) | (su != 0)
+    if odd[0].any():
+        return False
+    # entry (i, j) of the lower storage links sites j and k = j + i; read it at k
+    i = np.arange(gb.shape[0])[:, None]
+    k = np.arange(gb.shape[1])
+    inside = (k >= i) & (i > 0)
+    j = np.where(inside, k - i, 0)
+    flips = odd[i, j] & inside
+    keeps = (gb[i, j] != 0) & inside
+    link = flips | keeps
+    first = np.argmax(link, axis=0)
+    anc = np.where(link[first, k], k - first, k)
+    colour = flips[first, k]
+    while not np.array_equal(anc[anc], anc):
+        colour = colour ^ colour[anc]
+        anc = anc[anc]
+    differ = colour != colour[j]
+    return not ((flips & ~differ) | (keeps & differ)).any()
+
+
 def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     """min(nu_window(B - z), nu_window((B - z)*)) over the grid, via the
     banded sweep. The bands come straight from the stencil
     (``_banded_data``), O(n |stencil|^2), for B and for its adjoint, and
-    three exact symmetries are read off them. Bands with no imaginary part
+    four exact symmetries are read off them. Bands with no imaginary part
     give sigma(z) = sigma(conj z), so each conjugate pair is swept once.
     Adjoint bands equal to B's make the adjoint pass the direct pass at
     conj z, so both run as one pass over the distinct points of zs and
     conj zs. Equal bands give equal bits, so these two folds never change a
-    value. A Hermitian window slice S makes G(x + iy) = G(x) + y^2 I, so
+    value. Bands with a sublattice pattern D (``_sublattice_fold``: Gram
+    even, slice odd, as for Delta or a S + b S^-1) give
+    G(-z) = D G(z) D, so each pair z, -z is swept once. The sign flips of D
+    are exact and a banded Cholesky of D G D is D L D operation for
+    operation, so gates and bisection steps decide alike, and ?sbevx/?hbevx
+    return the same bits for G and D G D: this fold keeps the bits as well.
+    On real bands the two point folds leave one point of each
+    {+-z, +-conj z}.
+    A Hermitian window slice S makes G(x + iy) = G(x) + y^2 I, so
     the sweep works per column x = Re z: one gate and at most one
     eigenvalue per column, and no work at all for a point with
     |Im z| > tau (``_kernels.sigma_min_sweep``). Its values agree with the
@@ -359,6 +396,10 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
             f"non-finite input to the banded sweep: grid point {complex(bad[0])}")
 
     def run(bands, vals):
+        # -z first: the conjugate fold below keeps Re z
+        if _sublattice_fold(*bands[:3]):
+            flip = (vals.real < 0) | ((vals.real == 0) & (vals.imag < 0))
+            vals = np.where(flip, -vals, vals)
         if not any(b.imag.any() for b in bands[:3]):
             vals = np.where(vals.imag < 0, np.conj(vals), vals)
         uniq, inv = np.unique(vals, return_inverse=True)

@@ -166,16 +166,52 @@ class Space:
         """Lattice length of offsets, vectorised over the last axis: the sup
         or taxicab norm of the lattice coordinates plus, on a fiber of size
         m, the wrap distance min(f mod m, m - f mod m) of the fiber
-        coordinate f. The only place the metric formula lives."""
+        coordinate f. The only place the metric formula lives. A length
+        that leaves int64 raises InvalidConfigError."""
         delta = np.asarray(delta, dtype=np.int64)
+        out, signs = self._norm(delta)
+        if (signs < 0).any():
+            row = delta.reshape(-1, delta.shape[-1])[np.argmax(signs < 0)]
+            raise InvalidConfigError(f"offset {row.tolist()} is too long: its length "
+                                     f"leaves int64")
+        return out
+
+    def _norm(self, delta, signs=None):
+        """``norm`` without the refusal: the lengths, and an int64 array
+        whose sign bit marks each length that wrapped, ORed into ``signs``
+        when given. Every term and partial sum is non-negative unless it
+        wrapped, and a sum of two terms wraps at most once."""
         # one elementwise pass per axis: numpy reduces a short last axis slowly
         combine = np.maximum if self.metric == "linf" else np.add
         out = np.abs(delta[..., 0])
+        signs = out if signs is None else signs | out
         for a in range(1, self.dim):
-            out = combine(out, np.abs(delta[..., a]))
+            term = np.abs(delta[..., a])
+            out = combine(out, term)
+            signs = signs | term | out
         if self.fiber > 1:
             f = delta[..., -1] % self.fiber
             out = out + np.minimum(f, self.fiber - f)
+            signs = signs | out
+        return out, signs
+
+    def _lengths(self, a, b):
+        """norm(a - b) for int64 lattice point arrays that broadcast. A pair
+        whose coordinate difference or length leaves int64 raises
+        InvalidConfigError naming the two points: one sign test covers both."""
+        d = a - b
+        # a - b wrapped where a and b differ in sign and d has the sign of b
+        over = (a ^ b) & (a ^ d)
+        signs = over[..., 0]
+        for c in range(1, d.shape[-1]):
+            signs = signs | over[..., c]
+        out, signs = self._norm(d, signs)
+        bad = signs < 0
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            x, y = (np.broadcast_to(p, d.shape)[at].tolist() for p in (a, b))
+            raise InvalidConfigError(f"points {x} and {y} are too far apart: their "
+                                     f"distance leaves int64")
         return out
 
     def translate(self, pts, v):
@@ -188,30 +224,26 @@ class Space:
         return out
 
     def dist(self, x, y):
-        """Distance between two points (lattice differences must fit in int64)."""
+        """Distance between two points (on lattices it must fit in int64)."""
         x, y = self._check_point(x), self._check_point(y)
-        if self.kind == "graph":
-            return int(self.dist_block([x], [y])[0, 0])
-        if any(abs(a - b) >= 2 ** 63 for a, b in zip(x, y)):
-            raise InvalidConfigError(f"points {list(x)} and {list(y)} are too far apart: "
-                                     f"their difference leaves int64")
-        return int(self.norm(np.subtract(x, y)))
+        return int(self.dist_block([x], [y])[0, 0])
 
     def dist_block(self, pts_a, pts_b):
         """Pairwise int64 distance matrix between two point arrays (graphs:
-        one breadth-first search per distinct row of the first)."""
+        one breadth-first search per distinct row of the first; lattices:
+        ``_lengths``, which refuses a distance that leaves int64)."""
         a, b = self.as_array(pts_a), self.as_array(pts_b)
         if self.kind == "graph":
             rows = self._dist_rows(np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1)))
             return rows.reshape(a.shape[0], b.shape[0])
-        return self.norm(a[:, None, :] - b[None, :, :])
+        return self._lengths(a[:, None, :], b[None, :, :])
 
     def _dist_rows(self, a, b):
         """d(a_k, b_k) for each row k of two int64 point arrays of one
-        shape, as int64: on lattices ``norm`` of the differences, on graphs
+        shape, as int64: on lattices ``_lengths``, on graphs
         one breadth-first search per distinct a_k."""
         if self.kind == "lattice":
-            return self.norm(a - b)
+            return self._lengths(a, b)
         src, tgt = a[:, 0], b[:, 0]
         out = np.empty(src.size, dtype=np.int64)
         order = np.argsort(src, kind="stable")

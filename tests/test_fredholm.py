@@ -634,6 +634,64 @@ def test_nu_grid_complex_non_self_adjoint_runs_both_passes(z1, monkeypatch):
     assert np.array_equal(got, _unfolded(A, zs, 40, 0.3))
 
 
+def _eig_calls(monkeypatch, A, zs, fold=True):
+    """The indicator and the number of min_eig_banded calls it makes, with
+    the sublattice fold on or off."""
+    calls = []
+    eig = _kernels.min_eig_banded
+
+    def counting(ab):
+        calls.append(1)
+        return eig(ab)
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "min_eig_banded", counting)
+        if not fold:
+            m.setattr(fredholm, "_sublattice_fold", lambda *bands: False)
+        got = nu_grid_indicator(A, zs, radius=40)
+    return got, len(calls)
+
+
+def _chiral_limits(z1):
+    fiber2 = Space(kind="lattice", dim=1, fiber=2)
+    return {"laplacian": laplacian_stencil(z1),
+            "a S + b S^-1": BandOperator(z1, {(1,): 1.05, (-1,): 0.4}),
+            "fiber-2 hop + coupling": BandOperator(
+                fiber2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 0.6})}
+
+
+@pytest.mark.parametrize("name", ["laplacian", "a S + b S^-1", "fiber-2 hop + coupling"])
+def test_nu_grid_sublattice_fold_is_exact_and_halves_the_work(z1, name, monkeypatch):
+    # a sign pattern D with D A D = -A gives G(-z) = D G(z) D: each pair
+    # z, -z is valued once, with the bits of the unfolded sweep, also on a
+    # box not symmetric about Re z = 0
+    A = _chiral_limits(z1)[name]
+    assert fredholm._sublattice_fold(*_banded_data(A, 40)[:3])
+    for box in ((-1.3, 2.9, -0.7, 0.3), (-3.0, 3.0, -0.6, 0.6)):
+        zs = _grid(box, 0.1)
+        for tau in (None, 0.3):
+            assert np.array_equal(nu_grid_indicator(A, zs, radius=40, tau=tau),
+                                  _unfolded(A, zs, 40, tau))
+    got, folded = _eig_calls(monkeypatch, A, zs)
+    same, unfolded = _eig_calls(monkeypatch, A, zs, fold=False)
+    assert np.array_equal(got, same)
+    assert 0.45 <= folded / unfolded <= 0.55
+
+
+def test_nu_grid_no_sublattice_fold_without_a_pattern(z1, monkeypatch):
+    # a potential puts S on the diagonal; offsets {1, 2} link sites by odd
+    # and even steps alike: no pattern, no fold, the same work
+    zs = _grid((-3.0, 3.0, -0.6, 0.6), 0.1)
+    for A in (laplacian_stencil(z1) + multiplication(z1, SeededRandomField(5)),
+              _periodic(z1, [0.5, 0.0, -0.5]),
+              BandOperator(z1, {(1,): 1.0, (2,): 0.5})):
+        assert not fredholm._sublattice_fold(*_banded_data(A, 40)[:3])
+        got, calls = _eig_calls(monkeypatch, A, zs)
+        same, unfolded = _eig_calls(monkeypatch, A, zs, fold=False)
+        assert np.array_equal(got, same) and calls == unfolded
+        assert np.array_equal(got, _unfolded(A, zs, 40, None))
+
+
 def test_grid_holds_exact_conjugate_pairs():
     # the real-kernel fold merges z and conj z only when both are on the
     # grid bit for bit

@@ -695,3 +695,50 @@ def test_bisection_refuses_non_finite_bands(where, monkeypatch):
         with pytest.raises(ValueError, match="infs or NaNs"):
             K.sigma_min_sweep(gb, sl, su, MIXED_Z)
     assert calls == []
+
+
+def _chiral_bands(n, b, fiber, real, seed):
+    """Bands of a random T whose entries link only sites of opposite sign
+    under the sublattice pattern d = (-1)^(j + f) of site (j, f), stored in
+    the order of a fibered window: S = T is odd and T^H T even under
+    D = diag(d). A real T is symmetric (the float64 column lane), a complex
+    one general (the per-point lane). Padded to kd = 2b."""
+    idx = np.arange(n)
+    d = np.where((idx // fiber + idx % fiber) % 2, -1.0, 1.0)
+    T = real_symmetric(n, b, seed) if real else banded_random(n, b, seed)
+    T[d[:, None] == d[None, :]] = 0.0
+    gb, sl, su, bw = pack_sweep_inputs(T, b)
+    if real:
+        gb, sl, su = gb.real, sl.real, su.real
+    return gb, sl, su, d
+
+
+def _conjugated(base, d):
+    """D G D in lower band storage, for D = diag(d)."""
+    out = base.copy()
+    for i in range(1, base.shape[0]):
+        out[i, : base.shape[1] - i] *= d[i:] * d[: base.shape[1] - i]
+    return out
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("kd", [2, 4, 6])
+@pytest.mark.parametrize("n", [40, 300], ids=["short", "long"])
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_sublattice_conjugate_keeps_the_bits(fiber, n, kd, real):
+    # the sweep's sublattice fold values G(-z) = D G(z) D by G(z): every
+    # LAPACK valuation of the two gives the same bits, and every gate the
+    # same verdict
+    assert (n * n * kd >= K.BISECTION_WORK) == (n == 300)
+    gb, sl, su, d = _chiral_bands(n, kd // 2, fiber, real, seed=n + kd + fiber)
+    zs = np.array([0.7, 1.9, 0.4 + 0.3j, 1.1 - 0.6j])
+    for z in zs.real if real else zs:
+        base = _shifted_gram(gb, sl, su, z)
+        mirror = _shifted_gram(gb, sl, su, -z)
+        assert np.array_equal(mirror, _conjugated(base, d))
+        assert K.eig_banded(base.copy(), 1) == K.eig_banded(mirror.copy(), 1)
+        assert K._bisect_min_eig(base) == K._bisect_min_eig(mirror)
+        lam = K.min_eig_banded(base.copy())
+        assert K.min_eig_banded(mirror.copy()) == lam
+        for tau2 in (0.5 * lam, lam, lam * (1 + 1e-12), 2.0 * lam + 0.1):
+            assert K._gate(base, tau2) == K._gate(mirror, tau2)

@@ -174,6 +174,27 @@ def test_windows_and_distances_that_leave_int64_are_refused(z1, z2_l1):
     assert Window(z1, (top,), 0).contains((top,))
 
 
+def test_lengths_that_leave_int64_are_refused(z1, z2_l1):
+    # each once wrapped: the two ends of int64 read distance 1 in dist_block
+    # and pairs_within, and the l1 length of (2^62, 2^62) read -2^63
+    top, bottom = 2 ** 63 - 1, -2 ** 63
+    far = rf"^points \[{top}\] and \[{bottom}\] are too far apart: "
+    with pytest.raises(InvalidConfigError, match=far):
+        z1.dist_block([(top,)], [(bottom,)])
+    with pytest.raises(InvalidConfigError, match=far):
+        z1.pairs_within(np.array([[top]]), np.array([[bottom]]), 5)
+    half = 2 ** 62
+    with pytest.raises(InvalidConfigError, match=rf"^points \[{half}, {half}\] and \[0, 0\] "
+                                                 rf"are too far apart: "):
+        z2_l1.dist((half, half), (0, 0))
+    with pytest.raises(InvalidConfigError, match=rf"^offset \[{half}, {half}\] is too long"):
+        z2_l1.norm([[1, 1], [half, half]])
+    # lengths that reach the top of int64 itself
+    assert z2_l1.dist((half, half - 1), (0, 0)) == top
+    assert z2_l1.dist_block([(-half, 1 - half)], [(0, 0)]).tolist() == [[top]]
+    assert Space(dim=3).norm([bottom + 1, 5, -7]) == top
+
+
 def test_uint64_point_arrays_are_refused_outside_int64(z1):
     # as_array once wrapped 2^63 to -2^63 unchecked, and dist_block of that
     # point to the origin read -2^63
