@@ -358,7 +358,9 @@ def sigma_min_sweep(gram_bands, slice_lower, slice_upper, zs, tau=None):
         return _column_sweep(gb, sl, zs, tau2)
     out = np.empty(zs.size)
     for iz, z in enumerate(zs):
-        base = gb - np.conj(z) * sl - z * su_c
+        # one sum of both slice terms: the adjoint's G(conj z) sums them in
+        # the other order, and complex addition commutes exactly
+        base = gb - (np.conj(z) * sl + z * su_c)
         base[0] += (z * np.conj(z)).real
         if tau2 is not None and _gate(base, tau2):
             out[iz] = np.inf

@@ -234,20 +234,24 @@ def _float_json(x):
 def _dumps(obj):
     """The bytes of ``json.dumps(_plain(obj), sort_keys=True, indent=2)``,
     written in one pass: bool, int and float arrays are formatted straight
-    from numpy, everything else as ``_plain`` and the stdlib encoder would."""
+    from numpy, everything else as ``_plain`` and the stdlib encoder would.
+    The int and float leaves of every array come from one table that lives
+    for this call (``_leaves``), so each distinct leaf is formatted once per
+    payload, not once per array."""
     out = []
-    _write(obj, 0, out)
+    _write(obj, 0, out, {})
     return "".join(out)
 
 
-def _write(obj, level, out):
-    """Append the JSON text of ``obj``, nested ``level`` indents deep."""
+def _write(obj, level, out, table):
+    """Append the JSON text of ``obj``, nested ``level`` indents deep;
+    ``table`` is the payload's leaf table (``_leaves``)."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, np.ndarray):
-        _write_array(obj, level, out)
+        _write_array(obj, level, out, table)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -258,7 +262,7 @@ def _write(obj, level, out):
         for k in sorted(items):
             out.append(sep + inner)
             out.append(encode_basestring_ascii(k) + ": ")
-            _write(items[k], level + 1, out)
+            _write(items[k], level + 1, out, table)
             sep = ","
         out.append("\n" + _INDENT * level + "}")
     elif isinstance(obj, (list, tuple)):
@@ -269,11 +273,11 @@ def _write(obj, level, out):
         sep = "["
         for v in obj:
             out.append(sep + inner)
-            _write(v, level + 1, out)
+            _write(v, level + 1, out, table)
             sep = ","
         out.append("\n" + _INDENT * level + "]")
     elif isinstance(obj, (complex, np.complexfloating)):
-        _write(_cplx(obj), level, out)
+        _write(_cplx(obj), level, out, table)
     elif isinstance(obj, (bool, np.bool_)):
         out.append(_BOOL_JSON[bool(obj)])
     elif isinstance(obj, (int, np.integer)):
@@ -284,27 +288,44 @@ def _write(obj, level, out):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _float_leaves(flat):
-    """The JSON text of each entry of a 1-d float array, formatting each
-    distinct bit pattern once and expanding through the inverse index. It
-    keys on bits, not values: 0.0 == -0.0, but the two print differently."""
-    bits, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
-    values = bits.view(flat.dtype)
-    fmt = float.__repr__ if np.isfinite(values).all() else _float_json
-    text = np.array(list(map(fmt, values.tolist())), dtype=object)
+def _format(values):
+    """The JSON text of each entry of a 1-d int or float array, leaf by
+    leaf: ``int.__repr__`` or, for floats, ``_float_json``."""
+    if values.dtype.kind == "f":
+        fmt = float.__repr__ if np.isfinite(values).all() else _float_json
+        return list(map(fmt, values.tolist()))
+    return list(map(int.__repr__, values.tolist()))
+
+
+def _leaves(flat, table):
+    """The JSON text of each entry of a 1-d int or float array, from the
+    payload's leaf table {dtype.str: {key: text}}. A float keys on its bit
+    pattern (0.0 == -0.0, but the two print differently), an int on its
+    value; the dtype level keeps float32 bits apart from float64 ones and
+    int 1 apart from float 1.0. Only the array's distinct keys not yet in
+    the table are formatted (``_format``), and the leaves expand through
+    the inverse index."""
+    raw = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
+    keys, inverse = np.unique(raw, return_inverse=True)
+    known = table.setdefault(flat.dtype.str, {})
+    keys = keys.tolist()
+    new = [k for k in keys if k not in known]
+    if new:
+        known.update(zip(new, _format(np.array(new, dtype=raw.dtype).view(flat.dtype))))
+    text = np.array(list(map(known.__getitem__, keys)), dtype=object)
     return text[inverse].tolist()
 
 
-def _write_array(a, level, out):
+def _write_array(a, level, out, table):
     """Append a bool, int or float array in one join: the separator between
     two leaves closes and reopens as many brackets as axes their indices
-    cross, and each axis's separator is built once. Floats are formatted
-    once per distinct bit pattern (``_float_leaves``); ints and bools leaf
-    by leaf. Other arrays (complex, object, extended precision) go through
+    cross, and each axis's separator is built once. Int and float leaves
+    come from the payload's leaf table (``_leaves``), bools leaf by leaf.
+    Other arrays (complex, object, extended precision) go through
     ``tolist``."""
     kind = a.dtype.kind
     if kind not in "biuf" or a.dtype.itemsize > 8:
-        _write(a.tolist(), level, out)
+        _write(a.tolist(), level, out, table)
         return
     shape = a.shape
     # below the first empty axis every sub-array prints as []
@@ -313,10 +334,8 @@ def _write_array(a, level, out):
         leaves = ["[]"] * math.prod(shape[:depth])
     elif kind == "b":
         leaves = list(map(_BOOL_JSON.__getitem__, a.ravel().tolist()))
-    elif kind == "f":
-        leaves = _float_leaves(a.ravel())
     else:
-        leaves = list(map(int.__repr__, a.ravel().tolist()))
+        leaves = _leaves(a.ravel(), table)
     ind = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
     n = len(leaves)
     seps = ["," + ind[depth]] * (n - 1)

@@ -363,15 +363,20 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     (``_banded_data``), O(n |stencil|^2), for B and for its adjoint, and
     four exact symmetries are read off them. Bands with no imaginary part
     give sigma(z) = sigma(conj z), so each conjugate pair is swept once.
-    Adjoint bands equal to B's make the adjoint pass the direct pass at
-    conj z, so both run as one pass over the distinct points of zs and
-    conj zs. Equal bands give equal bits, so these two folds never change a
-    value. Bands with a sublattice pattern D (``_sublattice_fold``: Gram
-    even, slice odd, as for Delta or a S + b S^-1) give
-    G(-z) = D G(z) D, so each pair z, -z is swept once. The sign flips of D
-    are exact and a banded Cholesky of D G D is D L D operation for
-    operation, so gates and bisection steps decide alike, and ?sbevx/?hbevx
-    return the same bits for G and D G D: this fold keeps the bits as well.
+    An adjoint whose Gram bands equal B's and whose slices are the
+    conjugated swap of B's (sl' = conj(su), su' = conj(sl)), as for a
+    self-adjoint B or any normal band operator with constant coefficients,
+    has G'(conj z) = G(z) with the two slice terms in the other order; the
+    kernel sums them before subtracting, and complex addition commutes
+    exactly, so the adjoint pass would repeat the direct one bit for bit
+    and only the direct pass runs. Equal bands give equal bits, so these
+    two folds never change a value. Bands with a sublattice pattern D
+    (``_sublattice_fold``: Gram even, slice odd, as for Delta or
+    a S + b S^-1) give G(-z) = D G(z) D, so each pair z, -z is swept once.
+    The sign flips of D are exact and a banded Cholesky of D G D is D L D
+    operation for operation, so gates and bisection steps decide alike, and
+    ?sbevx/?hbevx return the same bits for G and D G D: this fold keeps the
+    bits as well.
     On real bands the two point folds leave one point of each
     {+-z, +-conj z}.
     A Hermitian window slice S makes G(x + iy) = G(x) + y^2 I, so
@@ -407,9 +412,10 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
 
     bands = _banded_data(B, radius)
     adj_bands = _banded_data(B.adjoint(), radius)
-    if all(np.array_equal(a, b) for a, b in zip(bands[:3], adj_bands[:3])):
-        both = run(bands, np.concatenate([zs, np.conj(zs)]))
-        return np.minimum(both[: zs.size], both[zs.size :])
+    gb, sl, su = bands[:3]
+    if all(np.array_equal(a, b) for a, b in zip(adj_bands[:3],
+                                                (gb, np.conj(su), np.conj(sl)))):
+        return run(bands, zs)
     return np.minimum(run(bands, zs), run(adj_bands, np.conj(zs)))
 
 
@@ -639,7 +645,8 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
         for lim in limits
     ]
     clouds = [e.cloud for e in estimates if e.cloud.size]
-    union = (np.unique(np.concatenate(clouds)) if clouds
+    # return_index keeps np.unique from importing numpy.ma (numpy 2.x)
+    union = (np.unique(np.concatenate(clouds), return_index=True)[0] if clouds
              else np.empty(0, dtype=np.complex128))
     return {
         "estimates": estimates,

@@ -169,7 +169,7 @@ class Space:
         coordinate f. The only place the metric formula lives. A length
         that leaves int64 raises InvalidConfigError."""
         delta = np.asarray(delta, dtype=np.int64)
-        out, signs = self._norm(delta)
+        out, signs = self._norm(delta, 0)
         if (signs < 0).any():
             row = delta.reshape(-1, delta.shape[-1])[np.argmax(signs < 0)]
             raise InvalidConfigError(f"offset {row.tolist()} is too long: its length "
@@ -177,28 +177,48 @@ class Space:
         return out
 
     def _norm(self, delta, signs=None):
-        """``norm`` without the refusal: the lengths, and an int64 array
-        whose sign bit marks each length that wrapped, ORed into ``signs``
-        when given. Every term and partial sum is non-negative unless it
-        wrapped, and a sum of two terms wraps at most once."""
+        """``norm`` without the refusal: the lengths and, when ``signs`` (an
+        int64 array or 0) is given, ``signs`` ORed with every term and
+        partial sum, so that its sign bit marks each length that wrapped
+        (otherwise None). Every term and partial sum is non-negative unless
+        it wrapped, and a sum of two terms wraps at most once."""
         # one elementwise pass per axis: numpy reduces a short last axis slowly
         combine = np.maximum if self.metric == "linf" else np.add
+        track = signs is not None
         out = np.abs(delta[..., 0])
-        signs = out if signs is None else signs | out
+        if track:
+            signs = signs | out
         for a in range(1, self.dim):
             term = np.abs(delta[..., a])
             out = combine(out, term)
-            signs = signs | term | out
+            if track:
+                signs = signs | term | out
         if self.fiber > 1:
             f = delta[..., -1] % self.fiber
             out = out + np.minimum(f, self.fiber - f)
-            signs = signs | out
+            if track:
+                signs = signs | out
         return out, signs
 
     def _lengths(self, a, b):
         """norm(a - b) for int64 lattice point arrays that broadcast. A pair
         whose coordinate difference or length leaves int64 raises
-        InvalidConfigError naming the two points: one sign test covers both."""
+        InvalidConfigError naming the two points. One bound per call
+        decides, from the boxes of a and b in Python ints: each
+        |a_c - b_c| is at most max(hi_a - lo_b, hi_b - lo_a), and the
+        length at most those bounds' max or sum plus m // 2. If that fits
+        in int64, nothing can wrap; otherwise one elementwise sign test
+        covers every difference and length."""
+        if a.size and b.size:
+            k = a.shape[-1]
+            a2, b2 = a.reshape(-1, k), b.reshape(-1, k)
+            lo_a, hi_a, lo_b, hi_b = (f(p, axis=0).tolist() for p in (a2, b2)
+                                      for f in (np.min, np.max))
+            spans = [max(ha - lb, hb - la) for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+            lat = spans[:self.dim]
+            reach = (max(lat) if self.metric == "linf" else sum(lat)) + self.fiber // 2
+            if max(max(spans), reach) < 2 ** 63:
+                return self._norm(a - b)[0]
         d = a - b
         # a - b wrapped where a and b differ in sign and d has the sign of b
         over = (a ^ b) & (a ^ d)

@@ -907,6 +907,25 @@ def test_lapack_loads_on_first_use(tmp_path, capsys):
         assert payload_without_timings(Path(out).read_text()) == payload_without_timings(text)
 
 
+def test_essential_spectrum_leaves_numpy_ma_unloaded(tmp_path):
+    """A plain np.unique imports numpy.ma (numpy 2.x); the union cloud is
+    formed without it, on the nuGrid and on the auto (Floquet) route."""
+    auto = {**NU_GRID_CFG, "task": {"method": "auto", "pitch": 0.25}}
+    calls = [write_cfg(tmp_path, cfg, f"{i}.json") for i, cfg in enumerate((NU_GRID_CFG, auto))]
+    steps = run_fresh(
+        "import json, sys\n"
+        "from limitops.cli import main\n"
+        "steps = []\n"
+        "for cfg in json.loads(sys.argv[1]):\n"
+        "    code = main(['essential-spectrum', '--config', cfg, '--out', cfg + '.out'])\n"
+        "    steps.append([code, 'numpy.ma' in sys.modules])\n"
+        "print(json.dumps(steps))\n",
+        json.dumps(calls))
+    assert steps == [[0, False], [0, False]]
+    assert all(json.loads(Path(cfg + ".out").read_text())["result"]["unionCloud"]
+               for cfg in calls)
+
+
 def test_scipy_linalg_reuses_the_loaded_lapack_module():
     """Concurrent first calls load one module, and a later import of
     scipy.linalg re-exports its routines rather than loading a second copy."""
@@ -1103,8 +1122,45 @@ _PAYLOADS = st.recursive(_LEAVES, lambda inner: st.one_of(
 @example({"a": [np.array([[np.nan, -0.0], [np.inf, -np.inf]]), (1, "é\n")]})
 @example({1: np.array([[1 + 2j, 3.0], [complex(np.nan, 1), -0.0]]), (2,): np.array(2.5),
           None: np.array([[True], [False]]), 2.5: np.float32(0.1)})
+# equal values and equal bit patterns across dtypes in one payload: the leaf
+# table keys on the dtype first (float32 0x7E00 is a subnormal, float16
+# 0x7E00 a NaN; uint64 2^63 has the bits of float64 -0.0)
+@example([np.array([1, 2]), np.array([1.0, 2.0]), np.float32([0.1]), np.array([0.1]),
+          np.array([-0.0]), np.array([0.0]), np.float32([-0.0, 0.0]),
+          np.array([0x7E00, 0x7E01], np.uint16).view(np.float16),
+          np.array([0x7E00, 0x7FC00001], np.uint32).view(np.float32),
+          np.array([0x7E00, 0x7FF8000000000001], np.uint64).view(np.float64),
+          np.array([2 ** 63, 0x7E00], np.uint64), np.array([1], np.int8)])
 def test_writer_matches_stdlib(obj):
     assert _dumps(obj) == json.dumps(_plain(obj), sort_keys=True, indent=2)
+
+
+def test_writer_formats_each_distinct_leaf_once_per_payload(monkeypatch):
+    # arrays that share values, within and across dtypes: each distinct
+    # (dtype, bit pattern or value) is formatted once, by one _format call
+    # per array that brings new leaves
+    formatted = []
+
+    def counting(values):
+        key = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+        formatted.extend((values.dtype.str, k) for k in key.tolist())
+        return format_(values)
+
+    format_ = cli._format
+    monkeypatch.setattr(cli, "_format", counting)
+    ints = np.arange(-3, 4)
+    floats = np.array([0.5, -0.0, 0.0, np.nan, 0.5, 1.0])
+    obj = {"a": [ints, ints[::-1], np.tile(ints, (3, 2))],
+           "b": {"x": floats, "y": floats.reshape(2, 3), "z": floats.astype(np.float32)},
+           "c": [np.array([1, 2]), np.array([1.0, 2.0]), np.int64(5), 0.5]}
+    assert _dumps(obj) == json.dumps(_plain(obj), sort_keys=True, indent=2)
+    # 7 ints (1 and 2 are among them), 5 float64 and 5 float32 bit patterns
+    # (0.0 and -0.0 apart), and float64 2.0
+    leaves = {("<i8", k) for k in range(-3, 4)}
+    for a in (floats, floats.astype(np.float32), np.array([2.0])):
+        leaves |= {(a.dtype.str, k) for k in a.view(f"u{a.itemsize}").tolist()}
+    assert len(leaves) == 18
+    assert sorted(formatted) == sorted(leaves)
 
 
 def test_writer_rejects_what_json_rejects():

@@ -634,6 +634,62 @@ def test_nu_grid_complex_non_self_adjoint_runs_both_passes(z1, monkeypatch):
     assert np.array_equal(got, _unfolded(A, zs, 40, 0.3))
 
 
+def _gate_calls(monkeypatch, call):
+    """What ``call()`` returns and the number of _gate calls it makes."""
+    calls = []
+    gate = _kernels._gate
+
+    def counting(base, tau2):
+        calls.append(1)
+        return gate(base, tau2)
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_gate", counting)
+        got = call()
+    return got, len(calls)
+
+
+_NORMAL_LIMITS = {
+    "1.05 S + 0.4 S^-1": {(1,): 1.05, (-1,): 0.4},
+    "(1+0.2i) S + 0.4 S^-1 + 0.25 S^2": {(1,): 1 + 0.2j, (-1,): 0.4, (2,): 0.25},
+}
+
+
+@pytest.mark.parametrize("name", list(_NORMAL_LIMITS))
+def test_nu_grid_adjoint_fold_is_exact_and_halves_the_gates(z1, name, monkeypatch):
+    # a normal limit with a non-Hermitian slice: the adjoint has B's Gram
+    # and the conjugated swap of its slices, so its G(conj z) is G(z) with
+    # the slice terms summed in the other order; one pass gives the bits of
+    # both. On the open first quadrant no other fold applies, so the one
+    # pass makes half the gates of the two
+    A = BandOperator(z1, _NORMAL_LIMITS[name])
+    passes, _ = _record_sweeps(monkeypatch)
+    for box in ((-1.3, 2.9, -0.7, 0.3), (0.05, 2.95, 0.05, 0.65)):
+        zs = _grid(box, 0.1)
+        for tau in (None, 0.3):
+            passes.clear()
+            got = nu_grid_indicator(A, zs, radius=40, tau=tau)
+            assert len(passes) == 1
+            assert np.array_equal(got, _unfolded(A, zs, 40, tau))
+    got, folded = _gate_calls(monkeypatch, lambda: nu_grid_indicator(A, zs, radius=40, tau=0.3))
+    same, both = _gate_calls(monkeypatch, lambda: _unfolded(A, zs, 40, 0.3))
+    assert np.array_equal(got, same)
+    assert folded == zs.size and both == 2 * folded
+
+
+def test_nu_grid_no_adjoint_fold_for_a_non_normal_limit(z1, monkeypatch):
+    # the period-2 weighted shift (1, 2): B* B and B B* differ, so both
+    # passes run, each over its own distinct points
+    A = BandOperator(z1, {(1,): PeriodicField([1.0, 2.0])})
+    adjoint = _banded_data(A.adjoint(), 40)
+    assert not np.array_equal(adjoint[0], _banded_data(A, 40)[0])
+    zs = _grid((0.05, 2.95, 0.05, 0.65), 0.1)
+    passes, _ = _record_sweeps(monkeypatch)
+    got = nu_grid_indicator(A, zs, radius=40, tau=0.3)
+    assert len(passes) == 2
+    assert np.array_equal(got, _unfolded(A, zs, 40, 0.3))
+
+
 def _eig_calls(monkeypatch, A, zs, fold=True):
     """The indicator and the number of min_eig_banded calls it makes, with
     the sublattice fold on or off."""

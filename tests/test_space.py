@@ -195,6 +195,35 @@ def test_lengths_that_leave_int64_are_refused(z1, z2_l1):
     assert Space(dim=3).norm([bottom + 1, 5, -7]) == top
 
 
+def test_distances_in_the_middle_make_no_sign_test(monkeypatch):
+    # one box bound per call clears them: no elementwise sign test (a
+    # _norm call that tracks sign bits), with the lengths of plain norm
+    calls = []
+    norm = Space._norm
+
+    def recording(self, delta, signs=None):
+        calls.append(signs is not None)
+        return norm(self, delta, signs)
+
+    spaces = (Space(dim=3), Space(dim=3, metric="l1"), Space(dim=1, fiber=4))
+    monkeypatch.setattr(Space, "_norm", recording)
+    rng = np.random.default_rng(3)
+    for space in spaces:
+        k = space.point_arity
+        a, b = (rng.integers(-10 ** 6, 10 ** 6, (n, k)) for n in (40, 30))
+        a[:, k - 1], b[:, k - 1] = a[:, k - 1] % 4, b[:, k - 1] % 4  # valid fiber slots
+        got = space.dist_block(a, b)
+        rows = space._dist_rows(a[:30], b)
+        assert calls and not any(calls)
+        assert np.array_equal(got, space.norm(a[:, None, :] - b[None, :, :]))
+        assert np.array_equal(rows, got[np.arange(30), np.arange(30)])
+        calls.clear()
+    # near the ends of int64 the test does run
+    with pytest.raises(InvalidConfigError, match="too far apart"):
+        spaces[0].dist_block([(2 ** 62, 0, 0)], [(-2 ** 62 - 1, 0, 0)])
+    assert calls == [True]
+
+
 def test_uint64_point_arrays_are_refused_outside_int64(z1):
     # as_array once wrapped 2^63 to -2^63 unchecked, and dist_block of that
     # point to the origin read -2^63
