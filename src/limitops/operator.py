@@ -309,7 +309,8 @@ def _diagonal(A, rows, cols):
     for w in (rows, cols):
         if not isinstance(w, Window) and _distinct_sorted(_points(w)) is None:
             return None
-    shared = rows_pts[_locate(cols)(rows_pts) >= 0]
+    # a window is its own cols: every row point is shared, in row order
+    shared = rows_pts if rows is cols else rows_pts[_locate(cols)(rows_pts) >= 0]
     k = (0,) * A.space.point_arity
     return np.abs(_coefficient_values(A.space, k, A.coefficient(k), shared))
 
@@ -336,19 +337,33 @@ def window_norm(A, rows, cols, p=2):
     A non-finite coefficient in the block raises InvalidConfigError
     (``_coefficient_values``).
     """
+    return _window_value(A, rows, cols, p)
+
+
+def _window_value(A, rows, cols, p, floor=None):
+    """``window_norm``'s routing. With a floor, a formed block holding an
+    entry of modulus above 2 * floor is not valued and gives None: its norm
+    is at least that entry at every p (sigma_max, and the upper end
+    col1^(1/p) * row1^(1 - 1/p) of the p != 2 interval), and the factor 2
+    covers the SVD's backward error, so its value could not read <= floor.
+    The block is formed either way, so a non-finite coefficient raises
+    whether or not it is valued."""
     if p == 2 and A.propagation == 0 and A.space.kind == "lattice":
         diag = _diagonal(A, rows, cols)
         if diag is not None:
             return float(diag.max(initial=0.0))
     M = A.block(rows, cols)
+    if floor is not None and M.size and np.abs(M).max() > 2 * floor:
+        return None
     return _singular(M, 0) if p == 2 else _pnorm_bounds(M, p)
 
 
-def _window_upper(A, rows, cols, p=2):
+def _window_upper(A, rows, cols, p=2, floor=None):
     """``window_norm`` as one float: the norm at p = 2, the certified upper
-    end of the interval otherwise."""
-    g = window_norm(A, rows, cols, p)
-    return float(g if p == 2 else g[1])
+    end of the interval otherwise. With a floor, None for a block that
+    cannot value <= floor (``_window_value``)."""
+    g = _window_value(A, rows, cols, p, floor)
+    return g if g is None or p == 2 else float(g[1])
 
 
 def _offsets(B):

@@ -322,13 +322,13 @@ def _schedule(budget):
         n *= 2
 
 
-def _gap(A, diff, rows, cols, p, *shifts):
-    """``_window_upper`` of a difference of conjugates of A. A non-finite
-    coefficient is named at the user's points: A's own block on the gap
-    windows moved by each of ``shifts`` in turn raises at the first that
-    holds it."""
+def _gap(A, diff, rows, cols, p, *shifts, floor=None):
+    """``_window_upper`` of a difference of conjugates of A; None for a gap
+    that cannot read <= floor. A non-finite coefficient is named at the
+    user's points: A's own block on the gap windows moved by each of
+    ``shifts`` in turn raises at the first that holds it."""
     try:
-        return _window_upper(diff, rows, cols, p)
+        return _window_upper(diff, rows, cols, p, floor)
     except InvalidConfigError:
         space = A.space
         for x in shifts:
@@ -345,6 +345,10 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     still records measured window-norm gaps (which are then exactly zero from
     the settling index on). Otherwise conjugates are compared along a doubling
     index schedule until the gaps fall below tol on every requested radius.
+    A gap whose block holds an entry above twice the settle threshold cannot
+    settle, so it takes no SVD; it is valued only where the result reads it:
+    the skipped steps of a radius that never settles, in index order, and
+    the last step's gaps of a divergence report.
     A non-finite coefficient of A raises InvalidConfigError naming it at
     the user's point: on the smallest gap windows before the scan, and in a
     later gap with u and v moved out of the conjugate's frame.
@@ -390,47 +394,61 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
 
     if analytic is not None:
         # one doubling scan: each conjugate's difference serves every radius
-        # not yet settled, and each radius keeps its first smallest gap
-        best = [(radius, None, np.inf) for radius in radii]
+        # not yet settled; a gap that cannot settle stays unvalued (None)
+        settle = max(tol * 1e-3, 1e-14)
+        steps = [[] for _ in radii]
         unsettled = list(range(len(radii)))
         for n in _schedule(budget):
             x = bound.point(n)
             diff = conjugate(A, x) - analytic
             for i in list(unsettled):
-                g = _gap(A, diff, *pairs[radii[i]], p, x)
-                if g < best[i][2]:
-                    best[i] = (radii[i], n, g)
-                if g <= max(tol * 1e-3, 1e-14):
+                g = _gap(A, diff, *pairs[radii[i]], p, x, floor=settle)
+                steps[i].append((n, x, diff, g))
+                if g is not None and g <= settle:
                     unsettled.remove(i)
             if not unsettled:
                 break
+        # each radius keeps its first smallest gap; a skipped gap exceeds a
+        # settling one, so only a radius that never settled values them
+        best = []
+        for i, radius in enumerate(radii):
+            b = (radius, None, np.inf)
+            for n, x, diff, g in steps[i]:
+                if g is None and i in unsettled:
+                    g = _gap(A, diff, *pairs[radius], p, x)
+                if g is not None and g < b[2]:
+                    b = (radius, n, g)
+            best.append(b)
         return LimitOperator(op=analytic, sequence_label=bound.label, exact=True,
                              certificate=best)
 
-    # numeric path
+    # numeric path: a step with a skipped gap is not settled
     maxrad = radii[-1]
     sample = window(maxrad + omega)
     prev_idx, prev = None, None
     settled_at = None
-    last_gaps = None
+    last = None
     for n in _schedule(budget):
         if bound.finite is not None and n >= bound.finite:
             n = bound.finite - 1
         cur = conjugate(A, bound.point(n))
         if prev is not None:
-            gaps = []
-            for radius in radii:
-                gaps.append(_gap(A, cur - prev, *pairs[radius], p,
-                                 bound.point(n), bound.point(prev_idx)))
-            last_gaps = (prev_idx, n, gaps)
-            if max(gaps) <= tol:
+            diff, shifts = cur - prev, (bound.point(n), bound.point(prev_idx))
+            gaps = [_gap(A, diff, *pairs[r], p, *shifts, floor=tol) for r in radii]
+            last = (prev_idx, n, diff, shifts, gaps)
+            if None not in gaps and max(gaps) <= tol:
                 settled_at = n
                 break
         prev_idx, prev = n, cur
         if bound.finite is not None and n >= bound.finite - 1:
             break
     if settled_at is None:
-        n1, n2, gaps = last_gaps if last_gaps else (0, 0, [np.inf])
+        n1, n2, gaps = 0, 0, [np.inf]
+        if last:
+            # the report reads the last step's gaps: value the skipped ones
+            n1, n2, diff, shifts, gaps = last
+            gaps = [_gap(A, diff, *pairs[r], p, *shifts) if g is None else g
+                    for r, g in zip(radii, gaps)]
         return DivergenceReport(
             sequence_label=bound.label,
             witness_indices=(n1, n2),

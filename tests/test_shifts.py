@@ -30,6 +30,7 @@ from limitops import (
     window_norm,
 )
 
+import limitops.operator
 from limitops import shifts
 from conftest import window
 
@@ -187,6 +188,111 @@ def test_exact_certificate_is_one_doubling_scan(z1, monkeypatch):
     out = limit_operator(A, Ray((1,)), radii=(2, 4, 8))
     assert out.exact and calls == [(1,), (2,), (4,), (8,)]
     assert out.certificate == [(2, 2, 0.0), (4, 4, 0.0), (8, 8, 0.0)]
+
+
+def _compressed(space, A, normal):
+    P = multiplication(space, IndicatorField(HalfspacePredicate(normal, 0)))
+    return P @ A @ P
+
+
+def _floor_case(name, z1, z2):
+    """(A, sequence, kwargs) of a limit scan the floor rule skips gaps in."""
+    S = shift_operator(z1, (1,))
+    decay = laplacian_stencil(z1) + multiplication(z1, ExpressionField("exp(0-abs(n)/10)"))
+    return {
+        "exact-z1": (_compressed(z1, S, (1,)), Ray((1,)), {}),
+        "exact-z2": (_compressed(z2, identity(z2) + 0.5 * shift_operator(z2, (0, 1)), (1, 0)),
+                     Ray((1, 0)), {"radii": (3, 6)}),
+        # the difference is -I on every window: every gap is 1, first at index 1
+        "unsettled-first": (S + multiplication(z1, IndicatorField(HalfspacePredicate((1,), 40))),
+                            Ray((1,)), {"radii": (3, 6), "budget": 4}),
+        # gaps 1, 1, 1/3, 1/7, 1/15 at radius 2: the smallest is the last, at index 16
+        "unsettled-last": (S + multiplication(z1, TableField({(m,): 1 / (m + 1)
+                                                               for m in range(21)})),
+                           Ray((1,)), {"radii": (2, 3), "budget": 16}),
+        "numeric": (decay, Ray((1,)), {}),
+        "divergent": (laplacian_stencil(z1) + multiplication(z1, SeededRandomField(5)), Ray((1,)),
+                      {"radii": (4, 8), "tol": 1e-6, "budget": 2 ** 6}),
+        "exact-p1.5": (_compressed(z1, S, (1,)), Ray((1,)), {"p": 1.5}),
+        "numeric-p1.5": (decay, Ray((1,)), {"p": 1.5}),
+    }[name]
+
+
+def _without_floor(monkeypatch):
+    """Value every scan gap, as a scan without the floor rule does."""
+    upper = shifts._window_upper
+    monkeypatch.setattr(shifts, "_window_upper",
+                        lambda A, rows, cols, p=2, floor=None: upper(A, rows, cols, p))
+
+
+@pytest.mark.parametrize("name", ["exact-z1", "exact-z2", "unsettled-first", "unsettled-last",
+                                  "numeric", "divergent", "exact-p1.5", "numeric-p1.5"])
+def test_floor_rule_keeps_every_bit(z1, z2, monkeypatch, name):
+    # a gap block with an entry above twice the settle threshold takes no
+    # SVD; the result, certificate or report, is the one valuing every gap
+    A, seq, kwargs = _floor_case(name, z1, z2)
+    value = limitops.operator._window_value
+    skipped = []
+
+    def counting(*args):
+        g = value(*args)
+        skipped.append(g is None)
+        return g
+
+    monkeypatch.setattr(limitops.operator, "_window_value", counting)
+    got = limit_operator(A, seq, **kwargs)
+    assert any(skipped)
+    monkeypatch.undo()
+    _without_floor(monkeypatch)
+    ref = limit_operator(A, seq, **kwargs)
+    assert type(got) is type(ref)
+    assert repr(got.to_descriptor()) == repr(ref.to_descriptor())
+    assert name.startswith("divergent") == isinstance(got, DivergenceReport)
+    if name.startswith("unsettled"):
+        assert not any(g == 0 for _, _, g in got.certificate)
+        assert got.certificate[0][1] == (1 if name == "unsettled-first" else 16)
+
+
+def test_floor_rule_skips_every_svd_of_a_settled_scan(z1, z2, monkeypatch):
+    A, seq, kwargs = _floor_case("exact-z2", z1, z2)
+    svd, block = np.linalg.svd, BandOperator.block
+
+    def counted():
+        calls = {"svd": 0, "block": 0}
+
+        def counting_svd(*a, **k):
+            calls["svd"] += 1
+            return svd(*a, **k)
+
+        def counting_block(self, rows, cols):
+            calls["block"] += 1
+            return block(self, rows, cols)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(BandOperator, "block", counting_block)
+        return calls
+
+    got = counted()
+    limit_operator(A, seq, **kwargs)
+    monkeypatch.undo()
+    ref = counted()
+    _without_floor(monkeypatch)
+    limit_operator(A, seq, **kwargs)
+    assert got["svd"] == 0 and ref["svd"] > 0
+    assert got["block"] <= ref["block"]
+
+
+def test_diagonal_of_one_window_makes_no_locate(z2, monkeypatch):
+    A = multiplication(z2, ExpressionField("exp(0-abs(n1)/3)*cos(n2)"))
+    calls = []
+    locate = limitops.operator._locate
+    monkeypatch.setattr(limitops.operator, "_locate", lambda w: calls.append(w) or locate(w))
+    w = window(z2, 4)
+    got = limitops.operator._diagonal(A, w, w)
+    assert calls == []
+    ref = limitops.operator._diagonal(A, w, window(z2, 4))
+    assert len(calls) == 1
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("A, kwargs", [
