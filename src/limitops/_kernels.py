@@ -17,6 +17,9 @@ that package import takes a quarter of a second and over 20 MB (most of it in
 milliseconds and under 3 MB. The tasks that never touch a band matrix
 (geometry, covering, partition) load no scipy at all; bdo-diagnostic loads
 the module for the one band eigenvalue call of each commutator Gram.
+``_flapack``'s wrappers hold the GIL while LAPACK runs, so the sweep runs on
+one thread: two threads each factoring a band took no less time than the
+same two factorisations one after the other.
 """
 
 import functools
@@ -154,11 +157,12 @@ _flapack_lock = threading.Lock()
 def _lapack():
     """scipy's compiled LAPACK module, ``scipy.linalg._flapack``: the
     routines ``scipy.linalg.lapack`` re-exports, without importing the
-    ``scipy.linalg`` package. Loaded once, under a lock (two sweep threads
-    may ask together), from its file in the ``linalg`` directory next to
-    ``scipy.__file__``, and registered in ``sys.modules`` under that name: a
-    later ``import scipy.linalg`` reuses it, and one that scipy already
-    loaded is used here. A missing file raises ImportError naming the path."""
+    ``scipy.linalg`` package. Loaded once, under a lock (a library caller's
+    threads may ask together), from its file in the ``linalg`` directory
+    next to ``scipy.__file__``, and registered in ``sys.modules`` under that
+    name: a later ``import scipy.linalg`` reuses it, and one that scipy
+    already loaded is used here. A missing file raises ImportError naming
+    the path."""
     mod = sys.modules.get(_FLAPACK)
     if mod is None:
         with _flapack_lock:
@@ -389,7 +393,8 @@ def _column_sweep(gb, sl, zs, tau2):
     out = np.full(zs.size, np.inf)
     y2 = zs.imag ** 2
     idx = np.arange(zs.size) if tau2 is None else np.flatnonzero(y2 <= tau2)
-    # + 0.0 maps -0.0 to 0.0, so a column never depends on which one a chunk holds
+    # + 0.0 maps -0.0 to 0.0: the folds can hand either sign of a zero real
+    # part, and a column's value must not depend on it
     xs, col = np.unique(zs.real[idx] + 0.0, return_inverse=True)
     for x, members in zip(xs, cell_members(col, xs.size)):
         pts = idx[members]

@@ -481,7 +481,7 @@ def _run_fredholm(cfg, prm, args):
 
 def _run_essential_spectrum(cfg, prm, args):
     space, A, seqs = _limit_inputs(cfg)
-    rep = essential_spectrum_estimate(A, _projection(cfg, space), seqs, threads=args.threads,
+    rep = essential_spectrum_estimate(A, _projection(cfg, space), seqs,
                                       **_kwargs("essential-spectrum", prm))
     out = {
         "estimates": [e.to_descriptor() for e in rep["estimates"]],
@@ -610,7 +610,8 @@ def build_parser():
     ap.add_argument("--out", help="write the report here instead of stdout")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for seeded random coefficients lacking one")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--print-schema", action="store_true",
                     help="print the config file JSON schema and exit")
@@ -659,8 +660,9 @@ def main(argv=None):
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "task": args.task,
-        # threads and output format never affect results, so they stay out of
-        # the payload and repeated runs compare byte-identical modulo timings
+        # --threads and the output format never affect results, so they stay
+        # out of the payload and repeated runs compare byte-identical modulo
+        # timings
         "resolved": {"config": cfg, "task": prm, "seed": args.seed},
         "result": result,
         "timings": {

@@ -9,7 +9,6 @@ the declared sequence family need not exhaust the boundary.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -41,7 +40,6 @@ FAMILY_CAVEAT = (
     "are relative to this family"
 )
 
-DEFAULT_SWEEP_CHUNK = 512
 # below this multiple of norm_bound()^2 the Gram eigenvalue has lost too many
 # digits to squaring, and the dense SVD decides
 GRAM_FLOOR = 1e-8
@@ -180,6 +178,8 @@ def invertibility_estimate(B, schedule, tau=0.05, p=2):
     """
     windows = list(map(basepoint_windows(B.space), schedule))
     radii = [w.radius for w in windows]
+    if not radii:
+        raise InvalidConfigError("window schedule must hold at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidConfigError("window schedule must be strictly increasing")
     q = 2 if p == 2 else p / (p - 1.0)
@@ -308,26 +308,6 @@ def _banded_data(B, radius):
     return gb, sl, su, bw, pts.shape[0]
 
 
-def _sweep_threaded(bands, zs, threads=1, tau=None, chunk=DEFAULT_SWEEP_CHUNK):
-    """Run the banded sweep over fixed-size chunks of the grid, on up to
-    ``threads`` threads. Each value depends on its own point and the bands
-    alone (a column of a Hermitian slice cut by a chunk boundary is valued
-    once on each side, with the same bits), so results are identical for
-    any chunk size and --threads value."""
-    gb, sl, su, _, _ = bands
-    pieces = [zs[i : i + chunk] for i in range(0, zs.size, chunk)]
-
-    def sweep(pc):
-        return _kernels.sigma_min_sweep(gb, sl, su, pc, tau)
-
-    if threads <= 1 or len(pieces) <= 1:
-        outs = [sweep(pc) for pc in pieces]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            outs = list(ex.map(sweep, pieces))
-    return np.concatenate(outs) if outs else np.empty(0)
-
-
 def _sublattice_fold(gb, sl, su):
     """Whether a +-1 pattern D on the window sites leaves the Gram bands
     even (D gb D = gb) and makes both slice triangles odd (D S D = -S), so
@@ -357,7 +337,7 @@ def _sublattice_fold(gb, sl, su):
     return not ((flips & ~differ) | (keeps & differ)).any()
 
 
-def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
+def nu_grid_indicator(B, zs, radius=400, tau=None):
     """min(nu_window(B - z), nu_window((B - z)*)) over the grid, via the
     banded sweep. The bands come straight from the stencil
     (``_banded_data``), O(n |stencil|^2), for B and for its adjoint, and
@@ -378,7 +358,9 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
     ?sbevx/?hbevx return the same bits for G and D G D: this fold keeps the
     bits as well.
     On real bands the two point folds leave one point of each
-    {+-z, +-conj z}.
+    {+-z, +-conj z}. Each pass is one ``_kernels.sigma_min_sweep`` call on
+    its distinct folded points, on the calling thread: scipy's LAPACK
+    wrappers hold the GIL, so threads would only take turns.
     A Hermitian window slice S makes G(x + iy) = G(x) + y^2 I, so
     the sweep works per column x = Re z: one gate and at most one
     eigenvalue per column, and no work at all for a point with
@@ -401,14 +383,15 @@ def nu_grid_indicator(B, zs, radius=400, threads=1, tau=None):
             f"non-finite input to the banded sweep: grid point {complex(bad[0])}")
 
     def run(bands, vals):
+        gb, sl, su = bands[:3]
         # -z first: the conjugate fold below keeps Re z
-        if _sublattice_fold(*bands[:3]):
+        if _sublattice_fold(gb, sl, su):
             flip = (vals.real < 0) | ((vals.real == 0) & (vals.imag < 0))
             vals = np.where(flip, -vals, vals)
-        if not any(b.imag.any() for b in bands[:3]):
+        if not any(b.imag.any() for b in (gb, sl, su)):
             vals = np.where(vals.imag < 0, np.conj(vals), vals)
         uniq, inv = np.unique(vals, return_inverse=True)
-        return _sweep_threaded(bands, uniq, threads, tau)[inv]
+        return _kernels.sigma_min_sweep(gb, sl, su, uniq, tau)[inv]
 
     bands = _banded_data(B, radius)
     adj_bands = _banded_data(B.adjoint(), radius)
@@ -484,8 +467,7 @@ def _auto_method(op):
 
 
 def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
-                          z_box=None, theta_grid=2048, method="auto",
-                          threads=1):
+                          z_box=None, theta_grid=2048, method="auto"):
     """Spectrum estimate for a single (limit) operator by the requested or
     auto-selected method. nuGrid indicators read inf at grid points whose
     window lower norm is certified above tau. The floquet route caps
@@ -508,7 +490,7 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
         b = float(np.ceil((bound + 0.1) / pitch) * pitch)
         z_box = (-b, b, -b, b)
     zs = _grid(z_box, pitch)
-    ind = nu_grid_indicator(op, zs, radius=radius, threads=threads, tau=tau)
+    ind = nu_grid_indicator(op, zs, radius=radius, tau=tau)
     cloud = zs[ind <= tau]
     return SpectrumEstimate(
         method="nuGrid", limit_label=label, tau=tau, points=zs,
@@ -626,7 +608,7 @@ def fredholm_test(A, proj, sequences, schedule=(50, 100, 200, 400), tau=0.05,
 def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
                                 radius=400, z_box=None, theta_grid=2048,
                                 method="auto", radii=(5, 10, 20), tol=1e-8,
-                                budget=2 ** 20, threads=1):
+                                budget=2 ** 20):
     """Union of per-limit-operator spectrum estimates, with provenance.
 
     With method "auto", limits whose coefficients are all constant use the
@@ -641,7 +623,7 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
     estimates = [
         spectrum_estimate_for(lim.op, lim.sequence_label, tau=tau, pitch=pitch,
                               radius=radius, z_box=z_box, theta_grid=theta_grid,
-                              method=method, threads=threads)
+                              method=method)
         for lim in limits
     ]
     clouds = [e.cloud for e in estimates if e.cloud.size]

@@ -3,7 +3,7 @@ A -> PAP + Q of a subspace operator to the whole space."""
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, UnsupportedConstructionError
 from .descriptors import predicate_from_descriptor
 from .fields import Field, IndicatorField, NotPredicate, Predicate
 from .operator import BandOperator, identity, multiplication
@@ -14,7 +14,8 @@ class SubspaceProjection:
 
     P and Q = I - P are exact band operators of propagation 0; P^2 = P and
     PQ = 0 hold entrywise. A general (non-indicator) idempotent can be wrapped
-    via from_operator, with the invariants downgraded to tolerance checks.
+    via from_operator, with the invariants downgraded to tolerance checks;
+    it has no predicate, so rank_on, membership and to_descriptor refuse it.
     """
 
     def __init__(self, space, predicate):
@@ -23,24 +24,24 @@ class SubspaceProjection:
         self.space = space
         self.predicate = predicate
         self.general = False
+        self.P = multiplication(space, IndicatorField(predicate))
+        self.Q = multiplication(space, IndicatorField(NotPredicate(predicate)))
 
-    @property
-    def P(self):
-        return multiplication(self.space, IndicatorField(self.predicate))
-
-    @property
-    def Q(self):
-        return multiplication(self.space, IndicatorField(NotPredicate(self.predicate)))
+    def _predicate(self, what):
+        if self.predicate is None:
+            raise UnsupportedConstructionError(
+                f"{what} needs an indicator projection, not a general idempotent")
+        return self.predicate
 
     def rank_on(self, window):
         """rank(M_1K P) = |K intersect Y|, exact in the discrete setting."""
-        return int(self.predicate.test(self.space, window.points).sum())
+        return int(self._predicate("rank_on").test(self.space, window.points).sum())
 
     def membership(self, window):
-        return self.predicate.test(self.space, window.points)
+        return self._predicate("membership").test(self.space, window.points)
 
     def to_descriptor(self):
-        return {"predicate": self.predicate.to_descriptor()}
+        return {"predicate": self._predicate("to_descriptor").to_descriptor()}
 
     @staticmethod
     def from_descriptor(space, desc):
@@ -63,15 +64,9 @@ class SubspaceProjection:
         proj.space = space
         proj.predicate = None
         proj.general = True
-        proj._P = P_op
-        proj._Q = identity(space) - P_op
+        proj.P = P_op
+        proj.Q = identity(space) - P_op
         return proj
-
-
-def _proj_ops(proj):
-    if proj.general:
-        return proj._P, proj._Q
-    return proj.P, proj.Q
 
 
 def toeplitz(space, symbol, proj):
@@ -83,8 +78,7 @@ def toeplitz(space, symbol, proj):
         op = symbol
     else:
         raise InvalidConfigError("symbol must be a coefficient field or band operator")
-    P, _ = _proj_ops(proj)
-    return P @ op @ P
+    return proj.P @ op @ proj.P
 
 
 def hat(A, proj):
@@ -94,13 +88,13 @@ def hat(A, proj):
     Limit operators factor accordingly: hat(A)_x = A_x P_x + Q_x along every
     sequence where the limits exist.
     """
-    P, Q = _proj_ops(proj)
-    return (P @ A @ P) + Q
+    P = proj.P
+    return (P @ A @ P) + proj.Q
 
 
 def commutator_with_projection(A_hat, proj, window):
     """Entrywise max of |[A_hat, P]| on the window; zero for hat outputs."""
-    P, _ = _proj_ops(proj)
+    P = proj.P
     comm = (A_hat @ P) - (P @ A_hat)
     rows = window.pad(A_hat.propagation)
     M = comm.block(rows, window)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -19,9 +20,10 @@ from limitops import (
     ExpressionField, ExpressionPredicate, FiniteSetPredicate, FullPredicate,
     HalfspacePredicate, IndicatorField, InvalidConfigError, NotPredicate, PeriodicField,
     ProductField, Ray, ScaledField, SeededRandomField, Space, Subsequence,
-    SublatticePredicate, SumField, TableField, Window, cli, field_from_descriptor, identity,
-    laplacian_stencil, multiplication, operator_from_descriptor, predicate_from_descriptor,
-    sequence_from_descriptor, shift_operator, space_from_descriptor,
+    SublatticePredicate, SumField, TableField, Window, _kernels, cli,
+    essential_spectrum_estimate, field_from_descriptor, identity, laplacian_stencil,
+    multiplication, nu_grid_indicator, operator_from_descriptor, predicate_from_descriptor,
+    sequence_from_descriptor, shift_operator, space_from_descriptor, spectrum_estimate_for,
 )
 from limitops.cli import (
     CONFIG_SCHEMA, TASK_SCHEMAS, _csv_rows, _dumps, _plain, full_schema, main,
@@ -853,6 +855,15 @@ def run_fresh(script, *argv):
     return json.loads(proc.stdout)
 
 
+def test_cli_import_loads_no_thread_pool():
+    """The sweep runs on one thread, so the CLI imports no executor (nor the
+    logging and queue modules it brings)."""
+    loaded = run_fresh("import json, sys, limitops.cli\n"
+                       "print(json.dumps([m in sys.modules for m in"
+                       " ('concurrent.futures', 'logging')]))")
+    assert loaded == [False, False]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     loaded = run_fresh("import json, sys, limitops.cli\n"
                        "print(json.dumps(sorted(m for m in sys.modules"
@@ -955,9 +966,11 @@ def test_scipy_linalg_reuses_the_loaded_lapack_module():
     assert _kernels._lapack().dsbevx is scipy.linalg.lapack.dsbevx
 
 
-def test_first_lapack_use_on_two_sweep_threads_gives_the_one_thread_payload(tmp_path, capsys):
-    """A fresh process whose first LAPACK call comes from a two-thread sweep
-    (1,281 grid points, three chunks) writes the one-thread payload."""
+def test_first_lapack_use_in_a_fresh_sweep_gives_the_same_payload(tmp_path, capsys):
+    """A fresh process whose first LAPACK call comes from the sweep loads
+    scipy's LAPACK module there and writes the payload of this process, where
+    the module may already be loaded; ``--threads 2`` is accepted on the way
+    and changes nothing."""
     cfg = write_cfg(tmp_path, SPECTRUM_CFG)
     out = str(tmp_path / "two.out")
     loaded = run_fresh(
@@ -1014,6 +1027,25 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
     _, a, _ = run(["essential-spectrum", "--config", cfg, "--seed", "3"], capsys)
     _, b, _ = run(["essential-spectrum", "--config", cfg, "--seed", "3"], capsys)
     assert payload_without_timings(a) == payload_without_timings(b)
+
+
+def test_spectrum_sweeps_each_pass_in_one_call(tmp_path, capsys, monkeypatch):
+    """The 1,281-point grid folds to 671 real-kernel points, valued by one
+    sigma_min_sweep call; no library entry point takes a thread count."""
+    calls = []
+    sweep = _kernels.sigma_min_sweep
+
+    def recording(gb, sl, su, zs, tau=None):
+        calls.append(zs.size)
+        return sweep(gb, sl, su, zs, tau)
+
+    monkeypatch.setattr(_kernels, "sigma_min_sweep", recording)
+    cfg = write_cfg(tmp_path, SPECTRUM_CFG)
+    code, out, _ = run(["essential-spectrum", "--config", cfg, "--threads", "2"], capsys)
+    assert code == 0 and json.loads(out)["result"]["unionCloud"]
+    assert calls == [671]
+    for fn in (nu_grid_indicator, spectrum_estimate_for, essential_spectrum_estimate):
+        assert "threads" not in inspect.signature(fn).parameters
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, capsys):

@@ -40,7 +40,7 @@ from limitops import (
 )
 
 from limitops import _kernels, fredholm
-from limitops.fredholm import _banded_data, _grid, _sweep_threaded, _tall_block
+from limitops.fredholm import _banded_data, _grid, _tall_block
 
 from conftest import GRID, Z1_FIBER3, window
 
@@ -307,6 +307,14 @@ def test_invertibility_flags_shifted_laplacian(z1):
 def test_invertibility_requires_increasing_schedule(z1):
     with pytest.raises(InvalidConfigError):
         invertibility_estimate(identity(z1), (10, 10))
+
+
+def test_empty_schedule_is_refused(z1):
+    with pytest.raises(InvalidConfigError, match="at least one radius"):
+        invertibility_estimate(identity(z1), [])
+    proj = SubspaceProjection(z1, HalfspacePredicate((1,), 0))
+    with pytest.raises(InvalidConfigError, match="at least one radius"):
+        fredholm_test(shift_operator(z1, (1,)), proj, [Ray((1,))], schedule=())
 
 
 def test_invertibility_uses_adjoint_exponent(z1):
@@ -579,26 +587,22 @@ def test_nu_grid_real_kernel_mirror_symmetry(z1):
 
 def _unfolded(A, zs, radius, tau):
     """The indicator without folds: direct and adjoint passes over every z."""
-    return np.minimum(_sweep_threaded(_banded_data(A, radius), zs, 1, tau),
-                      _sweep_threaded(_banded_data(A.adjoint(), radius), np.conj(zs), 1, tau))
+    direct, adjoint = _banded_data(A, radius), _banded_data(A.adjoint(), radius)
+    return np.minimum(_kernels.sigma_min_sweep(*direct[:3], zs, tau),
+                      _kernels.sigma_min_sweep(*adjoint[:3], np.conj(zs), tau))
 
 
 def _record_sweeps(monkeypatch):
-    """Record the points of every sweep pass and of every kernel call."""
-    passes, kernel = [], []
-
-    def threaded(bands, zs, *args):
-        passes.append(zs)
-        return _sweep_threaded(bands, zs, *args)
+    """Record the points of every sweep pass (one kernel call each)."""
+    passes = []
 
     def sweep(gb, sl, su, zs, tau=None):
-        kernel.append(zs)
+        passes.append(zs)
         return sweep_kernel(gb, sl, su, zs, tau)
 
     sweep_kernel = _kernels.sigma_min_sweep
-    monkeypatch.setattr(fredholm, "_sweep_threaded", threaded)
     monkeypatch.setattr(_kernels, "sigma_min_sweep", sweep)
-    return passes, kernel
+    return passes
 
 
 @pytest.mark.parametrize("tau", [None, 0.3])
@@ -617,17 +621,16 @@ def test_nu_grid_sweeps_each_folded_point_once(z1, monkeypatch):
     # grid with each conjugate pair folded into the upper half plane
     A = _periodic(z1, [0.5, 0.0, -0.5])
     zs = _grid((-3.0, 3.0, -0.6, 0.6), 0.1)
-    passes, kernel = _record_sweeps(monkeypatch)
+    passes = _record_sweeps(monkeypatch)
     nu_grid_indicator(A, zs, radius=40, tau=0.3)
     folded = np.unique(np.where(zs.imag < 0, np.conj(zs), zs))
     assert len(passes) == 1 and np.array_equal(passes[0], folded)
-    assert np.array_equal(np.concatenate(kernel), folded)
 
 
 def test_nu_grid_complex_non_self_adjoint_runs_both_passes(z1, monkeypatch):
     A = _periodic(z1, [0.3 + 0.2j, -0.1j])
     zs = _grid((-3.0, 3.0, -0.6, 0.6), 0.1)
-    passes, _ = _record_sweeps(monkeypatch)
+    passes = _record_sweeps(monkeypatch)
     got = nu_grid_indicator(A, zs, radius=40, tau=0.3)
     assert len(passes) == 2
     assert all(np.array_equal(p, np.unique(v)) for p, v in zip(passes, (zs, np.conj(zs))))
@@ -663,7 +666,7 @@ def test_nu_grid_adjoint_fold_is_exact_and_halves_the_gates(z1, name, monkeypatc
     # both. On the open first quadrant no other fold applies, so the one
     # pass makes half the gates of the two
     A = BandOperator(z1, _NORMAL_LIMITS[name])
-    passes, _ = _record_sweeps(monkeypatch)
+    passes = _record_sweeps(monkeypatch)
     for box in ((-1.3, 2.9, -0.7, 0.3), (0.05, 2.95, 0.05, 0.65)):
         zs = _grid(box, 0.1)
         for tau in (None, 0.3):
@@ -684,7 +687,7 @@ def test_nu_grid_no_adjoint_fold_for_a_non_normal_limit(z1, monkeypatch):
     adjoint = _banded_data(A.adjoint(), 40)
     assert not np.array_equal(adjoint[0], _banded_data(A, 40)[0])
     zs = _grid((0.05, 2.95, 0.05, 0.65), 0.1)
-    passes, _ = _record_sweeps(monkeypatch)
+    passes = _record_sweeps(monkeypatch)
     got = nu_grid_indicator(A, zs, radius=40, tau=0.3)
     assert len(passes) == 2
     assert np.array_equal(got, _unfolded(A, zs, 40, 0.3))
@@ -755,15 +758,6 @@ def test_grid_holds_exact_conjugate_pairs():
     assert zs.size == 81 * 13
     assert set(zs.tolist()) == set(np.conj(zs).tolist())
     assert np.unique(np.where(zs.imag < 0, np.conj(zs), zs)).size == 81 * 7
-
-
-def test_nu_grid_threads_deterministic(z1):
-    # 1100 points span several sweep chunks, so the pool really runs
-    A = laplacian_stencil(z1) + multiplication(z1, PeriodicField([0.2, -0.2]))
-    zs = (np.linspace(-2.5, 2.5, 1100) + 0.1j).astype(np.complex128)
-    a = nu_grid_indicator(A, zs, radius=40, threads=1)
-    b = nu_grid_indicator(A, zs, radius=40, threads=8)
-    assert np.array_equal(a, b)
 
 
 def test_nu_grid_cloud_values_match_dense_svd():

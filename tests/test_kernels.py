@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from limitops import InvalidConfigError, Space, _kernels as K
-from limitops.fredholm import _sweep_threaded
 
 from conftest import GRID, Z1_FIBER3
 
@@ -557,16 +556,24 @@ def test_column_fold_gates_each_column_once(name, T, monkeypatch):
     assert calls == {"gate": 0, "eig": columns}
 
 
+def _split_sweeps(gb, sl, su, zs, tau):
+    """sigma_min_sweep over zs cut into pieces of 1, 7 and 512 points, one
+    call per piece, each joined back in order."""
+    return [np.concatenate([K.sigma_min_sweep(gb, sl, su, zs[i : i + size], tau)
+                            for i in range(0, zs.size, size)])
+            for size in (1, 7, 512)]
+
+
 @pytest.mark.parametrize("name, T", _hermitian_cases())
 def test_column_fold_bits_ignore_chunks_and_threads(name, T):
+    # each value depends on its own point and the bands alone, so any split
+    # of the points gives the bits of one call (the folds rely on it)
     gb, sl, su, bw = _bands_of(name, T)
-    bands = (gb, sl, su, bw, T.shape[0])
     for tau in (None, 0.8):
-        runs = [_sweep_threaded(bands, COLUMN_Z, threads, tau, chunk)
-                for chunk in (1, 7, 512) for threads in (1, 8)]
-        # 13-point columns straddle the 7-point chunks
-        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
-        assert np.array_equal(runs[0], K.sigma_min_sweep(gb, sl, su, COLUMN_Z, tau))
+        whole = K.sigma_min_sweep(gb, sl, su, COLUMN_Z, tau)
+        # 13-point columns straddle the 7-point pieces
+        runs = _split_sweeps(gb, sl, su, COLUMN_Z, tau)
+        assert all(np.array_equal(run, whole) for run in runs)
 
 
 # -- bisection on long bands ----------------------------------------------------
@@ -670,13 +677,13 @@ def test_bisection_column_fold_matches_per_point_path(name, T):
 
 @pytest.mark.parametrize("name, T", _long_cases())
 def test_bisection_bits_ignore_chunks_and_threads(name, T):
+    # a bisected value, too, depends on its own point and the bands alone
     gb, sl, su, bw = _long_bands(name, T)
-    bands = (gb, sl, su, bw, T.shape[0])
     zs = COLUMN_Z if name != "general" else COLUMN_Z[::4]
     for tau in (None, 0.8):
-        runs = [_sweep_threaded(bands, zs, threads, tau, chunk)
-                for chunk in (1, 7, 512) for threads in (1, 2)]
-        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+        whole = K.sigma_min_sweep(gb, sl, su, zs, tau)
+        runs = _split_sweeps(gb, sl, su, zs, tau)
+        assert all(np.array_equal(run, whole) for run in runs)
 
 
 @pytest.mark.parametrize("where", ["diagonal", "band", "unused corner"])

@@ -3,12 +3,15 @@ import pytest
 
 from limitops import (
     BandOperator,
+    ConstantField,
     ExpressionField,
     HalfspacePredicate,
     InvalidConfigError,
+    PeriodicField,
     SublatticePredicate,
     SubspaceProjection,
     TableField,
+    UnsupportedConstructionError,
     commutator_with_projection,
     hat,
     identity,
@@ -114,6 +117,22 @@ def test_from_operator_accepts_band_idempotent(z1):
     A = laplacian_stencil(z1)
     H = hat(A, proj)
     assert commutator_with_projection(H, proj, window(z1, 8)) <= 1e-12
+
+
+def test_general_projection_carries_its_operators(z1):
+    # P and Q are the wrapped operator and I - P, read like an indicator's;
+    # the predicate-only methods refuse in one line
+    P_op = BandOperator(z1, {(0,): PeriodicField([1.0, 0.0])})
+    proj = SubspaceProjection.from_operator(z1, P_op, window(z1, 12))
+    w = window(z1, 6)
+    P = proj.P.block(w.points, w.points)
+    assert np.array_equal(P, P_op.block(w.points, w.points))
+    assert np.array_equal(P + proj.Q.block(w.points, w.points), np.eye(w.npoints))
+    assert np.array_equal(toeplitz(z1, ConstantField(2.0), proj).block(w.points, w.points),
+                          2 * P)
+    for call in (lambda: proj.membership(w), lambda: proj.rank_on(w), proj.to_descriptor):
+        with pytest.raises(UnsupportedConstructionError, match="general idempotent"):
+            call()
 
 
 def test_from_operator_rejects_non_idempotent(z1):
