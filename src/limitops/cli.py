@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -173,24 +174,263 @@ def full_schema():
     return {"schemaVersion": SCHEMA_VERSION, "config": CONFIG_SCHEMA, "tasks": TASK_SCHEMAS}
 
 
+def _schema(task):
+    """The config schema (``task`` None) or a task's schema."""
+    return CONFIG_SCHEMA if task is None else TASK_SCHEMAS[task]
+
+
 @functools.cache
 def _validator(task):
-    """Validator for the config schema (``task`` None) or a task's schema. The
-    schemas are constants, so they are not meta-checked here but once, in
+    """jsonschema's validator for ``_schema(task)``, built only to word a
+    rejection (``_validate``). The schemas are constants, so they are not
+    meta-checked here but once, in
     ``tests/test_cli.py::test_print_schema_is_valid_jsonschema``."""
     from jsonschema.validators import validator_for
 
-    schema = CONFIG_SCHEMA if task is None else TASK_SCHEMAS[task]
+    schema = _schema(task)
     return validator_for(schema)(schema)
 
 
+@functools.cache
+def _accepts(task):
+    """The compiled accept check of ``_schema(task)`` (``_compile``), or None
+    when the compiler refuses that schema."""
+    return _compile(_schema(task))
+
+
 def _validate(instance, task):
-    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
+    """Return when ``_accepts(task)`` says ``instance`` is valid; otherwise
+    raise the error ``jsonschema.validate`` would raise for it, if any. So
+    jsonschema is imported only to word a rejection, or for a schema the
+    compiler refused."""
+    check = _accepts(task)
+    if check is not None and check(instance):
+        return
     from jsonschema.exceptions import best_match
 
     error = best_match(_validator(task).iter_errors(instance))
     if error is not None:
         raise error
+
+
+# -- the accept check ----------------------------------------------------------------
+#
+# One-way, like the window certificates: "valid" from a compiled check implies
+# that jsonschema (draft 2020-12) accepts the instance; "invalid" only sends it
+# to jsonschema, which words the rejection. So a check may be stricter than
+# jsonschema, never looser: a number that is not a plain int or float fails.
+
+_DIALECT = "https://json-schema.org/draft/2020-12/schema"
+_REF = re.compile(r"#/\$defs/(\w+)")
+
+
+class _Refused(Exception):
+    """A keyword or value the accept check does not compile."""
+
+
+def _plain_number(x):
+    return type(x) is int or type(x) is float
+
+
+# draft 2020-12 types: 1.0 is an integer, True is neither number nor integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "number": _plain_number,
+    "integer": lambda x: type(x) is int or (type(x) is float and x.is_integer()),
+}
+
+
+def _every(checks):
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        for c in checks:
+            if not c(x):
+                return False
+        return True
+
+    return check
+
+
+def _object_check(props, required, closed, patterns):
+    """properties, required, additionalProperties and patternProperties; like
+    jsonschema, they pass anything that is not an object. A key outside
+    ``props`` is an extra unless one of the patterns finds it (``re.search``);
+    a key that is not a string fails whenever patterns are in play."""
+    items = tuple(props.items())
+    names = frozenset(props)
+    joined = re.compile("|".join(p for p, _ in patterns)) if patterns else None
+    patterns = tuple((re.compile(p), sub) for p, sub in patterns)
+
+    def check(x):
+        if not isinstance(x, dict):
+            return True
+        for key in required:
+            if key not in x:
+                return False
+        if closed and not x.keys() <= names:
+            if joined is None:
+                return False
+            for key in x.keys() - names:
+                if not isinstance(key, str) or not joined.search(key):
+                    return False
+        for key, sub in items:
+            if key in x and not sub(x[key]):
+                return False
+        for regex, sub in patterns:
+            for key, value in x.items():
+                if not isinstance(key, str) or (regex.search(key) and not sub(value)):
+                    return False
+        return True
+
+    return check
+
+
+def _array_check(item, low, high):
+    """items, minItems and maxItems; anything not an array passes."""
+    def check(x):
+        if not isinstance(x, list):
+            return True
+        if not low <= len(x) <= high:
+            return False
+        if item is not None:
+            for v in x:
+                if not item(v):
+                    return False
+        return True
+
+    return check
+
+
+def _bounds_check(low, high, above):
+    """minimum, maximum and exclusiveMinimum, compared on the Python values
+    (exact for int against float). Anything but a plain int or float fails,
+    where jsonschema would skip a non-number: the CLI schemas never bound a
+    value without typing it."""
+    def check(x):
+        return (_plain_number(x) and (low is None or x >= low)
+                and (high is None or x <= high) and (above is None or x > above))
+
+    return check
+
+
+def _one_of(subs):
+    def check(x):
+        found = False
+        for sub in subs:
+            if sub(x):
+                if found:
+                    return False
+                found = True
+        return found
+
+    return check
+
+
+def _strings(values):
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise _Refused("enum")
+    return frozenset(values)
+
+
+def _count(schema, key, default):
+    if key not in schema:
+        return default
+    if type(schema[key]) is not int or schema[key] < 0:
+        raise _Refused(key)
+    return schema[key]
+
+
+def _bound(schema, key):
+    if key not in schema:
+        return None
+    if not _plain_number(schema[key]):
+        raise _Refused(key)
+    return schema[key]
+
+
+_KEYWORDS = frozenset({
+    "$schema", "$ref", "type", "properties", "required", "additionalProperties",
+    "patternProperties", "items", "minItems", "maxItems", "minimum", "maximum",
+    "exclusiveMinimum", "enum", "const", "oneOf",
+})
+_ROOT_KEYWORDS = _KEYWORDS | {"$defs"}
+
+
+def _compile(schema):
+    """A predicate ``instance -> bool`` for ``schema``: True only where
+    jsonschema accepts the instance. None when the schema holds a keyword or
+    value not covered here (a non-string ``enum`` or ``const``, a
+    non-boolean ``additionalProperties``, a ``$ref`` outside the root's
+    ``$defs``, another dialect, ...). A ``$ref`` is compiled once, and calls
+    its target through ``table``, so recursive families work."""
+    defs = schema.get("$defs", {}) if isinstance(schema, dict) else None
+    if not isinstance(defs, dict):
+        return None
+    table = {}
+
+    def ref(target):
+        match = _REF.fullmatch(target) if isinstance(target, str) else None
+        if match is None or match[1] not in defs:
+            raise _Refused("$ref")
+        name = match[1]
+        if name not in table:
+            table[name] = None  # under way: a recursive $ref finds it at call time
+            table[name] = walk(defs[name])
+        return table[name] or (lambda x: table[name](x))
+
+    def walk(node, root=False):
+        if not isinstance(node, dict) or not node.keys() <= (
+                _ROOT_KEYWORDS if root else _KEYWORDS):
+            raise _Refused(node)
+        if node.get("$schema", _DIALECT) != _DIALECT:
+            raise _Refused("$schema")
+        checks = []
+        if "$ref" in node:
+            checks.append(ref(node["$ref"]))
+        if "type" in node:
+            if not isinstance(node["type"], str) or node["type"] not in _TYPES:
+                raise _Refused("type")
+            checks.append(_TYPES[node["type"]])
+        if "enum" in node:
+            values = _strings(node["enum"])
+            checks.append(lambda x: isinstance(x, str) and x in values)
+        if "const" in node:
+            value = _strings([node["const"]])
+            checks.append(lambda x: isinstance(x, str) and x in value)
+        if node.keys() & {"minimum", "maximum", "exclusiveMinimum"}:
+            checks.append(_bounds_check(_bound(node, "minimum"), _bound(node, "maximum"),
+                                        _bound(node, "exclusiveMinimum")))
+        if node.keys() & {"items", "minItems", "maxItems"}:
+            item = walk(node["items"]) if "items" in node else None
+            checks.append(_array_check(item, _count(node, "minItems", 0),
+                                       _count(node, "maxItems", math.inf)))
+        if node.keys() & {"properties", "required", "additionalProperties",
+                          "patternProperties"}:
+            props, required = node.get("properties", {}), node.get("required", [])
+            patterns, closed = node.get("patternProperties", {}), node.get(
+                "additionalProperties", True)
+            if not (isinstance(props, dict) and isinstance(patterns, dict)
+                    and isinstance(required, list) and isinstance(closed, bool)
+                    and all(isinstance(k, str) for k in [*required, *patterns])):
+                raise _Refused("object")
+            checks.append(_object_check(
+                {k: walk(v) for k, v in props.items()}, tuple(required), not closed,
+                [(p, walk(s)) for p, s in patterns.items()]))
+        if "oneOf" in node:
+            if not isinstance(node["oneOf"], list):
+                raise _Refused("oneOf")
+            checks.append(_one_of(tuple(map(walk, node["oneOf"]))))
+        return _every(checks)
+
+    try:
+        return walk(schema, root=True)
+    except (_Refused, re.error):
+        return None
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -618,8 +858,12 @@ def build_parser():
     return ap
 
 
+# parse_args keeps no state between calls, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.print_schema:
         sys.stdout.write(_dumps(full_schema()) + "\n")
         return 0

@@ -614,7 +614,10 @@ class _GenericShifted(_Wrapper):
         return self.base.eval(space, space.translate(pts, self.offset))
 
     def shifted(self, space, v):
-        total = tuple(space.translate(self.offset, _normalize_shift(space, v)).tolist())
+        v = _wrapped_shift(space, tuple(v))
+        if not any(v):
+            return self
+        total = tuple(space.translate(self.offset, v).tolist())
         if all(c == 0 for c in total):
             return self.base
         return _GenericShifted(self.base, total)

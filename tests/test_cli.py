@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
@@ -338,6 +339,23 @@ def test_help_exits_0(capsys, argv):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: limitops") and "--config" in out
+
+
+def test_one_parser_serves_independent_calls(tmp_path, capsys):
+    # main builds its parser once per process; no option of one call may
+    # reach the next
+    cfg = write_cfg(tmp_path, {"space": Z1, "task": {"rMax": 2}})
+    csv = tmp_path / "profile.csv"
+    assert main(["geometry", "--config", cfg, "--seed", "5", "--format", "csv",
+                 "--out", str(csv)]) == 0
+    code, out, _ = run(["geometry", "--config", cfg], capsys)
+    assert code == 0
+    assert json.loads(out)["resolved"]["seed"] == 0
+    assert csv.read_text() == "r,count\n1,3\n2,5\n"
+    code, out, _ = run(["--print-schema"], capsys)
+    assert (code, json.loads(out)) == (0, json.loads(_dumps(full_schema())))
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_usage_error_exit_code_of_the_process():
@@ -937,6 +955,44 @@ def test_essential_spectrum_leaves_numpy_ma_unloaded(tmp_path):
                for cfg in calls)
 
 
+_PROJECTED_CFG = {"space": Z1, "operator": PERIODIC_OP,
+                  "projection": {"predicate": {"type": "halfspace", "normal": [1],
+                                               "threshold": 0}},
+                  "sequences": [{"v": [2], "label": "even"}], "task": {"schedule": [4, 8]}}
+
+
+def test_valid_configs_leave_jsonschema_unloaded(tmp_path):
+    """The compiled check accepts a valid config of every subcommand without
+    importing jsonschema; a rejection imports it and words the line that
+    test_rejection_message_is_the_best_match pins."""
+    jobs = [*_LEAN_JOBS, ("bdo-diagnostic", _BDO_CFG),
+            ("limits", {**LAPLACIAN_Z1, "task": {"radii": [3, 6]}}),
+            ("compactness", {**LAPLACIAN_Z1, "task": {"radii": [3, 6]}}),
+            ("fredholm", _FREDHOLM_CFG), ("essential-spectrum", NU_GRID_CFG),
+            ("ess-norm", _PROJECTED_CFG)]
+    assert sorted(task for task, _ in jobs) == sorted(cli.TASKS)
+    calls = [(task, write_cfg(tmp_path, cfg, f"{i}.json"), str(tmp_path / f"{i}.out"))
+             for i, (task, cfg) in enumerate(jobs)]
+    rejected = write_cfg(tmp_path, {"space": {"kind": "lattice", "dim": 0},
+                                    "sequences": [{"v": "x"}]}, "rejected.json")
+    steps = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from limitops.cli import main\n"
+        "steps = []\n"
+        "for task, cfg, out in json.loads(sys.argv[1]):\n"
+        "    steps.append([task, main([task, '--config', cfg, '--out', out]),\n"
+        "                  'jsonschema' in sys.modules])\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = main(['geometry', '--config', sys.argv[2]])\n"
+        "steps.append([code, err.getvalue(), 'jsonschema' in sys.modules])\n"
+        "print(json.dumps(steps))\n",
+        json.dumps(calls), rejected)
+    assert steps[:-1] == [[task, 0, False] for task, _ in jobs]
+    assert steps[-1] == [1, "config rejected at space/dim: 0 is less than the minimum of 1\n",
+                         True]
+
+
 def test_scipy_linalg_reuses_the_loaded_lapack_module():
     """Concurrent first calls load one module, and a later import of
     scipy.linalg re-exports its routines rather than loading a second copy."""
@@ -1201,3 +1257,219 @@ def test_writer_rejects_what_json_rejects():
             json.dumps(_plain(obj))
         with pytest.raises(TypeError):
             _dumps(obj)
+
+
+# -- the accept check -------------------------------------------------------------
+
+
+def _perfbench_jobs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [job.config for seed in range(1, 11) for workload in module.WORKLOADS
+            for job in module.jobs_for(workload, seed)]
+
+
+def _configs_here(node):
+    """Every config (a dict with a "space" object) this module holds at top
+    level or inside a list or tuple."""
+    if isinstance(node, dict) and isinstance(node.get("space"), dict):
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _configs_here(item)
+
+
+# (schema kind, instance): "config" is checked against the config schema,
+# "task" against all nine task schemas
+_CONFIGS = [json.loads(json.dumps(cfg)) for cfg in
+            [*_configs_here(list(globals().values())), *_perfbench_jobs()]]
+_BASES = [("config", cfg) for cfg in _CONFIGS] + [
+    ("task", block) for block in [*(cfg["task"] for cfg in _CONFIGS if "task" in cfg),
+                                  *json.loads(json.dumps(list(cli.TASK_DEFAULTS.values())))]]
+# two branches of this oneOf take every integer: a oneOf needs exactly one
+_OVERLAP = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+
+
+def _names(node):
+    """Every property name and string constant of a schema."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "properties":
+                yield from value
+            elif key in ("const", "enum"):
+                yield from value if isinstance(value, list) else [value]
+            yield from _names(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _names(item)
+
+
+_WORDS = sorted(set(_names(full_schema())))
+_KEYS = st.sampled_from([*_WORDS, "bogus", "1", "-2", "1\n", "a1", "01", ""])
+_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 9, 10, 1.0, 0.5, -0.0, 1e300, -1e300, True, False, None,
+                     "", "x", [], [1], [1.0], [0, 0], [1, 2, 3, 4], [1, 2, 3, 4, 5],
+                     [0] * 11, {}, {"re": 1.0},
+                     {"re": 1, "im": True}, {"kind": "laplacian"},
+                     {"type": "constant", "value": 1}]),
+    st.sampled_from(_WORDS))
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(draw, doc):
+    """``doc`` with one node, drawn at random, replaced, nudged or reshaped."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    ops = ["replace"]
+    if type(node) in (int, float):
+        ops += ["float", "int", "up", "down", "negate"]
+    if isinstance(node, dict):
+        ops += ["add", "drop"] if node else ["add"]
+    if isinstance(node, list) and node:
+        ops += ["drop", "repeat", "empty"]
+    op = draw(st.sampled_from(ops))
+    # drawn values are copied: the sampled ones are shared between examples
+    if op == "replace":
+        new = copy.deepcopy(draw(_VALUES))
+    elif op == "float":
+        new = float(node)
+    elif op == "int":
+        new = int(node) if math.isfinite(node) else node
+    elif op in ("up", "down", "negate"):
+        new = {"up": node + 1, "down": node - 1, "negate": -node}[op]
+    elif op == "add":
+        new = {**node, draw(_KEYS): copy.deepcopy(draw(_VALUES))}
+    elif op == "drop":
+        key = draw(st.sampled_from(list(node.keys()) if isinstance(node, dict)
+                                   else range(len(node))))
+        new = copy.copy(node)
+        del new[key]
+    elif op == "repeat":
+        new = node + node[-1:]
+    else:
+        new = []
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+@st.composite
+def _mutants(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return "overlap", copy.deepcopy(draw(_VALUES))
+    kind, doc = draw(st.sampled_from(_BASES))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        doc = _mutate(draw, doc)
+    return kind, doc
+
+
+def _pairs(kind):
+    """(compiled check, jsonschema validator) for each schema of ``kind``."""
+    if kind == "overlap":
+        return [(cli._compile(_OVERLAP), validator_for(_OVERLAP)(_OVERLAP))]
+    tasks = [None] if kind == "config" else cli.TASKS
+    return [(cli._accepts(task), cli._validator(task)) for task in tasks]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_mutants())
+# 1.0 and 1e300 are integers in draft 2020-12, True is not one, and a
+# maximum still applies to 1e300
+@example(("config", {"space": {"dim": 1.0}}))
+@example(("config", {"space": {"dim": True}}))
+@example(("config", {"space": {"dim": 1e300}}))
+@example(("config", {"space": {"dim": 1, "fiber": 1e300}}))
+@example(("task", {"rMax": 1.0, "probeRadius": 0.0}))
+@example(("task", {"rMax": True}))
+@example(("task", {"budget": 1e300, "radii": [1e300, 2]}))
+@example(("task", {"tol": 0, "p": 1}))
+# one item past maxItems
+@example(("config", {"space": {"dim": 1, "basepoint": [0] * 11}}))
+@example(("task", {"zBox": [-1, 1, -1, 1, 0]}))
+# a value two oneOf branches take
+@example(("overlap", 1))
+@example(("overlap", 1.0))
+@example(("overlap", 0.5))
+# adjacency keys must match ^-?[0-9]+$ by re.search, which lets "$" match
+# before a trailing newline
+@example(("config", {"space": {"kind": "graph", "adjacency": {"a1": [1]}}}))
+@example(("config", {"space": {"kind": "graph", "adjacency": {"1\n": [1]}}}))
+# an extra key where additionalProperties is false
+@example(("config", {"space": {"dim": 1, "bogus": 1}}))
+@example(("config", {"space": Z1, "operator": {"kind": "laplacian", "v": [1]}}))
+@example(("task", {"rMax": 2, "bogus": 1}))
+def test_the_accept_check_is_sound(case):
+    # the contract is one way: accepted means jsonschema accepts; on JSON
+    # values the check is also exact, so no valid config pays for jsonschema
+    kind, instance = case
+    for accepts, validator in _pairs(kind):
+        accepted, valid = accepts(instance), validator.is_valid(instance)
+        assert valid or not accepted, instance
+        assert accepted == valid, instance
+
+
+def test_every_schema_compiles_and_every_valid_config_takes_the_fast_path(monkeypatch):
+    assert all(cli._accepts(task) is not None for task in (None, *cli.TASKS))
+    # each base instance, with the schemas jsonschema accepts it under
+    cases = [(doc, [task for task in ([None] if kind == "config" else cli.TASKS)
+                    if cli._validator(task).is_valid(doc)]) for kind, doc in _BASES]
+    assert len(cases) > 250 and all(tasks for _, tasks in cases)
+
+    def no_jsonschema(task):
+        raise AssertionError("a valid config reached jsonschema")
+
+    monkeypatch.setattr(cli, "_validator", no_jsonschema)
+    for doc, tasks in cases:
+        for task in tasks:
+            cli._validate(doc, task)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "x"},
+    {"enum": ["a", 1]},
+    {"const": 0},
+    {"type": "object", "additionalProperties": {"type": "string"}},
+    {"$ref": "#/$defs/missing", "$defs": {}},
+    {"$ref": "https://example.com/schema"},
+    {"$schema": "http://json-schema.org/draft-04/schema#", "type": "integer"},
+    {"type": ["string", "null"]},
+    {"type": "boolean"},
+    {"type": "object", "properties": {"a": True}},
+    {"type": "array", "items": {"type": "string", "format": "date"}},
+    {"$defs": []},
+])
+def test_unknown_keywords_and_values_are_refused(schema):
+    assert cli._compile(schema) is None
+
+
+def test_a_refused_schema_is_left_to_jsonschema():
+    schema = {"type": "string", "pattern": "x"}
+    kept = cli.TASK_SCHEMAS["geometry"]
+    cli.TASK_SCHEMAS["geometry"] = schema
+    cli._accepts.cache_clear()
+    cli._validator.cache_clear()
+    try:
+        assert cli._accepts("geometry") is None
+        cli._validate("xy", "geometry")
+        with pytest.raises(jsonschema.ValidationError, match="'y' does not match 'x'"):
+            cli._validate("y", "geometry")
+    finally:
+        cli.TASK_SCHEMAS["geometry"] = kept
+        cli._accepts.cache_clear()
+        cli._validator.cache_clear()

@@ -449,6 +449,24 @@ def test_expression_predicate_shifts_wrap_the_fiber_offset():
     assert again.test(f3, pts).tolist() == down.test(f3, pts).tolist()
 
 
+@pytest.mark.parametrize("zero", [(0, 0), (0,), (0, 3), (0, -6)])
+def test_a_zero_shift_keeps_a_shifted_field_as_written(zero):
+    # a zero shift once rewrapped the stored offset: [0, -1] came back as
+    # [0, 2], the same field under another descriptor
+    f3 = Space(kind="lattice", dim=1, fiber=3)
+    desc = {"type": "shifted", "offset": [0, -1], "base": {"type": "expression", "source": "n2"}}
+    f = field_from_descriptor(desc)
+    assert f.shifted(f3, zero) is f
+    assert f.shifted(f3, zero).to_descriptor() == desc
+    assert field_from_descriptor(f.shifted(f3, zero).to_descriptor()).to_descriptor() == desc
+    # a nonzero shift still adds and wraps, and one that cancels the offset
+    # gives the base
+    assert f.shifted(f3, (0, 2)).to_descriptor()["offset"] == [0, 1]
+    assert f.shifted(f3, (0, 1)).to_descriptor() == desc["base"]
+    with pytest.raises(InvalidConfigError, match="integer entries"):
+        f.shifted(f3, (0, 0.5))
+
+
 @pytest.mark.parametrize("offset", [(0.9,), (-0.5,), (np.nan,), (np.inf,), ("1",)])
 def test_non_integer_offsets_are_refused(z1, offset):
     # an offset is never truncated: 0.9 once tested like offset 0
