@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from operator import ge, gt, le
 
 import numpy as np
 
@@ -191,20 +192,12 @@ def _validator(task):
     return validator_for(schema)(schema)
 
 
-@functools.cache
-def _accepts(task):
-    """The compiled accept check of ``_schema(task)`` (``_compile``), or None
-    when the compiler refuses that schema."""
-    return _compile(_schema(task))
-
-
 def _validate(instance, task):
-    """Return when ``_accepts(task)`` says ``instance`` is valid; otherwise
-    raise the error ``jsonschema.validate`` would raise for it, if any. So
-    jsonschema is imported only to word a rejection, or for a schema the
-    compiler refused."""
-    check = _accepts(task)
-    if check is not None and check(instance):
+    """Return when ``_accepts`` says ``instance`` is valid; otherwise raise
+    the error ``jsonschema.validate`` would raise for it, if any. So a valid
+    run never imports jsonschema."""
+    schema = _schema(task)
+    if _accepts(schema, instance, schema.get("$defs", {})):
         return
     from jsonschema.exceptions import best_match
 
@@ -215,22 +208,13 @@ def _validate(instance, task):
 
 # -- the accept check ----------------------------------------------------------------
 #
-# One-way, like the window certificates: "valid" from a compiled check implies
-# that jsonschema (draft 2020-12) accepts the instance; "invalid" only sends it
-# to jsonschema, which words the rejection. So a check may be stricter than
-# jsonschema, never looser: a number that is not a plain int or float fails.
+# One-way, like the window certificates: True from the walker implies that
+# jsonschema (draft 2020-12) accepts the instance; False only sends it to
+# jsonschema, which words the rejection. So the walker may be stricter than
+# jsonschema, never looser. It reads exactly the keywords the CLI schemas use,
+# and on those schemas and JSON values it is exact.
 
 _DIALECT = "https://json-schema.org/draft/2020-12/schema"
-_REF = re.compile(r"#/\$defs/(\w+)")
-
-
-class _Refused(Exception):
-    """A keyword or value the accept check does not compile."""
-
-
-def _plain_number(x):
-    return type(x) is int or type(x) is float
-
 
 # draft 2020-12 types: 1.0 is an integer, True is neither number nor integer
 _TYPES = {
@@ -238,199 +222,95 @@ _TYPES = {
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
     "null": lambda x: x is None,
-    "number": _plain_number,
+    "number": lambda x: type(x) is int or type(x) is float,
     "integer": lambda x: type(x) is int or (type(x) is float and x.is_integer()),
 }
+# a bound fails a non-number, where jsonschema skips it: the CLI schemas never
+# bound a value without typing it
+_BOUNDS = {"minimum": ge, "maximum": le, "exclusiveMinimum": gt}
+_SIZES = {"minItems": ge, "maxItems": le}
 
 
-def _every(checks):
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(x):
-        for c in checks:
-            if not c(x):
-                return False
-        return True
-
-    return check
-
-
-def _object_check(props, required, closed, patterns):
-    """properties, required, additionalProperties and patternProperties; like
-    jsonschema, they pass anything that is not an object. A key outside
-    ``props`` is an extra unless one of the patterns finds it (``re.search``);
-    a key that is not a string fails whenever patterns are in play."""
-    items = tuple(props.items())
-    names = frozenset(props)
-    joined = re.compile("|".join(p for p, _ in patterns)) if patterns else None
-    patterns = tuple((re.compile(p), sub) for p, sub in patterns)
-
-    def check(x):
-        if not isinstance(x, dict):
-            return True
-        for key in required:
-            if key not in x:
-                return False
-        if closed and not x.keys() <= names:
-            if joined is None:
-                return False
-            for key in x.keys() - names:
-                if not isinstance(key, str) or not joined.search(key):
-                    return False
-        for key, sub in items:
-            if key in x and not sub(x[key]):
-                return False
-        for regex, sub in patterns:
-            for key, value in x.items():
-                if not isinstance(key, str) or (regex.search(key) and not sub(value)):
-                    return False
-        return True
-
-    return check
-
-
-def _array_check(item, low, high):
-    """items, minItems and maxItems; anything not an array passes."""
-    def check(x):
-        if not isinstance(x, list):
-            return True
-        if not low <= len(x) <= high:
-            return False
-        if item is not None:
-            for v in x:
-                if not item(v):
-                    return False
-        return True
-
-    return check
-
-
-def _bounds_check(low, high, above):
-    """minimum, maximum and exclusiveMinimum, compared on the Python values
-    (exact for int against float). Anything but a plain int or float fails,
-    where jsonschema would skip a non-number: the CLI schemas never bound a
-    value without typing it."""
-    def check(x):
-        return (_plain_number(x) and (low is None or x >= low)
-                and (high is None or x <= high) and (above is None or x > above))
-
-    return check
-
-
-def _one_of(subs):
-    def check(x):
-        found = False
-        for sub in subs:
-            if sub(x):
-                if found:
-                    return False
-                found = True
-        return found
-
-    return check
-
-
-def _strings(values):
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise _Refused("enum")
-    return frozenset(values)
-
-
-def _count(schema, key, default):
-    if key not in schema:
-        return default
-    if type(schema[key]) is not int or schema[key] < 0:
-        raise _Refused(key)
-    return schema[key]
-
-
-def _bound(schema, key):
-    if key not in schema:
-        return None
-    if not _plain_number(schema[key]):
-        raise _Refused(key)
-    return schema[key]
-
-
-_KEYWORDS = frozenset({
-    "$schema", "$ref", "type", "properties", "required", "additionalProperties",
-    "patternProperties", "items", "minItems", "maxItems", "minimum", "maximum",
-    "exclusiveMinimum", "enum", "const", "oneOf",
-})
-_ROOT_KEYWORDS = _KEYWORDS | {"$defs"}
-
-
-def _compile(schema):
-    """A predicate ``instance -> bool`` for ``schema``: True only where
-    jsonschema accepts the instance. None when the schema holds a keyword or
-    value not covered here (a non-string ``enum`` or ``const``, a
-    non-boolean ``additionalProperties``, a ``$ref`` outside the root's
-    ``$defs``, another dialect, ...). A ``$ref`` is compiled once, and calls
-    its target through ``table``, so recursive families work."""
-    defs = schema.get("$defs", {}) if isinstance(schema, dict) else None
-    if not isinstance(defs, dict):
-        return None
-    table = {}
-
-    def ref(target):
-        match = _REF.fullmatch(target) if isinstance(target, str) else None
-        if match is None or match[1] not in defs:
-            raise _Refused("$ref")
-        name = match[1]
-        if name not in table:
-            table[name] = None  # under way: a recursive $ref finds it at call time
-            table[name] = walk(defs[name])
-        return table[name] or (lambda x: table[name](x))
-
-    def walk(node, root=False):
-        if not isinstance(node, dict) or not node.keys() <= (
-                _ROOT_KEYWORDS if root else _KEYWORDS):
-            raise _Refused(node)
-        if node.get("$schema", _DIALECT) != _DIALECT:
-            raise _Refused("$schema")
-        checks = []
-        if "$ref" in node:
-            checks.append(ref(node["$ref"]))
-        if "type" in node:
-            if not isinstance(node["type"], str) or node["type"] not in _TYPES:
-                raise _Refused("type")
-            checks.append(_TYPES[node["type"]])
-        if "enum" in node:
-            values = _strings(node["enum"])
-            checks.append(lambda x: isinstance(x, str) and x in values)
-        if "const" in node:
-            value = _strings([node["const"]])
-            checks.append(lambda x: isinstance(x, str) and x in value)
-        if node.keys() & {"minimum", "maximum", "exclusiveMinimum"}:
-            checks.append(_bounds_check(_bound(node, "minimum"), _bound(node, "maximum"),
-                                        _bound(node, "exclusiveMinimum")))
-        if node.keys() & {"items", "minItems", "maxItems"}:
-            item = walk(node["items"]) if "items" in node else None
-            checks.append(_array_check(item, _count(node, "minItems", 0),
-                                       _count(node, "maxItems", math.inf)))
-        if node.keys() & {"properties", "required", "additionalProperties",
-                          "patternProperties"}:
-            props, required = node.get("properties", {}), node.get("required", [])
-            patterns, closed = node.get("patternProperties", {}), node.get(
-                "additionalProperties", True)
-            if not (isinstance(props, dict) and isinstance(patterns, dict)
-                    and isinstance(required, list) and isinstance(closed, bool)
-                    and all(isinstance(k, str) for k in [*required, *patterns])):
-                raise _Refused("object")
-            checks.append(_object_check(
-                {k: walk(v) for k, v in props.items()}, tuple(required), not closed,
-                [(p, walk(s)) for p, s in patterns.items()]))
-        if "oneOf" in node:
-            if not isinstance(node["oneOf"], list):
-                raise _Refused("oneOf")
-            checks.append(_one_of(tuple(map(walk, node["oneOf"]))))
-        return _every(checks)
-
+def _accepts(node, x, defs):
+    """True only where jsonschema accepts ``x`` under the schema ``node``,
+    whose ``$ref``s name entries of ``defs``. False where it rejects ``x``,
+    and wherever the walk meets a keyword or keyword value it does not read
+    (a ``pattern``, a non-boolean ``additionalProperties``, ...)."""
     try:
-        return walk(schema, root=True)
-    except (_Refused, re.error):
-        return None
+        return _walk(node, x, defs)
+    except (AttributeError, KeyError, TypeError, re.error):
+        return False
+
+
+def _walk(node, x, defs):
+    """``_accepts`` without the catch: an unread keyword or value raises, so
+    a ``oneOf`` branch the walker cannot decide leaves the whole instance to
+    jsonschema instead of counting as a miss."""
+    for key, value in node.items():
+        if key == "type":
+            if not _TYPES[value](x):
+                return False
+        elif key == "properties":
+            # in schema order, so a wrong oneOf branch fails at its tag
+            if isinstance(x, dict):
+                for name, sub in value.items():
+                    if name in x and not _walk(sub, x[name], defs):
+                        return False
+        elif key == "required":
+            if isinstance(x, dict):
+                for name in value:
+                    if name not in x:
+                        return False
+        elif key == "additionalProperties":
+            if type(value) is not bool:
+                raise TypeError(key)
+            if not value and isinstance(x, dict):
+                props, patterns = node.get("properties", {}), node.get("patternProperties", {})
+                for name in x:
+                    if name not in props and not any(re.search(p, name) for p in patterns):
+                        return False
+        elif key == "const":
+            if not (isinstance(x, str) and x == value):
+                return False
+        elif key == "items":
+            if isinstance(x, list):
+                for item in x:
+                    if not _walk(value, item, defs):
+                        return False
+        elif key in _SIZES:
+            if isinstance(x, list) and not _SIZES[key](len(x), value):
+                return False
+        elif key in _BOUNDS:
+            if not (_TYPES["number"](x) and _BOUNDS[key](x, value)):
+                return False
+        elif key == "$ref":
+            if value[:8] != "#/$defs/" or not value[8:].isidentifier():
+                raise KeyError(value)
+            if not _walk(defs[value[8:]], x, defs):
+                return False
+        elif key == "oneOf":
+            matches = 0
+            for sub in value:
+                matches += _walk(sub, x, defs)
+                if matches > 1:  # exactly one branch may match
+                    return False
+            if not matches:
+                return False
+        elif key == "enum":
+            if type(value) is not list:
+                raise TypeError(key)
+            if not (isinstance(x, str) and x in value):
+                return False
+        elif key == "patternProperties":
+            # re.search, as jsonschema: "$" also matches before a final "\n"
+            if isinstance(x, dict):
+                for pattern, sub in value.items():
+                    for name, item in x.items():
+                        if re.search(pattern, name) and not _walk(sub, item, defs):
+                            return False
+        elif key != "$defs" and (key != "$schema" or value != _DIALECT):
+            raise KeyError(key)  # another keyword, or another dialect
+    return True
 
 
 # -- helpers ---------------------------------------------------------------------

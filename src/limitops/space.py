@@ -278,12 +278,13 @@ class Space:
         return out
 
     def _bfs(self, x, radius=np.inf):
-        """Graph distance from node x to every node within radius, found
-        layer by layer."""
+        """Graph distance from node x to every node at distance <= radius,
+        found layer by layer; a fractional radius reaches its floor, as a
+        lattice ball does."""
         seen = {x: 0}
         frontier = [x]
         d = 0
-        while frontier and d < radius:
+        while frontier and d <= radius - 1:
             d += 1
             nxt = []
             for u in frontier:
@@ -343,7 +344,7 @@ class Space:
         for lo in range(0, a.shape[0], step):
             chunk = a[lo : lo + step]
             if self.kind == "graph":
-                balls = [self._bfs(x, np.floor(radius)) for x in chunk[:, 0].tolist()]
+                balls = [self._bfs(x, radius) for x in chunk[:, 0].tolist()]
                 i = np.repeat(np.arange(len(balls)), [len(s) for s in balls])
                 cand = np.fromiter(chain.from_iterable(balls), np.int64, i.size)[:, None]
                 d = np.fromiter(chain.from_iterable(s.values() for s in balls),
@@ -391,7 +392,7 @@ class Space:
     def ball_size(self, radius):
         """Cardinality of a closed ball (lattice spaces: center independent)."""
         if self.kind == "graph":
-            return max(len(self._graph_ball(u, radius)) for u in self.adjacency)
+            return max(len(self._bfs(u, radius)) for u in self.adjacency)
         return _lattice_ball_size(self, int(np.floor(radius)))
 
     # -- serialization -------------------------------------------------------
@@ -513,8 +514,9 @@ class Window:
     Points materialize lazily (in the deterministic breadth-first order), so a
     window can describe a large scope without ever enumerating it. They are
     distinct and read-only: one window, with its cached points and locator,
-    can serve every block of a scan. A lattice window is refused unless
-    center +- floor(radius) fits in int64 on every axis, so its points do.
+    can serve every block of a scan. A NaN radius is refused, and so is a
+    lattice window unless center +- floor(radius) fits in int64 on every
+    axis, so its points do.
     """
 
     space: Space
@@ -525,6 +527,8 @@ class Window:
 
     def __post_init__(self):
         self.center = self.space._check_point(self.center)
+        if np.isnan(self.radius):
+            raise InvalidConfigError("window radius must be a number, not nan")
         if self.radius < 0:
             raise InvalidConfigError("window radius must be >= 0")
         r = int(self.radius) if np.isfinite(self.radius) else 2 ** 64
@@ -588,7 +592,7 @@ def geometry_profile(space, r_max, probe):
         if space.kind == "lattice":
             n = space.ball_size(r)
         else:
-            n = max(len(space._graph_ball(int(p), r)) for p in probe.points.reshape(-1))
+            n = max(len(space._bfs(int(p), r)) for p in probe.points.reshape(-1))
         out.append((r, int(n)))
     return out
 

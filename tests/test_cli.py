@@ -1379,12 +1379,17 @@ def _mutants(draw):
     return kind, doc
 
 
+def _walker(schema):
+    return lambda x: cli._accepts(schema, x, schema.get("$defs", {}))
+
+
 def _pairs(kind):
-    """(compiled check, jsonschema validator) for each schema of ``kind``."""
+    """(the walker on a schema, its jsonschema validator) for each schema of
+    ``kind``."""
     if kind == "overlap":
-        return [(cli._compile(_OVERLAP), validator_for(_OVERLAP)(_OVERLAP))]
+        return [(_walker(_OVERLAP), validator_for(_OVERLAP)(_OVERLAP))]
     tasks = [None] if kind == "config" else cli.TASKS
-    return [(cli._accepts(task), cli._validator(task)) for task in tasks]
+    return [(_walker(cli._schema(task)), cli._validator(task)) for task in tasks]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -1399,6 +1404,9 @@ def _pairs(kind):
 @example(("task", {"rMax": True}))
 @example(("task", {"budget": 1e300, "radii": [1e300, 2]}))
 @example(("task", {"tol": 0, "p": 1}))
+# True is neither an integer nor a number, also where no bound refuses it
+@example(("config", {"space": {"dim": 1, "basepoint": [True]}}))
+@example(("task", {"zBox": [True, 1, -1, 1]}))
 # one item past maxItems
 @example(("config", {"space": {"dim": 1, "basepoint": [0] * 11}}))
 @example(("task", {"zBox": [-1, 1, -1, 1, 0]}))
@@ -1410,6 +1418,7 @@ def _pairs(kind):
 # before a trailing newline
 @example(("config", {"space": {"kind": "graph", "adjacency": {"a1": [1]}}}))
 @example(("config", {"space": {"kind": "graph", "adjacency": {"1\n": [1]}}}))
+@example(("config", {"space": {"kind": "graph", "adjacency": {"1\n": "x"}}}))
 # an extra key where additionalProperties is false
 @example(("config", {"space": {"dim": 1, "bogus": 1}}))
 @example(("config", {"space": Z1, "operator": {"kind": "laplacian", "v": [1]}}))
@@ -1424,8 +1433,7 @@ def test_the_accept_check_is_sound(case):
         assert accepted == valid, instance
 
 
-def test_every_schema_compiles_and_every_valid_config_takes_the_fast_path(monkeypatch):
-    assert all(cli._accepts(task) is not None for task in (None, *cli.TASKS))
+def test_every_valid_config_takes_the_fast_path(monkeypatch):
     # each base instance, with the schemas jsonschema accepts it under
     cases = [(doc, [task for task in ([None] if kind == "config" else cli.TASKS)
                     if cli._validator(task).is_valid(doc)]) for kind, doc in _BASES]
@@ -1440,36 +1448,56 @@ def test_every_schema_compiles_and_every_valid_config_takes_the_fast_path(monkey
             cli._validate(doc, task)
 
 
-@pytest.mark.parametrize("schema", [
-    {"type": "string", "pattern": "x"},
-    {"enum": ["a", 1]},
-    {"const": 0},
-    {"type": "object", "additionalProperties": {"type": "string"}},
-    {"$ref": "#/$defs/missing", "$defs": {}},
-    {"$ref": "https://example.com/schema"},
-    {"$schema": "http://json-schema.org/draft-04/schema#", "type": "integer"},
-    {"type": ["string", "null"]},
-    {"type": "boolean"},
-    {"type": "object", "properties": {"a": True}},
-    {"type": "array", "items": {"type": "string", "format": "date"}},
-    {"$defs": []},
-])
-def test_unknown_keywords_and_values_are_refused(schema):
-    assert cli._compile(schema) is None
+# each schema, with an instance jsonschema accepts that only the keyword or
+# value the walker does not read can decide
+_UNREAD = [
+    ({"type": "string", "pattern": "x"}, "xy"),
+    ({"enum": ["a", 1]}, 1),
+    ({"const": 0}, 0),
+    ({"type": "object", "additionalProperties": {"type": "string"}}, {"a": "b"}),
+    ({"$ref": "#/$defs/missing", "$defs": {}}, 1),
+    ({"$ref": "https://example.com/schema"}, 1),
+    ({"$schema": "http://json-schema.org/draft-04/schema#", "type": "integer"}, 1),
+    ({"type": ["string", "null"]}, "a"),
+    ({"type": "boolean"}, True),
+    ({"type": "object", "properties": {"a": True}}, {"a": 1}),
+    ({"type": "array", "items": {"type": "string", "format": "date"}}, ["x"]),
+    # no $ref reads these $defs, so nothing is left to decide
+    ({"$defs": []}, None),
+    # a branch the walker cannot decide must not count as a miss: "xy" takes
+    # both branches
+    ({"oneOf": [{"type": "string", "pattern": "x"}, {"type": "string"}]}, "y"),
+]
+# instances the walker must not accept where jsonschema rejects them
+_PROBES = [None, True, False, 0, 1, 1.0, 0.5, "", "a", "x", "xy", "y", [], ["x"], [1],
+           {}, {"a": 1}, {"a": "b"}]
+
+
+@pytest.mark.parametrize("schema, unread", _UNREAD,
+                         ids=[f"schema{i}" for i in range(len(_UNREAD))])
+def test_unknown_keywords_and_values_are_refused(schema, unread):
+    accepts = _walker(schema)
+    if "$ref" in schema:
+        # jsonschema cannot resolve this $ref here (and would try to fetch the
+        # remote one), so the walker must accept nothing
+        assert not any(map(accepts, [*_PROBES, unread]))
+        return
+    validator = validator_for(schema)(schema)
+    assert validator.is_valid(unread)
+    assert accepts(unread) is (schema == {"$defs": []})
+    for x in _PROBES:
+        assert validator.is_valid(x) or not accepts(x), x
 
 
 def test_a_refused_schema_is_left_to_jsonschema():
     schema = {"type": "string", "pattern": "x"}
     kept = cli.TASK_SCHEMAS["geometry"]
     cli.TASK_SCHEMAS["geometry"] = schema
-    cli._accepts.cache_clear()
     cli._validator.cache_clear()
     try:
-        assert cli._accepts("geometry") is None
         cli._validate("xy", "geometry")
         with pytest.raises(jsonschema.ValidationError, match="'y' does not match 'x'"):
             cli._validate("y", "geometry")
     finally:
         cli.TASK_SCHEMAS["geometry"] = kept
-        cli._accepts.cache_clear()
         cli._validator.cache_clear()

@@ -97,6 +97,23 @@ def test_graph_space_bfs_distance():
         two.dist(0, 2)
 
 
+def test_a_fractional_graph_radius_reaches_its_floor():
+    # the path 0-1-2-3-4-5: a ball of radius 2.5 is the ball of radius 2, as
+    # on a lattice, and every window point is one the window contains
+    g = Space(kind="graph", adjacency={i: [j for j in (i - 1, i + 1) if 0 <= j <= 5]
+                                       for i in range(6)}, basepoint=0)
+    w = Window(g, 0, 2.5)
+    assert w.points.reshape(-1).tolist() == [0, 1, 2]
+    assert [w.contains(p) for p in range(6)] == [True] * 3 + [False] * 3
+    assert g.ball_size(2.5) == g.ball_size(2) == 5
+    assert geometry_profile(g, 2, w) == [(1, 3), (2, 5)]
+    z1 = Space(kind="lattice", dim=1)
+    assert Window(z1, (0,), 2.5).npoints == Window(z1, (0,), 2).npoints == 5
+    for space, center in ((g, 0), (z1, (0,))):
+        with pytest.raises(InvalidConfigError, match="not nan"):
+            Window(space, center, float("nan"))
+
+
 def test_graph_points_must_be_nodes():
     # a point that is not a node is named in either argument of dist_block,
     # and in an int64 array that as_array would otherwise pass through
