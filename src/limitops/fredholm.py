@@ -30,7 +30,7 @@ from .operator import (
     _window_upper,
     window_norm,
 )
-from .shifts import DivergenceReport, limit_operator
+from .shifts import DivergenceReport, _check_tolerance, limit_operator
 from .space import Window, basepoint_windows
 from .subspace import hat
 
@@ -521,7 +521,9 @@ def _extract_limits(A, proj, sequences, what, radii, tol, budget, p=2):
 def compactness_test(A, sequences, radii=(5, 10, 20), tol=1e-9, budget=2 ** 20,
                      p=2):
     """Compact-consistency: every declared limit operator must vanish in
-    window norm on every certified radius."""
+    window norm on every certified radius. A tol that is nan or negative
+    is refused."""
+    _check_tolerance(tol)
     limits, divergences = _extract_limits(A, None, sequences, "compactness test", radii,
                                           min(tol, 1e-9), budget, p)
     window = basepoint_windows(A.space)

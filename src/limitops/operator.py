@@ -4,16 +4,18 @@ A band operator keeps a stencil: a finite map offset -> coefficient field,
 encoding the kernel a(u, u + k) = c_k(u). Sums, products, adjoints, scalar
 shifts and indicator restrictions all stay in this class, with propagation
 tracked structurally (exact for sums/adjoints, upper bound for products).
-Window blocks are assembled densely. ``window_norm`` values every block
-norm, the restricted and localised norms included. Each p = 2 valuation has
-one owner, which ``window_norm``, ``fredholm.lower_norm_window`` and
-``commutator_stack_norm`` call: ``_diagonal`` (a multiplication operator's
-diagonal), ``_gram_eig`` (a Gram band's eigenvalue) and ``_singular`` (one
-dense SVD), in float64 when there is no imaginary part. Other exponents get
-certified intervals (sampled lower bound, row/column interpolation upper
-bound). Localisation balls, for ``localized_norm`` and
-``fredholm.lower_norm_localized``, come from one ``pairs_within`` call
-(``_localization_balls``).
+Window blocks are assembled densely; one whose columns cover its rows'
+stencil is first decided from its coefficient values (above a floor, or
+all zero) and formed only to be valued. ``window_norm`` values every
+block norm, the restricted and localised norms included. Each p = 2
+valuation has one owner, which ``window_norm``,
+``fredholm.lower_norm_window`` and ``commutator_stack_norm`` call:
+``_diagonal`` (a multiplication operator's diagonal), ``_gram_eig`` (a Gram
+band's eigenvalue) and ``_singular`` (one dense SVD), in float64 when
+there is no imaginary part. Other exponents get certified intervals
+(sampled lower bound, row/column interpolation upper bound). Localisation
+balls, for ``localized_norm`` and ``fredholm.lower_norm_localized``, come
+from one ``pairs_within`` call (``_localization_balls``).
 """
 
 import warnings
@@ -334,24 +336,52 @@ def window_norm(A, rows, cols, p=2):
     repeated points take a dense SVD (``_singular``), in float64 when the
     block has no imaginary part.
     Other p in (1, inf): certified interval (lower, upper).
+    An all-zero block is exactly 0 at every p; where the columns cover the
+    rows' stencil it is found from the coefficient values, unformed.
     A non-finite coefficient in the block raises InvalidConfigError
     (``_coefficient_values``).
     """
     return _window_value(A, rows, cols, p)
 
 
+def _covers(A, rows, cols):
+    """Whether every stencil entry of every row lands in the columns: two
+    lattice windows about one centre with floor(cols.radius) >=
+    floor(rows.radius) + the propagation. Distances are integers, so
+    d(c, u + k) <= floor(rows.radius) + |k| for each row u and offset k."""
+    return (A.space.kind == "lattice" and isinstance(rows, Window)
+            and isinstance(cols, Window) and rows.center == cols.center
+            and int(cols.radius) >= int(rows.radius) + A.propagation)
+
+
 def _window_value(A, rows, cols, p, floor=None):
-    """``window_norm``'s routing. With a floor, a formed block holding an
-    entry of modulus above 2 * floor is not valued and gives None: its norm
-    is at least that entry at every p (sigma_max, and the upper end
+    """``window_norm``'s routing. With a floor, a block holding an entry of
+    modulus above 2 * floor is not valued and gives None: its norm is at
+    least that entry at every p (sigma_max, and the upper end
     col1^(1/p) * row1^(1 - 1/p) of the p != 2 interval), and the factor 2
     covers the SVD's backward error, so its value could not read <= floor.
-    The block is formed either way, so a non-finite coefficient raises
-    whether or not it is valued."""
+
+    Where the columns cover the rows' stencil (``_covers``), the block's
+    nonzero entries are exactly the coefficient values c_k(u), u in rows,
+    one per (u, k), so the entries are decided from those values without
+    forming the block: None above the floor, exactly 0.0 ((0.0, 0.0) at
+    p != 2) when every value is 0, and the block is formed only to be
+    valued. Elsewhere the block is formed first. The coefficients are
+    evaluated in stencil order either way, so a non-finite one raises
+    whether or not the block is valued."""
     if p == 2 and A.propagation == 0 and A.space.kind == "lattice":
         diag = _diagonal(A, rows, cols)
         if diag is not None:
             return float(diag.max(initial=0.0))
+    if _covers(A, rows, cols):
+        # BandOperator.__init__ wraps and merges the offsets, so they are
+        # distinct and each block entry holds one value, 0 + c_k(u)
+        top = max((float(np.abs(_coefficient_values(A.space, k, f, rows.points)).max())
+                   for k, f in A.stencil.items()), default=0.0)
+        if floor is not None and top > 2 * floor:
+            return None
+        if top == 0:
+            return 0.0 if p == 2 else (0.0, 0.0)
     M = A.block(rows, cols)
     if floor is not None and M.size and np.abs(M).max() > 2 * floor:
         return None

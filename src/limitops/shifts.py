@@ -324,17 +324,28 @@ def _schedule(budget):
 
 def _gap(A, diff, rows, cols, p, *shifts, floor=None):
     """``_window_upper`` of a difference of conjugates of A; None for a gap
-    that cannot read <= floor. A non-finite coefficient is named at the
-    user's points: A's own block on the gap windows moved by each of
-    ``shifts`` in turn raises at the first that holds it."""
+    that cannot read <= floor. The gap windows cover A's stencil, so the
+    gap is decided from coefficient values and a block is formed only to
+    be valued. A non-finite coefficient is named at the user's points: A's
+    own coefficients on the gap rows moved by each of ``shifts`` in turn,
+    in stencil order, raise at the first that holds it, as A's block on
+    the moved windows would."""
     try:
         return _window_upper(diff, rows, cols, p, floor)
     except InvalidConfigError:
         space = A.space
         for x in shifts:
-            x = _normalize_shift(space, x)
-            A.block(space.translate(rows.points, x), space.translate(cols.points, x))
+            moved = space.translate(rows.points, _normalize_shift(space, x))
+            for k, f in A.stencil.items():
+                _coefficient_values(space, k, f, moved)
         raise
+
+
+def _check_tolerance(tol):
+    """Refuse a tolerance that is nan or negative, which no gap can meet,
+    rather than clamp it."""
+    if not tol >= 0:
+        raise InvalidConfigError(f"tolerance {tol} must be a number >= 0")
 
 
 def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
@@ -348,11 +359,16 @@ def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):
     A gap whose block holds an entry above twice the settle threshold cannot
     settle, so it takes no SVD; it is valued only where the result reads it:
     the skipped steps of a radius that never settles, in index order, and
-    the last step's gaps of a divergence report.
+    the last step's gaps of a divergence report. The gap windows cover the
+    stencil, so a gap is decided from its coefficient values: its dense
+    block is formed only where it is valued, and an all-zero gap is
+    exactly 0.0 without one.
     A non-finite coefficient of A raises InvalidConfigError naming it at
     the user's point: on the smallest gap windows before the scan, and in a
-    later gap with u and v moved out of the conjugate's frame.
+    later gap with u and v moved out of the conjugate's frame. A tol that
+    is nan or negative is refused.
     """
+    _check_tolerance(tol)
     if budget < 1:
         raise InvalidConfigError(f"limit budget {budget} must be at least 1")
     if not radii:

@@ -869,6 +869,14 @@ def test_decaying_potential_is_compact_consistent(z1):
     assert out["caveat"] == FAMILY_CAVEAT
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_compactness_refuses_a_nan_or_negative_tol(z1, tol):
+    # -1.0 once called this zero limit not-compact-consistent (0.0 > -1.0)
+    A = BandOperator(z1, {(0,): TableField({(0,): 3.0})})
+    with pytest.raises(InvalidConfigError, match=rf"^tolerance {tol} must be a number >= 0$"):
+        compactness_test(A, [Ray((1,))], tol=tol)
+
+
 def test_fredholm_compressed_shift_consistent(z1):
     proj = SubspaceProjection(z1, HalfspacePredicate((1,), 0))
     V = shift_operator(z1, (1,))

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -680,3 +681,122 @@ def test_adjoint_is_involution_property(z1, omega, seed):
     w = window(z1, 5)
     assert np.allclose(A.adjoint().adjoint().block(w.points, w.points),
                        A.block(w.points, w.points), atol=1e-14)
+
+
+# -- gaps decided from coefficient values ---------------------------------------
+
+Z1_FIBER2 = Space(kind="lattice", dim=1, fiber=2)
+_SPACES = {"z1": Space(kind="lattice", dim=1), "z2": Space(kind="lattice", dim=2),
+           "z1-fiber2": Z1_FIBER2}
+
+
+def _block_route(A, rows, cols, p, floor=None):
+    """``_window_value`` with the coefficient route off: the block is formed
+    and its entries read by np.abs(M).max()."""
+    with mock.patch.object(limitops.operator, "_covers", lambda A, rows, cols: False):
+        return limitops.operator._window_value(A, rows, cols, p, floor)
+
+
+_REAL = st.one_of(st.just(0.0), st.sampled_from([1.0, -0.5, 0.25]),
+                  st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+_VALUE = st.one_of(_REAL, st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                             allow_infinity=False))
+
+
+def _point(space, coord):
+    """A strategy for points (or offsets) with lattice coordinates drawn from
+    coord and, on a fiber, a fiber coordinate in 0..fiber-1."""
+    fiber = (st.integers(0, space.fiber - 1),) if space.fiber > 1 else ()
+    return st.tuples(*[coord] * space.dim, *fiber)
+
+
+@st.composite
+def _coefficients(draw, space):
+    kind = draw(st.sampled_from(["constant", "table", "periodic", "complex"]))
+    if kind == "constant":
+        return ConstantField(draw(_VALUE))
+    if kind == "table":
+        entries = draw(st.dictionaries(_point(space, st.integers(-4, 4)), _VALUE, max_size=5))
+        return TableField(entries, default=draw(st.one_of(st.just(0.0), _VALUE)))
+    if kind == "periodic":
+        period = tuple(draw(st.integers(1, 3)) for _ in range(space.dim))
+        shape = period + ((space.fiber,) if space.fiber > 1 and draw(st.booleans()) else ())
+        values = draw(st.lists(_REAL, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return PeriodicField(np.reshape(values, shape), period)
+    # a real table or periodic field times a complex factor
+    base = draw(_coefficients(space).filter(lambda f: not isinstance(f, ConstantField)))
+    return base.scaled(draw(st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                               allow_infinity=False)))
+
+
+@st.composite
+def _gap_cases(draw):
+    space = _SPACES[draw(st.sampled_from(sorted(_SPACES)))]
+    # fiber coordinates outside 0..fiber-1 wrap (and merge) in __init__
+    offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * space.point_arity),
+                            min_size=1, max_size=3))
+    A = BandOperator(space, {k: draw(_coefficients(space)) for k in offsets})
+    centre = draw(_point(space, st.integers(-3, 3)))
+    radius = draw(st.sampled_from([0, 1, 2, 3, 1.5, 2.7]))
+    rows = Window(space, centre, radius)
+    cols = Window(space, centre, radius + A.propagation + draw(st.sampled_from([0, 1, 0.5])))
+    M = A.block(rows, cols)
+    # floors exactly at half an entry, and one ulp either side
+    half = draw(st.sampled_from(np.abs(M[M != 0]).tolist() or [1.0])) / 2
+    floor = draw(st.sampled_from([None, 0.0, half, np.nextafter(half, 0.0),
+                                  np.nextafter(half, np.inf)]))
+    return A, rows, cols, M, draw(st.sampled_from([2, 1.5])), floor
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gap_cases())
+def test_the_coefficient_route_decides_every_gap_like_the_block(case):
+    A, rows, cols, M, p, floor = case
+    assert limitops.operator._covers(A, rows, cols)
+    got = limitops.operator._window_value(A, rows, cols, p, floor)
+    assert repr(got) == repr(_block_route(A, rows, cols, p, floor))
+    # the block's entries are exactly the coefficient values
+    top = max((np.abs(limitops.operator._coefficient_values(A.space, k, f, rows.points)).max()
+               for k, f in A.stencil.items()), default=0.0)
+    assert repr(float(top)) == repr(float(np.abs(M).max()))
+    assert (top == 0) == (got in (0.0, (0.0, 0.0)))
+
+
+def test_fiber_offsets_that_wrap_together_are_one_stencil_entry():
+    # on fiber 2, (0, 1) and (0, -1) are one offset: __init__ merges them, so
+    # no two values of a row share a block entry
+    A = BandOperator(Z1_FIBER2, {(0, 1): 0.5, (0, -1): TableField({(1, 0): 2.0}, default=0.25)})
+    assert list(A.stencil) == [(0, 1)] and A.propagation == 1
+    rows, cols = window(Z1_FIBER2, 2), window(Z1_FIBER2, 3)
+    assert limitops.operator._covers(A, rows, cols)
+    for p in (2, 1.5):
+        # the largest entry is 0.5 + 2.0 at (1, 0)
+        for floor in (None, 1.25, np.nextafter(1.25, 0.0)):
+            got = limitops.operator._window_value(A, rows, cols, p, floor)
+            assert repr(got) == repr(_block_route(A, rows, cols, p, floor))
+            assert (got is None) == (floor is not None and floor < 1.25)
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e-300])
+def test_a_tiny_gap_is_valued_not_taken_for_zero(z1, value):
+    # only an exactly zero set of values skips the block
+    A = BandOperator(z1, {(1,): TableField({(2,): value})})
+    rows, cols = window(z1, 3), window(z1, 4)
+    for p in (2, 1.5):
+        got = limitops.operator._window_value(A, rows, cols, p)
+        assert repr(got) == repr(_block_route(A, rows, cols, p))
+        assert got not in (0.0, (0.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, floor", [(2, None), (2, 1e-9), (1.5, 1e-9)])
+def test_a_non_finite_coefficient_reads_the_same_through_both_routes(z1, p, floor):
+    A = laplacian_stencil(z1) + multiplication(z1, ExpressionField("1/n"))
+    messages = []
+    for value in (limitops.operator._window_value, _block_route):
+        with pytest.raises(InvalidConfigError) as exc:
+            value(A, window(z1, 3), window(z1, 4), p, floor)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == (
+        "non-finite coefficient a(u, v) = inf at u = [0], v = [0]: "
+        "band operators need finite coefficients")

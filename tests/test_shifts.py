@@ -225,6 +225,13 @@ def _without_floor(monkeypatch):
                         lambda A, rows, cols, p=2, floor=None: upper(A, rows, cols, p))
 
 
+def _without_coefficient_route(monkeypatch):
+    """Form every gap block and read its entries (``BandOperator.block`` and
+    np.abs(M).max()), as a scan did before gaps were decided from
+    coefficient values."""
+    monkeypatch.setattr(limitops.operator, "_covers", lambda A, rows, cols: False)
+
+
 @pytest.mark.parametrize("name", ["exact-z1", "exact-z2", "unsettled-first", "unsettled-last",
                                   "numeric", "divergent", "exact-p1.5", "numeric-p1.5"])
 def test_floor_rule_keeps_every_bit(z1, z2, monkeypatch, name):
@@ -247,6 +254,12 @@ def test_floor_rule_keeps_every_bit(z1, z2, monkeypatch, name):
     ref = limit_operator(A, seq, **kwargs)
     assert type(got) is type(ref)
     assert repr(got.to_descriptor()) == repr(ref.to_descriptor())
+    # the reference above still decides gaps from coefficient values
+    monkeypatch.undo()
+    _without_coefficient_route(monkeypatch)
+    blocks = limit_operator(A, seq, **kwargs)
+    assert type(got) is type(blocks)
+    assert repr(got.to_descriptor()) == repr(blocks.to_descriptor())
     assert name.startswith("divergent") == isinstance(got, DivergenceReport)
     if name.startswith("unsettled"):
         assert not any(g == 0 for _, _, g in got.certificate)
@@ -279,7 +292,35 @@ def test_floor_rule_skips_every_svd_of_a_settled_scan(z1, z2, monkeypatch):
     _without_floor(monkeypatch)
     limit_operator(A, seq, **kwargs)
     assert got["svd"] == 0 and ref["svd"] > 0
-    assert got["block"] <= ref["block"]
+    # every gap is decided from its coefficient values: none forms a block
+    assert got["block"] == 0 < ref["block"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 1.5])
+def test_a_non_finite_gap_coefficient_reads_the_same_through_both_routes(z1, monkeypatch, p):
+    # 1/(n - 130) is finite on the first windows and inf in the gap of the
+    # conjugates at 128 and 64, named at the user's point
+    A = laplacian_stencil(z1) + multiplication(z1, ExpressionField("1/(n-130)"))
+    messages = []
+    for route in ("coefficients", "blocks"):
+        if route == "blocks":
+            _without_coefficient_route(monkeypatch)
+        with pytest.raises(InvalidConfigError) as exc:
+            limit_operator(A, Ray((1,)), p=p)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == (
+        "non-finite coefficient a(u, v) = inf at u = [130], v = [130]: "
+        "band operators need finite coefficients")
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_limit_operator_refuses_a_nan_or_negative_tol(z1, tol):
+    # nan once ran the exact scan to its whole budget (nothing settles below
+    # nan), and -1.0 was clamped to 1e-14
+    A = _compressed(z1, shift_operator(z1, (1,)), (1,))
+    with pytest.raises(InvalidConfigError, match=rf"^tolerance {tol} must be a number >= 0$"):
+        limit_operator(A, Ray((1,)), tol=tol)
 
 
 def test_diagonal_of_one_window_makes_no_locate(z2, monkeypatch):
