@@ -3,7 +3,8 @@
 One binary with a subcommand per task. Output is deterministic for a fixed
 config file, seed, and format (wall-clock timings sit under the separate
 "timings" key so they can be stripped before byte comparison). Exit codes:
-0 success, 1 invalid input, 2 every requested limit extraction diverged.
+0 success, 1 invalid input, 2 every declared sequence of a limit task
+diverged (``_exit_code``).
 """
 
 import argparse
@@ -570,10 +571,10 @@ def _run_bdo(cfg, prm, args):
     return bdo_diagnostic(A, prm["tGrid"], scope, **_kwargs("bdo-diagnostic", prm)), 0
 
 
-def _exit_code(limits, divergences):
-    """2 when every declared sequence diverged (some did, none gave a
-    limit), else 0."""
-    return 2 if divergences and not limits else 0
+def _exit_code(divergences, sequences):
+    """The one exit rule of the limit tasks: 2 when every declared sequence
+    diverged (each gives one limit or one divergence), else 0."""
+    return 2 if len(divergences) == len(sequences) else 0
 
 
 def _run_limits(cfg, prm, args):
@@ -583,40 +584,29 @@ def _run_limits(cfg, prm, args):
         out = limit_operator(A, seq, **_kwargs("limits", prm))
         status = "divergent" if isinstance(out, DivergenceReport) else "limit"
         entries.append({"status": status, **out.to_descriptor()})
-    statuses = [e["status"] for e in entries]
-    return {"limits": entries}, _exit_code("limit" in statuses, "divergent" in statuses)
+    diverged = [e for e in entries if e["status"] == "divergent"]
+    return {"limits": entries}, _exit_code(diverged, seqs)
 
 
-def _run_compactness(cfg, prm, args):
-    _, A, seqs = _limit_inputs(cfg)
-    rep = compactness_test(A, seqs, **_kwargs("compactness", prm))
-    return rep, _exit_code(rep["sequences"], rep["divergences"])
+_TAKES_PROJ = {task for task, (call, _) in TASK_TABLE.items()
+               if call and "proj" in inspect.signature(call).parameters}
 
 
-def _run_fredholm(cfg, prm, args):
+def _run_report(task, cfg, prm, args):
+    """A report task: its library call (``TASK_TABLE``) on the operator, the
+    declared sequences and, when the call has a ``proj`` parameter
+    (``_TAKES_PROJ``, read once off the signatures), the projection."""
     space, A, seqs = _limit_inputs(cfg)
-    rep = fredholm_test(A, _projection(cfg, space), seqs, **_kwargs("fredholm", prm))
-    return rep, _exit_code(rep["sequences"], rep["divergences"])
+    proj = {"proj": _projection(cfg, space)} if task in _TAKES_PROJ else {}
+    rep = TASK_TABLE[task][0](A, sequences=seqs, **proj, **_kwargs(task, prm))
+    return rep, _exit_code(rep["divergences"], seqs)
 
 
 def _run_essential_spectrum(cfg, prm, args):
-    space, A, seqs = _limit_inputs(cfg)
-    rep = essential_spectrum_estimate(A, _projection(cfg, space), seqs,
-                                      **_kwargs("essential-spectrum", prm))
-    out = {
-        "estimates": [e.to_descriptor() for e in rep["estimates"]],
-        "unionCloud": np.stack([rep["unionCloud"].real, rep["unionCloud"].imag], axis=1),
-        "divergences": rep["divergences"],
-        "caveat": rep["caveat"],
-        "params": rep["params"],
-    }
-    return out, _exit_code(rep["estimates"], rep["divergences"])
-
-
-def _run_ess_norm(cfg, prm, args):
-    space, A, seqs = _limit_inputs(cfg)
-    rep = ess_norm_estimate(A, _projection(cfg, space), seqs, **_kwargs("ess-norm", prm))
-    return rep, _exit_code(rep["perLimit"], rep["divergences"])
+    rep, code = _run_report("essential-spectrum", cfg, prm, args)
+    cloud = rep["unionCloud"]
+    return {**rep, "estimates": [e.to_descriptor() for e in rep["estimates"]],
+            "unionCloud": np.stack([cloud.real, cloud.imag], axis=1)}, code
 
 
 RUNNERS = {
@@ -625,10 +615,10 @@ RUNNERS = {
     "partition": _run_partition,
     "bdo-diagnostic": _run_bdo,
     "limits": _run_limits,
-    "compactness": _run_compactness,
-    "fredholm": _run_fredholm,
+    "compactness": functools.partial(_run_report, "compactness"),
+    "fredholm": functools.partial(_run_report, "fredholm"),
     "essential-spectrum": _run_essential_spectrum,
-    "ess-norm": _run_ess_norm,
+    "ess-norm": functools.partial(_run_report, "ess-norm"),
 }
 
 

@@ -27,7 +27,6 @@ from .fields import (
     NotPredicate,
     PeriodicField,
     ProductField,
-    ScaledField,
     SeededRandomField,
     SublatticePredicate,
     SumField,
@@ -168,7 +167,7 @@ FIELDS = {
     "product": ({"parts": _some("field")}, ["parts"],
                 lambda d: ProductField([field_from_descriptor(p) for p in d["parts"]])),
     "scaled": ({"base": _ref("field"), "factor": _COMPLEX}, ["base", "factor"],
-               lambda d: ScaledField(field_from_descriptor(d["base"]), _complex(d["factor"]))),
+               lambda d: field_from_descriptor(d["base"]).scaled(_complex(d["factor"]))),
     "shifted": ({"base": _ref("field"), "offset": _INT_VEC}, ["base", "offset"],
                 lambda d: _GenericShifted(field_from_descriptor(d["base"]), tuple(d["offset"]))),
     "conj": ({"base": _ref("field")}, ["base"],

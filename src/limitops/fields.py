@@ -86,11 +86,16 @@ class Field:
         return _GenericConj(self)
 
     def scaled(self, c):
+        """c times the field; a constant or periodic field stays one."""
         c = complex(c)
         if c == 1:
             return self
         if c == 0:
             return ConstantField(0.0)
+        if isinstance(self, ConstantField):
+            return ConstantField(self.value * c)
+        if isinstance(self, PeriodicField):
+            return PeriodicField(self.values * c, self.period)
         return ScaledField(self, c)
 
     def plus(self, other):

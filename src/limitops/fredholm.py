@@ -174,8 +174,9 @@ def invertibility_estimate(B, schedule, tau=0.05, p=2):
     The values upper-bound the true lower norms, so falling below tau
     certifies non-invertibility at that level; staying above tau with
     stabilized values (< 1% relative change over the last step) is evidence
-    of invertibility, never a certificate.
+    of invertibility, never a certificate. A nan or negative tau is refused.
     """
+    _check_tolerance(tau, "tau")
     windows = list(map(basepoint_windows(B.space), schedule))
     radii = [w.radius for w in windows]
     if not radii:
@@ -471,7 +472,9 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
     """Spectrum estimate for a single (limit) operator by the requested or
     auto-selected method. nuGrid indicators read inf at grid points whose
     window lower norm is certified above tau. The floquet route caps
-    theta_grid at 512 and reports the capped value in meta["thetaGrid"]."""
+    theta_grid at 512 and reports the capped value in meta["thetaGrid"]. A
+    nan or negative tau is refused."""
+    _check_tolerance(tau, "tau")
     chosen = _auto_method(op) if method == "auto" else method
     if chosen == "floquet":
         theta_grid = min(theta_grid, 512)
@@ -502,30 +505,31 @@ def spectrum_estimate_for(op, label, tau=0.05, pitch=0.02, radius=400,
 # -- limit-operator driven reports ------------------------------------------------
 
 
-def _extract_limits(A, proj, sequences, what, radii, tol, budget, p=2):
-    """The limits of A, or of hat(A, proj), and the divergences per sequence."""
+def _extract_limits(A, proj, sequences, radii, tol, budget, p=2):
+    """The limits of A, or of hat(A, proj), and the keys every limit report
+    shares: {"divergences": one descriptor per sequence that diverged,
+    "caveat": FAMILY_CAVEAT}. Each sequence gives one limit or one divergence."""
     if not sequences:
-        raise InvalidConfigError(f"{what} needs at least one sequence")
+        raise InvalidConfigError("a limit report needs at least one sequence")
     if proj is not None:
         A = hat(A, proj)
     limits, divergences = [], []
     for seq in sequences:
         out = limit_operator(A, seq, radii=radii, tol=tol, budget=budget, p=p)
         if isinstance(out, DivergenceReport):
-            divergences.append(out)
+            divergences.append(out.to_descriptor())
         else:
             limits.append(out)
-    return limits, divergences
+    return limits, {"divergences": divergences, "caveat": FAMILY_CAVEAT}
 
 
 def compactness_test(A, sequences, radii=(5, 10, 20), tol=1e-9, budget=2 ** 20,
                      p=2):
     """Compact-consistency: every declared limit operator must vanish in
-    window norm on every certified radius. A tol that is nan or negative
-    is refused."""
+    window norm on every certified radius. The report holds the keys of
+    ``_extract_limits``; a nan or negative tol is refused."""
     _check_tolerance(tol)
-    limits, divergences = _extract_limits(A, None, sequences, "compactness test", radii,
-                                          min(tol, 1e-9), budget, p)
+    limits, shared = _extract_limits(A, None, sequences, radii, min(tol, 1e-9), budget, p)
     window = basepoint_windows(A.space)
     per_seq = []
     worst = 0.0
@@ -543,7 +547,7 @@ def compactness_test(A, sequences, radii=(5, 10, 20), tol=1e-9, budget=2 ** 20,
         })
     if worst > tol:
         verdict = "not-compact-consistent"
-    elif divergences:
+    elif shared["divergences"]:
         verdict = "inconclusive"
     else:
         verdict = "compact-consistent"
@@ -552,8 +556,7 @@ def compactness_test(A, sequences, radii=(5, 10, 20), tol=1e-9, budget=2 ** 20,
         "maxLimitNorm": worst,
         "tolerance": tol,
         "sequences": per_seq,
-        "divergences": [d.to_descriptor() for d in divergences],
-        "caveat": FAMILY_CAVEAT,
+        **shared,
     }
 
 
@@ -564,12 +567,13 @@ def fredholm_test(A, proj, sequences, schedule=(50, 100, 200, 400), tau=0.05,
     notFredholm is certified when some limit operator is not invertible at
     level tau (its window lower norm, an upper bound for the true lower norm,
     falls below tau); Fredholm-consistency requires invertibility evidence for
-    every declared limit, and stays evidence.
+    every declared limit and no divergence, and stays evidence. The report
+    holds the keys of ``_extract_limits``; a nan or negative tau is refused
+    before any limit is extracted.
     """
-    limits, divergences = _extract_limits(A, proj, sequences, "fredholm test", radii, tol,
-                                          budget, p)
+    _check_tolerance(tau, "tau")
+    limits, shared = _extract_limits(A, proj, sequences, radii, tol, budget, p)
     per_seq = []
-    margins = []
     witness = None
     all_evidence = bool(limits)
     for lim in limits:
@@ -579,14 +583,13 @@ def fredholm_test(A, proj, sequences, schedule=(50, 100, 200, 400), tau=0.05,
             "exact": lim.exact,
             "estimate": est.to_descriptor(),
         })
-        margins.append(est.margin)
         if est.verdict == "notInvertibleAtLevel" and witness is None:
             witness = (lim, est)
         if est.verdict != "evidenceInvertible":
             all_evidence = False
     if witness is not None:
         verdict = "notFredholm"
-    elif all_evidence and not divergences:
+    elif all_evidence and not shared["divergences"]:
         verdict = "Fredholm-consistent"
     else:
         verdict = "inconclusive"
@@ -596,9 +599,9 @@ def fredholm_test(A, proj, sequences, schedule=(50, 100, 200, 400), tau=0.05,
         "certified": certified,
         "tau": tau,
         "sequences": per_seq,
-        "divergences": [d.to_descriptor() for d in divergences],
-        "caveat": FAMILY_CAVEAT,
+        **shared,
     }
+    margins = [e["estimate"]["margin"] for e in per_seq]
     if margins and min(margins) > 0:
         report["supInverseNormEstimate"] = 1.0 / min(margins)
     if witness is not None:
@@ -617,11 +620,12 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
     symbol oracle, limits with constant or periodic coefficients on Z^d (any
     fiber) the Floquet oracle (both are the Bloch oracle), everything else
     the lower-norm grid sweep; the method argument can force a route
-    ("symbol" is short for "symbolOracle").
+    ("symbol" is short for "symbolOracle"). The report holds the keys of
+    ``_extract_limits``; a nan or negative tau is refused first.
     """
+    _check_tolerance(tau, "tau")
     method = {"symbol": "symbolOracle"}.get(method, method)
-    limits, divergences = _extract_limits(A, proj, sequences, "essential spectrum", radii,
-                                          tol, budget)
+    limits, shared = _extract_limits(A, proj, sequences, radii, tol, budget)
     estimates = [
         spectrum_estimate_for(lim.op, lim.sequence_label, tau=tau, pitch=pitch,
                               radius=radius, z_box=z_box, theta_grid=theta_grid,
@@ -635,8 +639,7 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
     return {
         "estimates": estimates,
         "unionCloud": union,
-        "divergences": [d.to_descriptor() for d in divergences],
-        "caveat": FAMILY_CAVEAT,
+        **shared,
         "params": {
             "tau": tau, "pitch": pitch, "windowRadius": radius,
             "thetaGrid": theta_grid, "method": method,
@@ -647,21 +650,19 @@ def essential_spectrum_estimate(A, proj, sequences, tau=0.05, pitch=0.02,
 def ess_norm_estimate(A, proj, sequences, schedule=(25, 50, 100),
                       radii=(5, 10, 20), tol=1e-8, budget=2 ** 20):
     """Interval for the essential norm over the declared family: window lower
-    bounds against coefficient-sum upper bounds of the limit operators."""
+    bounds against coefficient-sum upper bounds of the limit operators. The
+    report holds the keys of ``_extract_limits``."""
     if proj is not None and getattr(proj, "general", False):
         warnings.warn("essential norm formula assumes a norm-one projection; "
                       "general projections give a heuristic only")
-    limits, divergences = _extract_limits(A, proj, sequences, "essential norm", radii, tol,
-                                          budget)
+    limits, shared = _extract_limits(A, proj, sequences, radii, tol, budget)
     window = basepoint_windows(A.space)
-    lowers, uppers, per_limit = [], [], []
+    per_limit = []
     for lim in limits:
         omega = lim.op.propagation
         lo = max((window_norm(lim.op, window(r), window(r + omega)) for r in schedule),
                  default=0.0)
         up, certified = lim.op.norm_bound()
-        lowers.append(lo)
-        uppers.append(up)
         per_limit.append({
             "sequence": lim.sequence_label,
             "windowLowerBound": float(lo),
@@ -669,11 +670,10 @@ def ess_norm_estimate(A, proj, sequences, schedule=(25, 50, 100),
             "upperCertified": certified,
         })
     return {
-        "lower": float(max(lowers)) if lowers else 0.0,
-        "upper": float(max(uppers)) if uppers else 0.0,
+        "lower": max((e["windowLowerBound"] for e in per_limit), default=0.0),
+        "upper": max((e["coefficientUpperBound"] for e in per_limit), default=0.0),
         "perLimit": per_limit,
-        "divergences": [d.to_descriptor() for d in divergences],
-        "caveat": FAMILY_CAVEAT,
+        **shared,
     }
 
 

@@ -154,7 +154,8 @@ class BandOperator:
 
         vec maps points to values; its support must sit inside the output
         window shrunk by the propagation, so no contribution can fall outside
-        the requested window.
+        the requested window. A non-finite coefficient met on the way raises
+        InvalidConfigError (``_coefficient_values``).
         """
         omega = self.propagation
         inner = out_window.shrink(omega)
@@ -176,7 +177,7 @@ class BandOperator:
             )
             hit = src != 0
             if hit.any():
-                out[hit] += f.eval(self.space, pts[hit]) * src[hit]
+                out[hit] += _coefficient_values(self.space, k, f, pts[hit]) * src[hit]
         return out
 
     def to_descriptor(self):

@@ -225,10 +225,11 @@ def _periodic_limit(space, f, ray):
     q = _orbit_length(f.period + ((space.fiber,) if fiber else ()),
                       ray.v[: space.dim] + (ray.v[-1:] if fiber else ()))
     base = f.shifted(space, ray.w)
-    for n in range(1, q):
-        if not np.array_equal(base.values, f.shifted(space, ray.point(n)).values):
-            raise _Divergent(0, n, f"periodic field cycles with period {q} along the ray",
-                             suggested=_residue_rays(space, ray, q))
+    # rolls compose, so the table at x_n equals the base for every n exactly
+    # when it does at n = 1: one comparison decides, with witness (0, 1)
+    if q > 1 and not np.array_equal(base.values, f.shifted(space, ray.point(1)).values):
+        raise _Divergent(0, 1, f"periodic field cycles with period {q} along the ray",
+                         suggested=_residue_rays(space, ray, q))
     return base
 
 
@@ -341,11 +342,11 @@ def _gap(A, diff, rows, cols, p, *shifts, floor=None):
         raise
 
 
-def _check_tolerance(tol):
-    """Refuse a tolerance that is nan or negative, which no gap can meet,
-    rather than clamp it."""
+def _check_tolerance(tol, name="tolerance"):
+    """Refuse a tolerance (or a level such as tau, by its ``name``) that is
+    nan or negative, which no value can meet, rather than clamp it."""
     if not tol >= 0:
-        raise InvalidConfigError(f"tolerance {tol} must be a number >= 0")
+        raise InvalidConfigError(f"{name} {tol} must be a number >= 0")
 
 
 def limit_operator(A, seq, radii=(5, 10, 20), tol=1e-8, budget=2 ** 20, p=2):

@@ -750,6 +750,22 @@ def test_limits_success_and_divergence_exit_codes(tmp_path, capsys):
     assert json.loads(out2)["result"]["limits"][0]["status"] == "divergent"
 
 
+@pytest.mark.parametrize("task", ["limits", "compactness", "fredholm", "essential-spectrum",
+                                  "ess-norm"])
+def test_limit_tasks_exit_2_only_when_every_sequence_diverged(tmp_path, capsys, task):
+    # the one exit rule: the period-2 potential cycles along v = 1 and has a
+    # limit along v = 2
+    for seqs, want in (([{"v": [1]}], 2), ([{"v": [1]}, {"v": [2]}], 0)):
+        cfg = write_cfg(tmp_path, {"space": Z1, "operator": PERIODIC_OP, "sequences": seqs})
+        code, out, err = run([task, "--config", cfg], capsys)
+        assert (code, err) == (want, "")
+        result = json.loads(out)["result"]
+        if task == "limits":
+            assert [e["status"] for e in result["limits"]] == ["divergent", "limit"][: len(seqs)]
+        else:
+            assert len(result["divergences"]) == 1
+
+
 def test_periodic_table_longer_than_its_period_is_refused(tmp_path, capsys):
     # this table once gave an exact limit with coefficient 4 where the truth
     # is 2, and certificate gaps of 0.0

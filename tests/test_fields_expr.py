@@ -17,6 +17,7 @@ from limitops import (
     InvalidPointError,
     NotPredicate,
     PeriodicField,
+    ScaledField,
     SeededRandomField,
     Space,
     SublatticePredicate,
@@ -391,6 +392,25 @@ def test_sum_product_scaled(z1):
     assert np.allclose(f.eval(z1, xs).real, [2, 3, 6])
     g = f.times(ConstantField(1j)).scaled(2.0)
     assert np.allclose(g.eval(z1, xs), [4j, 6j, 12j])
+
+
+@pytest.mark.parametrize("field", [ConstantField(2 - 3j), PeriodicField([[1, 2j], [0.3, -4]]),
+                                   PeriodicField([[0.1, 0.7 + 0.2j, -1.5]], (1, 3))])
+def test_scaling_keeps_constant_and_periodic_fields(z2, field):
+    # once wrapped in a ScaledField, which the Bloch oracles and auto routing
+    # do not read; the values keep the wrapper's bits (complex products
+    # commute), and the scaled descriptor builds the same field
+    c = 0.3 - 1.7j
+    got = field.scaled(c)
+    assert type(got) is type(field)
+    if isinstance(field, PeriodicField):
+        assert got.period == field.period
+    pts = np.asarray([[0, 0], [1, -2], [5, 3], [-4, 7]])
+    assert got.eval(z2, pts).tobytes() == ScaledField(field, c).eval(z2, pts).tobytes()
+    back = field_from_descriptor({"type": "scaled", "base": field.to_descriptor(),
+                                  "factor": {"re": c.real, "im": c.imag}})
+    assert type(back) is type(field)
+    assert back.eval(z2, pts).tobytes() == got.eval(z2, pts).tobytes()
 
 
 # -- predicates ----------------------------------------------------------------

@@ -830,6 +830,20 @@ def test_spectrum_estimate_method_dispatch(z1, z2):
     assert 0 < est3.cloud.size < est3.points.size
 
 
+def test_symbol_oracle_takes_a_scaled_constant(z1):
+    # I + 0.3 S: scaling keeps the shift's coefficient constant, so the
+    # symbol oracle accepts it (it once refused a ScaledField) and auto routes
+    # it there (it once took the nuGrid sweep)
+    A = identity(z1) + 0.3 * shift_operator(z1, (1,))
+    theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+    want = np.sort_complex(1 + 0.3 * np.exp(1j * theta))
+    got = spectrum_estimate_for(A, "scaled", method="symbolOracle", theta_grid=512)
+    assert np.allclose(np.sort_complex(got.points), want)
+    assert spectrum_estimate_for(A, "scaled").method == "symbolOracle"
+    out = essential_spectrum_estimate(A, None, [Ray((1,))], method="symbol")
+    assert [e.method for e in out["estimates"]] == ["symbolOracle"]
+
+
 def test_spectrum_estimate_descriptor(z1):
     est = spectrum_estimate_for(laplacian_stencil(z1), "lap", tau=0.05)
     d = est.to_descriptor()
@@ -875,6 +889,40 @@ def test_compactness_refuses_a_nan_or_negative_tol(z1, tol):
     A = BandOperator(z1, {(0,): TableField({(0,): 3.0})})
     with pytest.raises(InvalidConfigError, match=rf"^tolerance {tol} must be a number >= 0$"):
         compactness_test(A, [Ray((1,))], tol=tol)
+
+
+def _never_extracted(monkeypatch):
+    """Fail a test that extracts a limit."""
+    def extract(*args, **kwargs):
+        raise AssertionError("a limit was extracted")
+    monkeypatch.setattr(fredholm, "limit_operator", extract)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), -1.0])
+def test_every_tau_entry_refuses_a_nan_or_negative_tau(z1, tau, monkeypatch):
+    # fredholm_test on S - I compressed to n >= 0 once read inconclusive at
+    # either tau, and the symbol route returned every grid point
+    proj = SubspaceProjection(z1, HalfspacePredicate((1,), 0))
+    A = shift_operator(z1, (1,)) - identity(z1)
+    refused = pytest.raises(InvalidConfigError, match=rf"^tau {tau} must be a number >= 0$")
+    _never_extracted(monkeypatch)
+    with refused:
+        fredholm_test(A, proj, [Ray((1,)), Ray((-1,))], tau=tau)
+    with refused:
+        essential_spectrum_estimate(A, proj, [Ray((1,))], tau=tau, method="symbol")
+    with refused:
+        invertibility_estimate(A, (10, 20), tau=tau)
+    with refused:
+        spectrum_estimate_for(A, "A", tau=tau, method="symbolOracle")
+
+
+@pytest.mark.parametrize("report", [
+    lambda A: compactness_test(A, []), lambda A: fredholm_test(A, None, []),
+    lambda A: essential_spectrum_estimate(A, None, []), lambda A: ess_norm_estimate(A, None, []),
+])
+def test_limit_reports_refuse_an_empty_family(z1, report):
+    with pytest.raises(InvalidConfigError, match="^a limit report needs at least one sequence$"):
+        report(identity(z1))
 
 
 def test_fredholm_compressed_shift_consistent(z1):

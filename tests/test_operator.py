@@ -98,6 +98,16 @@ def test_apply_matches_block(z1):
     assert np.allclose(got, M @ x)
 
 
+@pytest.mark.filterwarnings("error")
+def test_apply_names_a_non_finite_coefficient(z1):
+    # once returned inf+nanj at 0 with a numpy RuntimeWarning, where block
+    # refuses the same operator in one line
+    A = laplacian(z1) + multiplication(z1, ExpressionField("1/n"))
+    with pytest.raises(InvalidConfigError, match=r"^non-finite coefficient a\(u, v\) = inf "
+                                                 r"at u = \[0\], v = \[0\]: "):
+        A.apply({(0,): 1.0}, window(z1, 3))
+
+
 def test_apply_rejects_support_leak(z1):
     A = laplacian(z1)
     with pytest.raises(TruncationError):

@@ -94,6 +94,38 @@ def test_periodic_mismatched_ray_diverges_with_suggestions(z1):
     assert len(subs) == 2
 
 
+def _counting_shifts(monkeypatch):
+    """The list of ``PeriodicField.shifted`` calls, one entry per call."""
+    calls, shifted = [], PeriodicField.shifted
+    monkeypatch.setattr(PeriodicField, "shifted",
+                        lambda f, space, v: calls.append(v) or shifted(f, space, v))
+    return calls
+
+
+def test_periodic_limit_compares_one_step(z1, monkeypatch):
+    # shifts compose, so a table that the first step of v leaves alone is
+    # exact at every index: a period-4096 constant-valued table once paid
+    # 4095 rolls to show it
+    f = PeriodicField(np.full(4096, 0.5 - 2j))
+    calls = _counting_shifts(monkeypatch)
+    got = shifts._periodic_limit(z1, f, Ray((1,), offset=(7,)).bind(z1))
+    assert calls == [(7,), (8,)]
+    assert got.values.tobytes() == f.values.tobytes() and got.period == (4096,)
+
+
+def test_periodic_limit_divergence_keeps_its_report(z1, monkeypatch):
+    f = PeriodicField([3.0, -1.0, 0.5])
+    calls = _counting_shifts(monkeypatch)
+    with pytest.raises(shifts._Divergent) as info:
+        shifts._periodic_limit(z1, f, Ray((1,)).bind(z1))
+    assert len(calls) == 2
+    err = info.value
+    assert (err.n1, err.n2) == (0, 1)
+    assert err.detail == "periodic field cycles with period 3 along the ray"
+    assert err.suggested == [{"kind": "ray", "v": [3], "w": [r], "label": f"residue {r} mod 3"}
+                             for r in range(3)]
+
+
 def test_finitely_supported_coefficients_vanish_in_the_limit(z1):
     A = laplacian_stencil(z1) + multiplication(
         z1, TableField({(0,): 50.0, (3,): -2.0})
@@ -195,26 +227,35 @@ def _compressed(space, A, normal):
     return P @ A @ P
 
 
+def _hop(space, v):
+    """The shift along v with a table coefficient of default 1: the same
+    operator as ``shift_operator``, but its coefficient does not cancel in a
+    difference of conjugates, so each gap keeps offset v (its values 0) and
+    is decided under the floor rule, not valued as a multiplication."""
+    return BandOperator(space, {v: TableField({}, default=1.0)})
+
+
 def _floor_case(name, z1, z2):
     """(A, sequence, kwargs) of a limit scan the floor rule skips gaps in."""
     S = shift_operator(z1, (1,))
-    decay = laplacian_stencil(z1) + multiplication(z1, ExpressionField("exp(0-abs(n)/10)"))
+    T, hops = _hop(z1, (1,)), _hop(z1, (1,)) + _hop(z1, (-1,))
+    decay = multiplication(z1, ExpressionField("exp(0-abs(n)/10)"))
     return {
         "exact-z1": (_compressed(z1, S, (1,)), Ray((1,)), {}),
         "exact-z2": (_compressed(z2, identity(z2) + 0.5 * shift_operator(z2, (0, 1)), (1, 0)),
                      Ray((1, 0)), {"radii": (3, 6)}),
         # the difference is -I on every window: every gap is 1, first at index 1
-        "unsettled-first": (S + multiplication(z1, IndicatorField(HalfspacePredicate((1,), 40))),
+        "unsettled-first": (T + multiplication(z1, IndicatorField(HalfspacePredicate((1,), 40))),
                             Ray((1,)), {"radii": (3, 6), "budget": 4}),
         # gaps 1, 1, 1/3, 1/7, 1/15 at radius 2: the smallest is the last, at index 16
-        "unsettled-last": (S + multiplication(z1, TableField({(m,): 1 / (m + 1)
+        "unsettled-last": (T + multiplication(z1, TableField({(m,): 1 / (m + 1)
                                                                for m in range(21)})),
                            Ray((1,)), {"radii": (2, 3), "budget": 16}),
-        "numeric": (decay, Ray((1,)), {}),
-        "divergent": (laplacian_stencil(z1) + multiplication(z1, SeededRandomField(5)), Ray((1,)),
+        "numeric": (hops + decay, Ray((1,)), {}),
+        "divergent": (hops + multiplication(z1, SeededRandomField(5)), Ray((1,)),
                       {"radii": (4, 8), "tol": 1e-6, "budget": 2 ** 6}),
         "exact-p1.5": (_compressed(z1, S, (1,)), Ray((1,)), {"p": 1.5}),
-        "numeric-p1.5": (decay, Ray((1,)), {"p": 1.5}),
+        "numeric-p1.5": (laplacian_stencil(z1) + decay, Ray((1,)), {"p": 1.5}),
     }[name]
 
 
