@@ -8,7 +8,6 @@ diverged (``_exit_code``).
 """
 
 import argparse
-import copy
 import errno
 import functools
 import inspect
@@ -753,7 +752,6 @@ def main(argv=None):
         _validate(cfg, None)
         prm = {**TASK_DEFAULTS[args.task], **cfg.get("task", {})}
         _validate(cfg.get("task", {}), args.task)
-        cfg = copy.deepcopy(cfg)
         _fill_seeds(cfg, args.seed)
         if args.out:
             _check_out(args.out)

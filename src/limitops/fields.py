@@ -70,8 +70,6 @@ class Field:
     shifted/conj where they have a closed form (the fallbacks wrap the
     field)."""
 
-    exact = True  # values are structurally known, not sampled estimates
-
     def eval(self, space, pts):
         raise NotImplementedError
 
@@ -291,8 +289,6 @@ class SeededRandomField(Field):
     Modes: "disk" (uniform on the closed unit disk), "phase" (uniform on the
     unit circle), "real" (uniform on [-1, 1]).
     """
-
-    exact = False
 
     def __init__(self, seed, mode="disk", scale=1.0):
         if mode not in ("disk", "phase", "real"):
@@ -526,10 +522,6 @@ class _FoldField(Field):
     def __init__(self, parts):
         self.parts = list(parts)
 
-    @property
-    def exact(self):
-        return all(p.exact for p in self.parts)
-
     def eval(self, space, pts):
         out = self.parts[0].eval(space, pts).copy()
         for p in self.parts[1:]:
@@ -563,15 +555,11 @@ class ProductField(_FoldField):
 
 
 class _Wrapper(Field):
-    """A field made from one base field; it is exact when the base is and,
-    unless it says otherwise, has the base's bound."""
+    """A field made from one base field; unless it says otherwise, it has
+    the base's bound."""
 
     def __init__(self, base):
         self.base = base
-
-    @property
-    def exact(self):
-        return self.base.exact
 
     def bound(self, space):
         return self.base.bound(space)

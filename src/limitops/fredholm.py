@@ -408,6 +408,11 @@ def nu_grid_indicator(B, zs, radius=400, tau=None):
 
 @dataclass
 class SpectrumEstimate:
+    """Indicators on the grid ``points``; the ``cloud`` holds the points
+    whose indicator is at most ``tau``, and ``cloud_indicators`` their
+    indicators. The oracle routes return the spectrum points themselves as
+    grid and cloud, each with indicator 0."""
+
     method: str
     limit_label: str
     tau: float
@@ -428,13 +433,7 @@ class SpectrumEstimate:
 
     @property
     def cloud_indicators(self):
-        if self.points.size == 0:
-            return np.empty(0)
-        if self.cloud.size == self.points.size and np.array_equal(self.cloud,
-                                                                  self.points):
-            return self.indicators
-        keep = self.indicators <= self.tau
-        return self.indicators[keep]
+        return self.indicators[self.indicators <= self.tau]
 
 
 def _grid(box, pitch):

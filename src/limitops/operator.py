@@ -53,10 +53,6 @@ class BandOperator:
             return 0
         return int(self.space.norm(list(self.stencil)).max())
 
-    @property
-    def exact(self):
-        return all(f.exact for f in self.stencil.values())
-
     def coefficient(self, k):
         return self.stencil.get(_wrapped_shift(self.space, tuple(k)), ConstantField(0.0))
 
@@ -523,7 +519,6 @@ def commutator_stack_norm(A, partition, scope, p=2):
     like a non-finite coefficient, raises InvalidConfigError. Other
     exponents return a certified interval of the stacked dense block.
     """
-    space = A.space
     rows = scope.pad(A.propagation)
     lo_s, hi_s = partition.scope.bounds()
     lo_r, hi_r = rows.bounds()
@@ -533,9 +528,8 @@ def commutator_stack_norm(A, partition, scope, p=2):
             "propagation; rebuild the partition with a larger scope"
         )
     rpts, cpts = rows.points, scope.points
-    lo = np.minimum(lo_r, cpts[:, : space.dim].min(axis=0))
-    hi = np.maximum(hi_r, cpts[:, : space.dim].max(axis=0))
-    tents = partition.tents_meeting(lo, hi)
+    # the scope lies in its padding, so the rows' box holds every point
+    tents = partition.tents_meeting(lo_r, hi_r)
     if p == 2:
         top = _band_gram_top(A, partition, tents, rows, scope)
         if top is not None:

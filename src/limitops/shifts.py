@@ -112,7 +112,10 @@ class _BoundExplicit:
         self.finite = len(pts)
 
     def point(self, n):
-        return self.pts[min(n, len(self.pts) - 1)]
+        if not 0 <= n < len(self.pts):
+            raise InvalidConfigError(f"index {n} lies outside the sequence "
+                                     f"{self.label!r} of {len(self.pts)} points")
+        return self.pts[n]
 
 
 @dataclass(frozen=True)

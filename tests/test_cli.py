@@ -218,7 +218,9 @@ def assert_same(family, space, back, ref):
         np.testing.assert_array_equal(back.block(w, w), ref.block(w, w))
     else:
         b1, b2 = ref.bind(space), back.bind(space)
-        assert [b1.point(n) for n in range(6)] == [b2.point(n) for n in range(6)]
+        assert b1.finite == b2.finite
+        every = range(b1.finite or 6)  # a ray: its first six points
+        assert [b1.point(n) for n in every] == [b2.point(n) for n in every]
 
 
 def parse(family, space, desc):
@@ -780,6 +782,22 @@ def test_periodic_table_longer_than_its_period_is_refused(tmp_path, capsys):
     assert "does not start with the period" in err
 
 
+def test_subsequence_past_a_finite_parent_is_one_error_line(tmp_path, capsys):
+    # the parent has 3 points; indices 5 and 9 once read its last point, and
+    # the run exited 0 with a limit of gap 0.0
+    cfg = write_cfg(tmp_path, {
+        "space": Z1,
+        "operator": {"kind": "multiplication",
+                     "field": {"type": "expression", "source": "sin(n)"}},
+        "sequences": [{"kind": "subsequence", "indices": [1, 5, 9],
+                       "parent": {"kind": "explicit", "points": [[10], [20], [40]]}}],
+        "task": {"radii": [2]},
+    })
+    code, out, err = run(["limits", "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: index 5 lies outside the sequence 'explicit' of 3 points\n"
+
+
 def test_fredholm_cli_end_to_end(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "space": Z1,
@@ -813,6 +831,51 @@ def test_csv_rows_match_json_payload(tmp_path, capsys, task, cfg):
     rows = out.splitlines()
     assert len(rows) == len(expected) > 1
     assert rows == expected
+
+
+REPORT_CSV = {
+    "bdo-diagnostic": (
+        {"space": Z1, "operator": {"kind": "laplacian"},
+         "task": {"tGrid": [0.5, 0.25], "scopeRadius": 10}},
+        "t,value,normalized",
+        lambda r: [f"{t},{v},{s}" for t, v, s in zip(r["t_grid"], r["values"], r["normalized"])]),
+    "limits": (
+        {"space": Z1, "operator": PERIODIC_OP,
+         "sequences": [{"v": [2], "label": "even"}, {"v": [1], "label": "all"}]},
+        "sequence,status,radius,index,gap",
+        lambda r: [f"{e['sequence']},limit,{c['radius']},{c['index']},{c['gap']}"
+                   for e in r["limits"] if e["status"] == "limit" for c in e["certificate"]]
+        + [f"{e['sequence']},divergent,,," for e in r["limits"] if e["status"] == "divergent"]),
+    "fredholm": (
+        {"space": Z1, "operator": {"kind": "shift", "v": [1]},
+         "projection": {"predicate": {"type": "halfspace", "normal": [1], "threshold": 0}},
+         "sequences": [{"v": [1], "label": "right"}, {"v": [-1], "label": "left"}],
+         "task": {"schedule": [25, 50]}},
+        "sequence,verdict,margin",
+        lambda r: [f"{e['sequence']},{e['estimate']['verdict']},{e['estimate']['margin']}"
+                   for e in r["sequences"]]),
+    "ess-norm": (
+        {"space": Z1, "operator": PERIODIC_OP, "sequences": [{"v": [2]}],
+         "task": {"schedule": [10, 20]}},
+        "bound,value",
+        lambda r: [f"lower,{r['lower']}", f"upper,{r['upper']}"]),
+}
+
+
+@pytest.mark.parametrize("task", list(REPORT_CSV))
+def test_report_csv_rows_match_json_payload(tmp_path, capsys, task):
+    """The documented header, then one row per t (bdo-diagnostic), per
+    certificate entry and divergence (limits), per sequence (fredholm), or a
+    lower and an upper row (ess-norm), read from the JSON payload."""
+    cfg, header, rows = REPORT_CSV[task]
+    path = write_cfg(tmp_path, cfg)
+    code, text, _ = run([task, "--config", path], capsys)
+    result = json.loads(text)["result"]
+    code_csv, out, _ = run([task, "--config", path, "--format", "csv"], capsys)
+    assert code_csv == code
+    expected = rows(result)
+    assert {"bdo-diagnostic": 2, "limits": 4, "fredholm": 2, "ess-norm": 2}[task] == len(expected)
+    assert out.splitlines() == [header, *expected]
 
 
 def test_compactness_csv(tmp_path, capsys):

@@ -356,6 +356,14 @@ def test_fields_without_closed_forms_shift_and_conjugate_generically(z1):
     assert g.bound(z1) == h.bound(z1) == (np.inf, False)
 
 
+def test_a_nested_shifted_descriptor_is_one_shift(z1):
+    inner = {"type": "shifted", "offset": [2], "base": {"type": "expression", "source": "n"}}
+    f = field_from_descriptor({"type": "shifted", "offset": [1], "base": inner})
+    assert type(f) is _GenericShifted and f.offset == (3,)
+    assert type(f.base) is ExpressionField
+    assert f.eval(z1, pts1(0)).tolist() == [3]
+
+
 def test_seeded_random_field_determinism(z1):
     xs = pts1(*range(-50, 51))
     a = SeededRandomField(7).eval(z1, xs)
@@ -376,7 +384,6 @@ def test_seeded_random_field_modes(z1):
     assert real.real.min() >= -1.0 and real.real.max() <= 1.0
     big = SeededRandomField(1, mode="disk", scale=2.5).eval(z1, xs)
     assert np.abs(big).max() <= 2.5
-    assert not SeededRandomField(1).exact
 
 
 def test_seeded_random_field_is_shift_covariant(z1):

@@ -18,6 +18,7 @@ from limitops import (
     IndicatorField,
     InvalidConfigError,
     PeriodicField,
+    ScopeError,
     TruncationError,
     SeededRandomField,
     TableField,
@@ -499,6 +500,53 @@ def test_commutator_scales_with_band_coefficients(z1):
     b = commutator_stack_norm(B, part, scope)
     assert np.isclose(b, 3 * a, rtol=1e-10)
     assert a > 0
+
+
+def _stacked_commutator_block(A, part, scope, p):
+    """The blocks C_t of every tent stacked vertically, each the block on
+    the padded scope and the scope scaled by phi_t(column) - phi_t(row)."""
+    rows = scope.pad(A.propagation)
+    M = A.block(rows, scope)
+    return np.vstack([M * (part.root_values(t, scope.points, p)[None, :]
+                           - part.root_values(t, rows.points, p)[:, None])
+                      for t in range(part.ntents)])
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_commutator_interval_at_p_other_than_two(z1, p):
+    A = laplacian(z1) + BandOperator(z1, {(1,): SeededRandomField(6)})
+    scope = window(z1, 20)
+    part = build_partition(z1, scope.pad(A.propagation), 0.25)
+    lower, upper = commutator_stack_norm(A, part, scope, p=p)
+    S = np.abs(_stacked_commutator_block(A, part, scope, p))
+    col1, row1 = S.sum(axis=0).max(), S.sum(axis=1).max()
+    assert upper == pytest.approx(col1 ** (1 / p) * row1 ** (1 - 1 / p), rel=1e-12, abs=0)
+    assert lower >= (S ** p).sum(axis=0).max() ** (1 / p) * (1 - 1e-12)
+    assert 0 < lower <= upper
+
+
+def test_commutator_interval_of_a_multiplication_operator_is_zero(z1):
+    M = multiplication(z1, ExpressionField("sin(n) + n^2"))
+    scope = window(z1, 20)
+    part = build_partition(z1, scope.pad(0), 0.25)
+    assert commutator_stack_norm(M, part, scope, p=1.5) == (0.0, 0.0)
+
+
+def test_bdo_diagnostic_reports_the_upper_ends_at_p_other_than_two(z1):
+    A = laplacian(z1) + BandOperator(z1, {(1,): SeededRandomField(6)})
+    scope = window(z1, 20)
+    out = bdo_diagnostic(A, (0.5, 0.25), scope, p=1.5)
+    ends = [commutator_stack_norm(A, build_partition(z1, scope.pad(1), t), scope, p=1.5)[1]
+            for t in (0.5, 0.25)]
+    assert out["values"] == ends
+
+
+def test_commutator_refuses_a_partition_short_of_the_padded_scope(z1):
+    A = laplacian(z1)
+    scope = window(z1, 20)
+    part = build_partition(z1, scope.pad(0), 0.25)
+    with pytest.raises(ScopeError, match="^partition scope does not cover"):
+        commutator_stack_norm(A, part, scope)
 
 
 def _dense_commutator_norm(A, part, scope):

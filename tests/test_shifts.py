@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,14 @@ from limitops import (
     Subsequence,
     TableField,
     conjugate,
+    field_from_descriptor,
     identity,
     laplacian_stencil,
     limit_algebra_check,
     limit_operator,
     limit_set,
     multiplication,
+    operator_from_descriptor,
     sequence_from_descriptor,
     shift_operator,
     subsequence_targeting,
@@ -167,6 +171,84 @@ def test_certificate_verify_at_p3(z1, decay):
     assert isinstance(out, LimitOperator) and out.exact is not decay
     got = out.verify(A, Ray((3,)), p=3)
     assert type(got) is float and got <= 1e-12
+
+
+def _indicator(predicate):
+    return {"type": "indicator", "predicate": predicate}
+
+
+def _halfspace(normal, threshold):
+    return {"type": "halfspace", "normal": normal, "threshold": threshold}
+
+
+_N_AT_LEAST_4 = _halfspace([1], 4)
+_EAST_AND_ODD_ROWS = {"type": "and", "parts": [
+    _halfspace([1, 0], 0), {"type": "sublattice", "modulus": [1, 2]}]}
+_NOT_NORTH_AND_EVEN = {"type": "not", "base": {"type": "and", "parts": [
+    _halfspace([0, 1], 0), {"type": "sublattice", "modulus": [2, 1]}]}}
+_COMPLEX_PERIODIC = {"type": "periodic", "values": [{"re": 1, "im": 2}, {"re": 0, "im": -1}],
+                     "period": [2]}
+
+# name -> (dim, coefficient descriptor, ray v, ray w, the limit's coefficient
+# descriptor, or None for the zero operator)
+ANALYTIC_LIMITS = {
+    "finite-set": (1, _indicator({"type": "finiteSet", "points": [[3], [5]]}), (1,), (), None),
+    "not-halfspace-east": (1, _indicator({"type": "not", "base": _N_AT_LEAST_4}), (1,), (),
+                           None),
+    "not-halfspace-west": (1, _indicator({"type": "not", "base": _N_AT_LEAST_4}), (-1,), (),
+                           {"type": "constant", "value": 1.0}),
+    "and-sublattice": (2, _indicator(_EAST_AND_ODD_ROWS), (1, 0), (),
+                       _indicator({"type": "sublattice", "modulus": [1, 2],
+                                   "residue": [0, 0]})),
+    "not-and-shifted": (2, _indicator(_NOT_NORTH_AND_EVEN), (2, 0), (0, 3), _indicator(
+        {"type": "not", "base": {"type": "and", "parts": [
+            _halfspace([0.0, 1.0], -3.0),
+            {"type": "sublattice", "modulus": [2, 1], "residue": [0, 0]}]}})),
+    "conj-periodic": (1, {"type": "conj", "base": _COMPLEX_PERIODIC}, (2,), (),
+                      {"type": "periodic", "period": [2], "shape": [2],
+                       "values": [{"re": 1.0, "im": -2.0}, {"re": 0.0, "im": 1.0}]}),
+    "scaled-indicator": (1, {"type": "scaled", "factor": 2, "base": _indicator(_halfspace([1], 2))},
+                         (1,), (), {"type": "constant", "value": 2.0}),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYTIC_LIMITS))
+def test_analytic_limit_rules(z1, z2, name):
+    dim, coeff, v, w, limit = ANALYTIC_LIMITS[name]
+    space = {1: z1, 2: z2}[dim]
+    A = multiplication(space, field_from_descriptor(coeff))
+    seq = Ray(v, w)
+    out = limit_operator(A, seq, radii=(2, 4), budget=64)
+    assert isinstance(out, LimitOperator) and out.exact
+    assert out.verify(A, seq) == 0.0
+    stencil = [] if limit is None else [{"offset": [0] * dim, "coeff": limit}]
+    desc = out.op.to_descriptor()
+    assert desc == {"kind": "band", "stencil": stencil}
+    back = operator_from_descriptor(space, json.loads(json.dumps(desc)))
+    w4 = window(space, 4)
+    assert np.array_equal(back.block(w4, w4), out.op.block(w4, w4))
+
+
+def test_analytic_limit_rules_name_their_divergences(z1, z2):
+    A = multiplication(z2, field_from_descriptor(_indicator(_EAST_AND_ODD_ROWS)))
+    out = limit_operator(A, Ray((1, 1)), radii=(2, 4), budget=64)
+    assert isinstance(out, DivergenceReport)
+    assert out.message == "sublattice indicator alternates with period 2"
+    assert out.witness_indices == (0, 1)
+    assert out.suggested == [{"kind": "ray", "v": [2, 2], "w": [r, r],
+                              "label": f"residue {r} mod 2"} for r in range(2)]
+    # a scaled field whose base has no analytic rule takes the numeric scan
+    B = multiplication(z1, field_from_descriptor(
+        {"type": "scaled", "factor": 2, "base": {"type": "expression", "source": "n"}}))
+    out = limit_operator(B, Ray((1,)), radii=(2, 4), budget=64)
+    assert isinstance(out, DivergenceReport)
+    assert out.message == "conjugates failed the Cauchy test within the index budget"
+
+
+def test_ray_subsequence_is_a_ray(z1):
+    sub = Ray((1,), (2,), "r").subsequence(3, 1)
+    assert sub == Ray((3,), (3,), "r[1 mod 3]")
+    assert sub.bind(z1).point(2) == (9,)
 
 
 # -- numeric limits -----------------------------------------------------------
@@ -413,6 +495,43 @@ def test_explicit_sequence_and_subsequence(z1):
                        out2.op.block(w.points, w.points))
 
 
+def test_a_subsequence_past_a_finite_parent_is_refused(z1):
+    # indices 5 and 9 once bound to copies of the parent's last point, and
+    # sin(n) along them read a limit with gap 0.0
+    parent = ExplicitSequence(((10,), (20,), (40,)))
+    sub = Subsequence(parent, (1, 5, 9))
+    msg = "^index 5 lies outside the sequence 'explicit' of 3 points$"
+    with pytest.raises(InvalidConfigError, match=msg):
+        sub.bind(z1)
+    with pytest.raises(InvalidConfigError, match=msg):
+        limit_operator(multiplication(z1, ExpressionField("sin(n)")), sub, radii=(2,))
+
+
+def test_a_negative_index_into_a_finite_parent_is_refused(z1):
+    # Python would read index -1 as the parent's last point
+    parent = ExplicitSequence(((10,), (20,), (40,)), label="xs")
+    with pytest.raises(InvalidConfigError,
+                       match="^index -1 lies outside the sequence 'xs' of 3 points$"):
+        Subsequence(parent, (-1, 1)).bind(z1)
+
+
+def test_a_finite_scan_settles_at_its_last_point(z1):
+    # the doubling schedule 1, 2, 4, 8 reads index 5 for 8, the last point
+    A = shift_operator(z1, (1,)) + multiplication(z1, ExpressionField("1/(1+n^2)"))
+    seq = ExplicitSequence(tuple((x,) for x in (0, 10, 20, 40, 80, 160)))
+    out = limit_operator(A, seq, tol=1e-3)
+    assert isinstance(out, LimitOperator) and not out.exact
+    assert [n for _, n, _ in out.certificate] == [5, 5, 5]
+    assert out.verify(A, seq) == 0.0
+
+
+def test_a_finite_scan_diverges_at_its_last_point(z1):
+    A = multiplication(z1, ExpressionField("sin(n)"))
+    out = limit_operator(A, ExplicitSequence(tuple((x,) for x in range(5))))
+    assert isinstance(out, DivergenceReport)
+    assert out.witness_indices == (2, 4)
+
+
 def test_explicit_sequence_refuses_non_integer_points(z1):
     # these points once bound as [(0,), (3,)]
     with pytest.raises(InvalidConfigError, match="must have integer entries"):
@@ -500,5 +619,6 @@ def test_sequence_descriptor_roundtrip(z1):
     ):
         back = sequence_from_descriptor(seq.to_descriptor())
         b1, b2 = seq.bind(z1), back.bind(z1)
-        for n in (0, 1, 2):
-            assert tuple(b1.point(n + 1)) == tuple(b2.point(n + 1))
+        assert b1.finite == b2.finite
+        for n in range(b1.finite or 6):  # a ray: its first six points
+            assert tuple(b1.point(n)) == tuple(b2.point(n))
