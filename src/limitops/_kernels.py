@@ -5,10 +5,11 @@ keys) behind the lookups of points in a point array; lattice ball
 neighbours have their own offset-additive keys (``space._ball_lookup``).
 
 Point arrays are int64 of shape (n, point_arity). The net and cell scans read
-the space's neighbour enumeration (``Space.pairs_within``), so lattices and
-graphs run the same scan, and each point meets only the points of one ball
-around it: O(n |B(R)|) under bounded geometry, not O(n^2). Cell diameters
-read the pairs of rows inside each cell only.
+the space's neighbour pairs of the points with themselves
+(``Space._self_pairs``), so lattices and graphs run the same scan, and each
+point meets only the points of one ball around it: O(n |B(R)|) under bounded
+geometry, not O(n^2). Cell adjacency is a list of distinct cell pairs, and
+cell diameters read the pairs of rows inside each cell only.
 
 LAPACK is scipy's compiled ``_flapack`` module alone, loaded from its file on
 first use (``_lapack``), so ``scipy/linalg/__init__.py`` never runs: on 2 vCPUs
@@ -84,13 +85,13 @@ class PointLocator:
 
 def greedy_net(points, sep, pairs):
     """Greedy selection mask: a point is kept iff it is >= sep away from every
-    previously kept point, in array order. ``pairs(a, b, radius)`` is the
-    space's ``Space.pairs_within``; the rows of ``points`` must be distinct.
-    Each point is checked against the earlier points within ceil(sep) - 1
-    only (distances are integers)."""
+    previously kept point, in array order. ``pairs(points, radius)`` is the
+    space's ``Space._self_pairs`` (grouped by the first index, in row order);
+    the rows of ``points`` must be distinct. Each point is checked against
+    the earlier points within ceil(sep) - 1 only (distances are integers)."""
     points = np.ascontiguousarray(points, dtype=np.int64)
     n = points.shape[0]
-    i, j, _ = pairs(points, points, np.ceil(sep) - 1)
+    i, j, _ = pairs(points, np.ceil(sep) - 1)
     earlier = j < i
     start = np.searchsorted(i[earlier], np.arange(n + 1)).tolist()
     j = j[earlier].tolist()
@@ -120,8 +121,10 @@ def cell_members(cell_of, ncells):
 
 def cell_scan(points, cell_of, ncells, thresh, space):
     """Cell adjacency at set-distance <= thresh (self included) plus per-cell
-    diameter, on the ``Space`` the points belong to. Adjacency comes from
-    the point pairs of ``space.pairs_within`` within floor(thresh). The
+    diameter, on the ``Space`` the points belong to. The adjacency is the
+    distinct adjacent cell pairs (ci, cj), sorted, from one sort of the keys
+    ci * ncells + cj of the point pairs within floor(thresh)
+    (``space._self_pairs``): memory in the pairs, not in ncells^2. The
     diameters come from every pair of rows that share a cell, formed from
     one grouping of the rows by cell and measured by one row-wise
     ``space._dist_rows`` call; each cell's maximum is one
@@ -129,11 +132,13 @@ def cell_scan(points, cell_of, ncells, thresh, space):
     for any ``cell_of``; entries outside 0..ncells-1 belong to no cell."""
     points = np.ascontiguousarray(points, dtype=np.int64)
     cell_of = np.ascontiguousarray(cell_of, dtype=np.int64)
-    adj = np.zeros((ncells, ncells), dtype=np.uint8)
-    i, j, _ = space.pairs_within(points, points, np.floor(thresh))
+    i, j, _ = space._self_pairs(points, np.floor(thresh))
     ci, cj = cell_of[i], cell_of[j]
     ok = (ci >= 0) & (ci < ncells) & (cj >= 0) & (cj < ncells)
-    adj[ci[ok], cj[ok]] = 1
+    keys = np.sort(ci[ok] * ncells + cj[ok])
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    adj = np.divmod(keys[first], ncells)
     # each grouped position p pairs with the later positions of its cell
     order, bounds = _cell_order(cell_of, ncells)
     sizes = np.diff(bounds)

@@ -32,6 +32,10 @@ from .errors import (
 _METRICS = ("linf", "l1")
 # candidate rows per chunk of a pairs_within scan
 _PAIRS_CHUNK = 1 << 20
+# a lattice ball lookup tables its key frame when the frame has at most this
+# many cells per candidate of one chunk (counted as at least 4096): the table
+# then costs no more memory than the candidates; a larger frame is searched
+_TABLE_CELLS_PER_CANDIDATE = 1
 
 
 def _int_offset(v, what="offset"):
@@ -306,40 +310,52 @@ class Space:
         coordinate keys. On lattices keys are linear in the coordinates: the
         other array is packed once over its box padded by twice the radius
         (``_ball_lookup``), each offset of the cached ball stencil once, and
-        a row's neighbours are the sums of its key and the offset keys found
-        among the packed ones. When the stencil would hold more points than
-        the other array has rows (an infinite radius included), every pair
-        is compared instead, so the cost never exceeds that of the full
-        distance block. The rows of each array must be distinct, as the
-        rows of a window are; of repeated rows the ball lookups find the
-        lowest index. A NaN radius is refused.
+        a row's neighbours are the sums of its key and the offset keys, read
+        from a table of the frame's cells (a frame too large for one is
+        searched through its sorted keys). When the stencil would hold more
+        points than the other array has rows (an infinite radius included),
+        every pair is compared instead, so the cost never exceeds that of
+        the full distance block. The rows of each array must be distinct,
+        as the rows of a window are; of repeated rows the ball lookups find
+        the lowest index. A NaN radius is refused.
         """
-        if np.isnan(radius):
-            raise InvalidConfigError("neighbour radius must be a number, not nan")
-        a, b = self.as_array(pts_a), self.as_array(pts_b)
-        if radius < 0 or not a.shape[0] or not b.shape[0]:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
+        a, b = self._pairs_input(radius, pts_a, pts_b)
         if a.shape[0] > b.shape[0]:
             j, i, d = self._ball_pairs(b, a, radius)
         else:
             i, j, d = self._ball_pairs(a, b, radius)
+        # i comes in row order, but j within a row in ball order
         order = np.argsort(i * b.shape[0] + j)
         return i[order], j[order], d[order]
 
+    def _self_pairs(self, pts, radius):
+        """The pairs of ``pairs_within(pts, pts, radius)`` grouped by i in
+        row order, j within a row in no particular order: for the net and
+        cell scans, which read no other order."""
+        (a,) = self._pairs_input(radius, pts)
+        return self._ball_pairs(a, a, radius)
+
+    def _pairs_input(self, radius, *pts):
+        if np.isnan(radius):
+            raise InvalidConfigError("neighbour radius must be a number, not nan")
+        return [self.as_array(p) for p in pts]
+
     def _ball_pairs(self, a, b, radius):
-        """``pairs_within`` in no particular order, enumerating balls around
-        the rows of a."""
+        """The pairs of ``pairs_within``, enumerating balls around the rows
+        of a: grouped by i in row order, j within a row in ball order."""
         nb = b.shape[0]
+        if radius < 0 or not a.shape[0] or not nb:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy(), empty.copy()
         if self.kind == "graph":
             per_row, index = len(self.adjacency), _kernels.PointLocator(b)
         else:
-            per_row = np.inf if np.isinf(radius) else self.ball_size(radius)
-            if per_row > nb:
-                per_row, lookup = nb, None
-            else:
-                lookup = _ball_lookup(self, b, int(np.floor(radius)))
+            ball = np.inf if np.isinf(radius) else self.ball_size(radius)
+            per_row = min(ball, nb)
         step = max(1, _PAIRS_CHUNK // per_row)
+        lookup = None
+        if self.kind == "lattice" and ball <= nb:
+            lookup = _ball_lookup(self, b, int(np.floor(radius)), min(a.shape[0], step))
         parts = []
         for lo in range(0, a.shape[0], step):
             chunk = a[lo : lo + step]
@@ -423,28 +439,33 @@ def _lattice_offsets(space, radius):
     return offs[keep], norm[keep]
 
 
-def _ball_lookup(space, b, radius):
+def _ball_lookup(space, b, radius, chunk_rows):
     """The lattice ball lookup of ``Space._ball_pairs``: a function taking a
-    chunk of rows x to the triples (row, j, d) with b_j = x + o for an
-    offset o of the radius-ball stencil, d its norm.
+    chunk of at most ``chunk_rows`` rows x to the triples (row, j, d) with
+    b_j = x + o for an offset o of the radius-ball stencil, d its norm,
+    grouped by row in row order.
 
     Packed keys are linear in the coordinates. b's rows are packed once,
     row-major over their bounding box padded by 2 radius on each lattice
     axis, with 2m fiber slots: each row enters at its slot f and at f + m,
     so a fiber slot plus an offset's (0..m-1) needs no modulo. Each offset
     is packed once, unshifted. A row within the radius of b's box on every
-    lattice axis then has key(x + o) = key(x) + key(o) inside the frame,
-    and its neighbours are the sums found among b's sorted keys; any other
-    row has no neighbour in b and is skipped. The frame's bounds are Python
-    ints and rows are moved into it in uint64, so a box near either end of
-    int64 does not wrap. Of repeated rows of b the lowest index wins, as in
-    ``PointLocator``; a frame of 2^63 cells or more is refused."""
+    lattice axis then has key(x + o) = key(x) + key(o) inside the frame;
+    any other row has no neighbour in b and is skipped. A frame of at most
+    ``_TABLE_CELLS_PER_CANDIDATE`` cells per candidate of a chunk is a
+    table holding each cell's row of b (-1 for none), so a candidate is one
+    gather; a larger frame keeps b's keys sorted, and a candidate is one
+    binary search. The frame's bounds are Python ints and rows are moved
+    into it in uint64, so a box near either end of int64 does not wrap. Of
+    repeated rows of b the lowest index wins, as in ``PointLocator``; a
+    frame of 2^63 cells or more is refused."""
     offs, offs_d = _lattice_offsets(space, radius)
     dim, m = space.dim, space.fiber
     lo = b[:, :dim].min(axis=0).tolist()
     hi = b[:, :dim].max(axis=0).tolist()
     shape = [h - l + 4 * radius + 1 for l, h in zip(lo, hi)] + ([2 * m] if m > 1 else [])
-    if prod(shape) >= 2 ** 63:
+    cells = prod(shape)
+    if cells >= 2 ** 63:
         raise InvalidConfigError(
             f"point box {tuple(shape)} is too large to index by int64 keys")
     # frame origin lo - 2 radius, as uint64 (it may lie below int64); rows
@@ -466,23 +487,40 @@ def _ball_lookup(space, b, radius):
     owner = np.arange(b.shape[0])
     if m > 1:  # the fiber is the last axis: slot f + m is key + m
         keys, owner = np.concatenate([keys, keys + m]), np.concatenate([owner, owner])
-    order = np.argsort(keys, kind="stable")
-    # a sentinel above every frame key, so each search lands on a key
-    table = np.append(keys[order], prod(shape))
-    owner = owner[order]
     okeys = pack(offs)
 
-    def lookup(chunk):
+    def candidates(chunk):
         keep = np.ones(chunk.shape[0], dtype=bool)
         for c in range(dim):
             keep &= (chunk[:, c] >= first[c]) & (chunk[:, c] <= last[c])
         rows = np.flatnonzero(keep)
-        cand = pack(framed(chunk[rows]))[:, None] + okeys
+        return rows, pack(framed(chunk[rows]))[:, None] + okeys
+
+    if cells <= _TABLE_CELLS_PER_CANDIDATE * max(chunk_rows * offs.shape[0], 4096):
+        table = np.full(cells, -1, np.int32 if b.shape[0] < 2 ** 31 else np.int64)
+        # written in reverse, so of repeated rows the lowest index is written last
+        table[keys[::-1]] = owner[::-1]
+
+        def gather(chunk):
+            rows, cand = candidates(chunk)
+            hit = table[cand]
+            r, o = np.nonzero(hit >= 0)
+            return rows[r], hit[r, o].astype(np.int64), offs_d[o]
+
+        return gather
+
+    order = np.argsort(keys, kind="stable")
+    # a sentinel above every frame key, so each search lands on a key
+    table = np.append(keys[order], cells)
+    owner = owner[order]
+
+    def search(chunk):
+        rows, cand = candidates(chunk)
         pos = np.searchsorted(table, cand)
         r, o = np.nonzero(table[pos] == cand)
         return rows[r], owner[pos[r, o]], offs_d[o]
 
-    return lookup
+    return search
 
 
 @lru_cache(maxsize=1024)
@@ -606,7 +644,7 @@ def separated_net(space, scope, sep):
     if not 0 < sep < np.inf:
         raise InvalidConfigError("separation must be positive and finite")
     pts = scope.points
-    return pts[_kernels.greedy_net(pts, float(sep), space.pairs_within)]
+    return pts[_kernels.greedy_net(pts, float(sep), space._self_pairs)]
 
 
 @dataclass
@@ -650,7 +688,7 @@ class Covering:
         report["max_cell_diam"] = float(diam.max()) if diam.size else 0.0
         report["diam_bound"] = 4.0 * r
         report["diam_ok"] = report["max_cell_diam"] <= 4 * r
-        counts = adj.astype(np.int64).sum(axis=1)
+        counts = np.bincount(adj[0], minlength=self.ncells)
         report["max_neighbor_count"] = int(counts.max()) if counts.size else 0
         # graph balls are nested, so the largest radius-6r ball over the scope
         # is the largest ball of every radius up to 6r

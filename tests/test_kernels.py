@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from limitops import InvalidConfigError, Space, _kernels as K
+from limitops import InvalidConfigError, Space, _kernels as K, space as space_mod
 
 from conftest import GRID, Z1_FIBER3
 
@@ -130,11 +132,49 @@ def _pairs_case(case, rng):
     return space, a, b, radii, True
 
 
-@pytest.mark.parametrize("case", [
+_PAIRS_CASES = [
     "z1-fiber3", "z2-linf", "z3-l1", "grid-graph", "z2-linf-box-edge", "z3-l1-box-edge",
     "z1-fiber2", "z2-l1-fiber4", "z3-l1-int64-bottom", "z3-l1-int64-top",
-    "z2-linf-repeated", "z1-fiber3-repeated"])
+    "z2-linf-repeated", "z1-fiber3-repeated"]
+
+
+def _spy_lookups(monkeypatch):
+    """The names of the lattice ball lookups built from now on: "gather"
+    for a table of the frame's cells, "search" for its sorted keys."""
+    built = []
+    make = space_mod._ball_lookup
+
+    def spy(*args):
+        lookup = make(*args)
+        built.append(lookup.__name__)
+        return lookup
+
+    monkeypatch.setattr(space_mod, "_ball_lookup", spy)
+    return built
+
+
+@pytest.fixture(params=["gather", "search"])
+def lookup_route(request, monkeypatch):
+    """Every lattice ball lookup forced onto one route; returns the route and
+    the names of the lookups built."""
+    monkeypatch.setattr(space_mod, "_TABLE_CELLS_PER_CANDIDATE",
+                        2 ** 62 if request.param == "gather" else 0)
+    return request.param, _spy_lookups(monkeypatch)
+
+
+@pytest.mark.parametrize("case", _PAIRS_CASES)
 def test_pairs_within_matches_bruteforce(case):
+    _check_pairs_within(case)
+
+
+@pytest.mark.parametrize("case", _PAIRS_CASES)
+def test_pairs_within_matches_bruteforce_on_each_route(case, lookup_route):
+    space = _check_pairs_within(case)
+    route, built = lookup_route
+    assert set(built) == (set() if space.kind == "graph" else {route})
+
+
+def _check_pairs_within(case):
     # both argument orders; the reversed call enumerates balls around the
     # shorter array
     space, a, b, radii, lowest = _pairs_case(case, np.random.default_rng(5))
@@ -155,6 +195,47 @@ def test_pairs_within_matches_bruteforce(case):
     assert ref  # each case finds pairs
     i, j, d = space.pairs_within(a, b[:0], 3)
     assert i.size == j.size == d.size == 0
+    return space
+
+
+@pytest.mark.parametrize("case", _PAIRS_CASES)
+def test_self_pairs_are_pairs_within_grouped_by_row(case, lookup_route):
+    # the scans' unsorted self-pairs: the set of pairs_within(pts, pts, R),
+    # grouped by the first index in row order
+    space, a, b, radii, _ = _pairs_case(case, np.random.default_rng(5))
+    for pts in (a, b):
+        for radius in radii:
+            i, j, d = space._self_pairs(pts, radius)
+            assert i.dtype == j.dtype == d.dtype == np.int64
+            assert (np.diff(i) >= 0).all()
+            want = space.pairs_within(pts, pts, radius)
+            assert sorted(zip(i.tolist(), j.tolist(), d.tolist())) == list(
+                zip(*(x.tolist() for x in want)))
+    with pytest.raises(InvalidConfigError, match="not nan"):
+        space._self_pairs(a, float("nan"))
+    assert all(x.size == 0 for x in space._self_pairs(a, -1) + space._self_pairs(a[:0], 3))
+    route, built = lookup_route
+    assert set(built) == (set() if space.kind == "graph" else {route})
+
+
+def test_a_sparse_frame_is_searched_not_tabled(monkeypatch):
+    # rows 0, 1 and 2^40 (three, so the radius-1 ball of three points is
+    # looked up, not compared with every row): a table of the 2^40 + 5
+    # frame cells would take 4 TiB, the sorted keys take a few bytes
+    built = _spy_lookups(monkeypatch)
+    z1 = Space(dim=1)
+    pts = np.array([[0], [1], [2 ** 40]])
+    tracemalloc.start()
+    try:
+        got = [z1._self_pairs(pts, 1), z1.pairs_within(pts, pts, 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == ["search", "search"]
+    for i, j, d in got:
+        assert sorted(zip(i.tolist(), j.tolist(), d.tolist())) == [
+            (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 2, 0)]
+    assert peak < 1 << 20
 
 
 def test_pairs_within_refuses_unpackable_box():
@@ -225,7 +306,7 @@ def test_greedy_net_matches_bruteforce(z2_l1):
     for space, pts, sep in ((z2_l1, z2_l1.ball((0, 0), 6), 3.0),
                             (GRID, GRID.ball(17, 6), 3.0),
                             (Z1_FIBER3, Z1_FIBER3.ball((0, 1), 8), 2.5)):
-        mask = np.asarray(K.greedy_net(pts, sep, space.pairs_within), dtype=bool)
+        mask = np.asarray(K.greedy_net(pts, sep, space._self_pairs), dtype=bool)
         kept = []
         for i, p in enumerate(pts):
             ok = all(space.dist(_point(space, p), _point(space, pts[j])) >= sep
@@ -257,7 +338,8 @@ def test_cell_scan_matches_bruteforce(z2):
                     ref_adj[cell_of[i], cell_of[j]] = 1
                 if cell_of[i] == cell_of[j]:
                     ref_diam[cell_of[i]] = max(ref_diam[cell_of[i]], d)
-        assert np.array_equal(np.asarray(adj), ref_adj)
+        # the distinct adjacent cell pairs, sorted by cell then neighbour
+        assert [c.tolist() for c in adj] == [c.tolist() for c in np.nonzero(ref_adj)]
         assert np.array_equal(np.asarray(diam), ref_diam)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -447,6 +449,22 @@ def test_covering_scans_form_no_block_beyond_one_cell(monkeypatch, z2):
         assert ia.size and (ia >= 0).all() and (ib >= 0).all()
         assert (cov.cell_of[ia] == cov.cell_of[ib]).all()
         assert ia.size <= (np.bincount(cov.cell_of) ** 2).sum()
+
+
+def test_verify_memory_grows_with_the_pairs_not_the_cells():
+    # 3001 cells on Z^1: a dense cell adjacency and its int64 row sums would
+    # take 81 MB; the distinct cell pairs take a few hundred kB
+    z1 = Space(dim=1)
+    cov = build_covering(z1, window(z1, 3000), 1)
+    tracemalloc.start()
+    try:
+        report = cov.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["ok"] and report["cells"] == 3001
+    assert report["max_neighbor_count"] == 3
+    assert peak < 16 << 20
 
 
 def test_covering_rejects_bad_parameters(z2):
